@@ -59,92 +59,13 @@ func Methods() []Method {
 	return []Method{Reliability, Propagation, Diffusion, InEdge, PathCount}
 }
 
-// Options tune ranking evaluation.
-type Options struct {
-	// Trials is the Monte Carlo trial count for Reliability (0 means the
-	// paper's 10,000, derived from Theorem 3.1).
-	Trials int
-	// Seed makes Reliability runs reproducible.
-	Seed uint64
-	// Reduce applies the Section 3.1.2 graph reductions before Monte
-	// Carlo simulation (the paper's fastest configuration).
-	Reduce bool
-	// Exact computes Reliability exactly (closed solution with factoring
-	// fallback) instead of by simulation.
-	Exact bool
-	// Workers shards the Monte Carlo trials over that many goroutines
-	// with independent deterministic RNG streams. Scores are reproducible
-	// for a fixed (Seed, Workers) pair; 0 or 1 simulates serially.
-	Workers int
-	// Adaptive replaces the fixed-trial Reliability simulation with the
-	// early-stopping estimator: simulation proceeds in batches and stops
-	// as soon as a Theorem 3.1-style bound certifies the observed
-	// ranking, typically well before the fixed 10,000-trial budget.
-	// Trials then caps the total.
-	Adaptive bool
-	// TopK replaces the Reliability estimator with the bound-based
-	// successive-elimination racer: per-candidate confidence intervals
-	// are maintained over Monte Carlo batches, candidates certifiably
-	// outside the top K are eliminated and stop being simulated, and
-	// only the top K scores (and their boundary) are certified. Takes
-	// precedence over Adaptive; Trials caps the per-candidate count. Use
-	// Answers.TopK to additionally read the confidence bounds.
-	TopK int
-	// Worlds runs Reliability simulation on the bit-parallel block
-	// kernel: 256 possible worlds are evaluated per [4]uint64 block
-	// (single 64-world words cover any remainder), with Trials (and
-	// Adaptive / TopK batches) rounded up to multiples of 64. Under
-	// TopK the race's rounds are shared-sample: every surviving
-	// candidate is judged against the same sampled world blocks. Scores
-	// are statistically equivalent to the scalar estimators — the
-	// per-element presence probabilities are identical — but the RNG
-	// stream differs, so a fixed seed does not reproduce the scalar
-	// scores bit for bit (it reproduces the block-kernel scores bit for
-	// bit instead).
-	Worlds bool
-	// Planner replaces the Reliability estimator with the hybrid
-	// exact/Monte-Carlo planner: every answer is probed for exact
-	// evaluation (the Section 3.1.3 closed solution, with a small
-	// factoring budget on top), answers that resolve exactly enter the
-	// ranking with zero-width confidence intervals and zero simulation
-	// cost, and only the irreducible remainder is estimated by Monte
-	// Carlo. Ranked answers then carry per-answer Lo/Hi bounds and an
-	// Exact marker. Takes precedence over TopK and Adaptive (TopK sets
-	// the planner's certified k); Reduce is ignored, since the probe
-	// already reduces each answer's subgraph.
-	Planner bool
-}
-
-// ranker builds the rank.Ranker for a method, running on plan when the
-// method has a compiled kernel.
-func (o Options) ranker(m Method, plan *kernel.Plan) (rank.Ranker, error) {
-	switch m {
-	case Reliability:
-		if o.Exact {
-			return rank.Exact{}, nil
-		}
-		if o.Planner {
-			return &rank.HybridPlanner{K: o.TopK, Seed: o.Seed, MaxTrials: o.Trials, Worlds: o.Worlds, Plan: plan}, nil
-		}
-		if o.TopK > 0 {
-			return &rank.TopKRacer{K: o.TopK, Seed: o.Seed, Reduce: o.Reduce, MaxTrials: o.Trials, Worlds: o.Worlds, Plan: plan}, nil
-		}
-		if o.Adaptive {
-			return &rank.AdaptiveMonteCarlo{Seed: o.Seed, Reduce: o.Reduce, MaxTrials: o.Trials, Worlds: o.Worlds, Plan: plan}, nil
-		}
-		return &rank.MonteCarlo{Trials: o.Trials, Seed: o.Seed, Reduce: o.Reduce, Workers: o.Workers, Worlds: o.Worlds, Plan: plan}, nil
-	case Propagation:
-		return &rank.Propagation{Plan: plan}, nil
-	case Diffusion:
-		return &rank.Diffusion{Plan: plan}, nil
-	case InEdge:
-		return rank.InEdge{}, nil
-	case PathCount:
-		return rank.PathCount{}, nil
-	default:
-		return nil, fmt.Errorf("biorank: unknown method %q", m)
-	}
-}
+// Options tune ranking evaluation: the estimator spec (Trials, Seed,
+// Reduce, Exact, Workers, Adaptive, TopK, Worlds, Planner), documented
+// field by field on rank.Estimator. The zero value is the paper's
+// 10,000-trial Monte Carlo reliability estimate. DESIGN.md ("Estimator
+// spec") gives the precedence among the estimator flags and the fields
+// each estimator reads.
+type Options = rank.Estimator
 
 // Record identifies a record added to a Graph.
 type Record = graph.NodeID
@@ -197,26 +118,19 @@ func (g *Graph) Explore(keyword, inputKind string, outputKinds ...string) (*Answ
 // kernels directly.
 type Answers struct {
 	qg   *graph.QueryGraph
-	plan atomic.Pointer[answersPlan]
+	plan rank.PlanMemo
 }
 
-// answersPlan pins a compiled plan to the graph object and version it
-// was compiled from, so replacing or mutating the graph invalidates it.
-type answersPlan struct {
-	qg      *graph.QueryGraph
-	version uint64
-	plan    *kernel.Plan
-}
-
-// planFor returns the memoized compiled plan, compiling on first use or
-// after the underlying graph changed.
-func (a *Answers) planFor() *kernel.Plan {
-	if e := a.plan.Load(); e != nil && e.qg == a.qg && e.version == a.qg.Version() {
-		return e.plan
+// planFor returns the memoized compiled plan when one of specs runs on
+// a plan, compiling on first use or after the underlying graph changed,
+// and nil otherwise.
+func (a *Answers) planFor(specs ...rank.Spec) *kernel.Plan {
+	for _, s := range specs {
+		if s.UsesPlan() {
+			return a.plan.For(a.qg, nil)
+		}
 	}
-	plan := kernel.Compile(a.qg)
-	a.plan.Store(&answersPlan{qg: a.qg, version: a.qg.Version(), plan: plan})
-	return plan
+	return nil
 }
 
 // Len returns the number of answers.
@@ -271,25 +185,6 @@ type ScoredAnswer struct {
 	Exact bool
 }
 
-// usesPlan reports whether method m executes on a compiled kernel plan
-// under these options (mirrors rank.AllOptions.UsesPlan).
-func (o Options) usesPlan(m Method) bool {
-	switch m {
-	case Reliability:
-		if o.Exact {
-			return false
-		}
-		if o.Planner {
-			return true
-		}
-		return !o.Reduce
-	case Propagation, Diffusion:
-		return true
-	default:
-		return false
-	}
-}
-
 // Rank scores every answer with the chosen method and returns them in
 // descending score order (ties in input order).
 func (a *Answers) Rank(m Method, o Options) ([]ScoredAnswer, error) {
@@ -307,15 +202,11 @@ func (a *Answers) Rank(m Method, o Options) ([]ScoredAnswer, error) {
 // finishes before the deadline is bit-identical to Rank with the same
 // seed, and truncated is false.
 func (a *Answers) RankCtx(ctx context.Context, m Method, o Options) (answers []ScoredAnswer, truncated bool, err error) {
-	var plan *kernel.Plan
-	if o.usesPlan(m) {
-		plan = a.planFor()
-	}
-	r, err := o.ranker(m, plan)
+	spec, err := o.For(string(m))
 	if err != nil {
 		return nil, false, err
 	}
-	res, err := rank.RankWithCtx(ctx, r, a.qg)
+	res, err := rank.RankWithCtx(ctx, spec.Ranker(a.planFor(spec)), a.qg)
 	if err != nil {
 		return nil, false, err
 	}
@@ -368,6 +259,12 @@ type TopKResult struct {
 	Truncated bool
 }
 
+// racer is a top-k race estimator: rank.TopKRacer, or rank.HybridPlanner
+// under Options.Planner.
+type racer interface {
+	RankWithStatsCtx(ctx context.Context, qg *graph.QueryGraph) (rank.Result, rank.PlannerStats, error)
+}
+
 // TopK races the answer set and returns the certified top k by
 // reliability, with per-answer confidence bounds: candidates whose
 // upper confidence bound falls below the k-th largest lower bound are
@@ -394,52 +291,31 @@ func (a *Answers) TopKCtx(ctx context.Context, k int, o Options) (*TopKResult, e
 	if k < 1 {
 		return nil, fmt.Errorf("biorank: top-k rank requires k >= 1, got %d", k)
 	}
-	var plan *kernel.Plan
-	if o.Planner || !o.Reduce {
-		plan = a.planFor()
+	// A race: the racer, or the planner's race under Options.Planner.
+	o.TopK, o.Exact = k, false
+	spec, err := o.For(string(Reliability))
+	if err != nil {
+		return nil, err
 	}
-	var (
-		res   rank.Result
-		rs    rank.RaceStats
-		exact []bool
-		err   error
-		out   = &TopKResult{}
-	)
-	if o.Planner {
-		planner := &rank.HybridPlanner{K: k, Seed: o.Seed, MaxTrials: o.Trials, Worlds: o.Worlds, Plan: plan}
-		var ps rank.PlannerStats
-		res, ps, err = planner.RankWithStatsCtx(ctx, a.qg)
-		if err != nil {
-			return nil, err
-		}
-		rs = ps.RaceStats
-		exact = res.Exact
-		out.ExactAnswers = ps.ExactAnswers
-	} else {
-		racer := &rank.TopKRacer{K: k, Seed: o.Seed, Reduce: o.Reduce, MaxTrials: o.Trials, Worlds: o.Worlds, Plan: plan}
-		res, rs, err = racer.RankWithRaceCtx(ctx, a.qg)
-		if err != nil {
-			return nil, err
-		}
+	res, ps, err := spec.Ranker(a.planFor(spec)).(racer).RankWithStatsCtx(ctx, a.qg)
+	if err != nil {
+		return nil, err
 	}
-	out.Truncated = res.Truncated
 	order := rank.ArgsortDesc(res.Scores)
-	if k > len(order) {
-		k = len(order)
+	k = min(k, len(order))
+	out := &TopKResult{
+		Answers:         make([]TopKAnswer, k),
+		Candidates:      len(res.Scores),
+		Trials:          ps.Trials,
+		CandidateTrials: ps.CandidateTrials(),
+		Pruned:          ps.Pruned,
+		Rounds:          ps.Rounds,
+		ExactAnswers:    ps.ExactAnswers,
+		Truncated:       res.Truncated,
 	}
-	out.Answers = make([]TopKAnswer, k)
-	out.Candidates = len(res.Scores)
-	out.Trials = rs.Trials
-	out.CandidateTrials = rs.CandidateTrials()
-	out.Pruned = rs.Pruned
-	out.Rounds = rs.Rounds
-	// The planner reports tighter score intervals (zero-width for exact
-	// answers, Wilson for estimated ones) than the racer's running
-	// Hoeffding bounds; prefer them when present.
-	loS, hiS := rs.Lo, rs.Hi
-	if res.Lo != nil && res.Hi != nil {
-		loS, hiS = res.Lo, res.Hi
-	}
+	// Result.Lo/Hi are the racer's running bounds, or the planner's
+	// tighter intervals (zero-width for exact answers, Wilson for
+	// estimated ones).
 	for i := 0; i < k; i++ {
 		idx := order[i]
 		n := a.qg.Node(a.qg.Answers[idx])
@@ -447,12 +323,10 @@ func (a *Answers) TopKCtx(ctx context.Context, k int, o Options) (*TopKResult, e
 			Kind:   n.Kind,
 			Label:  n.Label,
 			Score:  res.Scores[idx],
-			Lo:     loS[idx],
-			Hi:     hiS[idx],
-			Trials: rs.TrialsPerCandidate[idx],
-		}
-		if exact != nil {
-			out.Answers[i].Exact = exact[idx]
+			Lo:     res.Lo[idx],
+			Hi:     res.Hi[idx],
+			Trials: ps.TrialsPerCandidate[idx],
+			Exact:  res.Exact != nil && res.Exact[idx],
 		}
 	}
 	return out, nil
@@ -474,41 +348,28 @@ func (a *Answers) RankAll(o Options, methods ...Method) (map[Method][]ScoredAnsw
 // method in the truncated map) while deterministic methods always
 // complete; see RankCtx for the partial-result contract.
 func (a *Answers) RankAllCtx(ctx context.Context, o Options, methods ...Method) (rankings map[Method][]ScoredAnswer, truncated map[Method]bool, err error) {
-	names := make([]string, len(methods))
-	for i, m := range methods {
-		names[i] = string(m)
-	}
-	all := rank.AllOptions{
-		Trials:    o.Trials,
-		Seed:      o.Seed,
-		Reduce:    o.Reduce,
-		Exact:     o.Exact,
-		MCWorkers: o.Workers,
-		Adaptive:  o.Adaptive,
-		TopK:      o.TopK,
-		Worlds:    o.Worlds,
-		Planner:   o.Planner,
-		Methods:   names,
-	}
-	requested := names
-	if len(requested) == 0 {
-		requested = rank.MethodNames
-	}
-	for _, name := range requested {
-		if all.UsesPlan(name) {
-			all.Plan = a.planFor() // memoized across calls on this Answers
-			break
+	names := rank.MethodNames
+	if len(methods) > 0 {
+		names = make([]string, len(methods))
+		for i, m := range methods {
+			names[i] = string(m)
 		}
 	}
-	results, err := rank.RankAllCtx(ctx, a.qg, all)
+	specs := make([]rank.Spec, len(names))
+	for i, name := range names {
+		if specs[i], err = o.For(name); err != nil {
+			return nil, nil, err
+		}
+	}
+	results, err := rank.RankSpecs(ctx, a.qg, specs, a.planFor(specs...), false)
 	if err != nil {
 		return nil, nil, err
 	}
 	out := make(map[Method][]ScoredAnswer, len(results))
 	trunc := make(map[Method]bool, len(results))
-	for name, res := range results {
-		out[Method(name)] = scoredAnswers(a.qg, res)
-		trunc[Method(name)] = res.Truncated
+	for i, s := range specs {
+		out[Method(s.Method)] = scoredAnswers(a.qg, results[i])
+		trunc[Method(s.Method)] = results[i].Truncated
 	}
 	return out, trunc, nil
 }
@@ -723,26 +584,7 @@ type EngineConfig struct {
 	// capacity are shed with ErrOverloaded instead of queueing
 	// unboundedly; with both zero the engine accepts everything.
 	MaxQueue int
-	// Invalidation selects how ingested deltas invalidate cached results:
-	// InvalidateScoped (the default) drops only the queries whose answer
-	// sets can reach an affected record, InvalidateVersion is the legacy
-	// baseline that strands every entry on any mutation.
-	Invalidation InvalidationMode
 }
-
-// InvalidationMode selects the engine's cache-invalidation strategy; see
-// EngineConfig.Invalidation.
-type InvalidationMode = engine.InvalidationMode
-
-// The two invalidation strategies.
-const (
-	// InvalidateScoped keys caches by query-graph content and reclaims
-	// stranded entries per affected source (the default).
-	InvalidateScoped = engine.InvalidateScoped
-	// InvalidateVersion folds the entity graph's global version into
-	// every cache key: any mutation anywhere strands all entries.
-	InvalidateVersion = engine.InvalidateVersion
-)
 
 // ConfigureEngine sets the batch engine's configuration. It must be
 // called before the engine lazily starts (first QueryBatch, CacheStats,
@@ -755,11 +597,10 @@ func (s *System) ConfigureEngine(cfg EngineConfig) error {
 		return fmt.Errorf("biorank: engine already started; ConfigureEngine must precede the first QueryBatch")
 	}
 	s.engCfg = engine.Config{
-		Workers:      cfg.Workers,
-		CacheSize:    cfg.CacheSize,
-		MaxInFlight:  cfg.MaxInFlight,
-		MaxQueue:     cfg.MaxQueue,
-		Invalidation: cfg.Invalidation,
+		Workers:     cfg.Workers,
+		CacheSize:   cfg.CacheSize,
+		MaxInFlight: cfg.MaxInFlight,
+		MaxQueue:    cfg.MaxQueue,
 	}
 	return nil
 }
@@ -804,17 +645,7 @@ func (s *System) QueryBatchCtx(ctx context.Context, reqs []BatchRequest) []Batch
 			Source:  r.Protein,
 			Methods: methods,
 			Timeout: r.Timeout,
-			Options: engine.Options{
-				Trials:    r.Options.Trials,
-				Seed:      r.Options.Seed,
-				Reduce:    r.Options.Reduce,
-				Exact:     r.Options.Exact,
-				MCWorkers: r.Options.Workers,
-				Adaptive:  r.Options.Adaptive,
-				TopK:      r.Options.TopK,
-				Worlds:    r.Options.Worlds,
-				Planner:   r.Options.Planner,
-			},
+			Options: r.Options,
 		}
 	}
 	out := make([]BatchResult, len(reqs))

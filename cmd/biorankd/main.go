@@ -99,6 +99,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"os"
 	"os/signal"
 	"sort"
@@ -436,27 +437,70 @@ func (s *server) rankingContext(r *http.Request, timeoutMs int) (context.Context
 	return r.Context(), func() {}
 }
 
+// estimatorWire is the wire form of biorank.Options, embedded by the
+// /query, /rank and /topk request bodies. Its fields mirror the options
+// one for one, in order, so a conversion maps it (and a new option that
+// is not mirrored here fails to compile). Old clients' boolean fields
+// (worlds, adaptive, planner, reduce, exact) decode unchanged.
+type estimatorWire struct {
+	Trials   int    `json:"trials,omitempty"`
+	Seed     uint64 `json:"seed,omitempty"`
+	Reduce   bool   `json:"reduce,omitempty"`
+	Exact    bool   `json:"exact,omitempty"`
+	Workers  int    `json:"workers,omitempty"`
+	Adaptive bool   `json:"adaptive,omitempty"`
+	TopK     int    `json:"topk,omitempty"`
+	Worlds   bool   `json:"worlds,omitempty"`
+	Planner  bool   `json:"planner,omitempty"`
+}
+
+// params lists the GET query parameters that set the estimator fields.
+func (e *estimatorWire) params() []param {
+	return []param{{"trials", &e.Trials}, {"seed", &e.Seed}, {"reduce", &e.Reduce}, {"exact", &e.Exact},
+		{"workers", &e.Workers}, {"adaptive", &e.Adaptive}, {"topk", &e.TopK}, {"worlds", &e.Worlds},
+		{"planner", &e.Planner}}
+}
+
+// param binds one GET query parameter to the field it sets: an *int,
+// *uint64 or *bool.
+type param struct {
+	key string
+	dst any
+}
+
+// parseParams sets every listed parameter present in q, in list order,
+// so a request with several malformed values always names the first.
+func parseParams(q url.Values, params []param) error {
+	for _, p := range params {
+		v := q.Get(p.key)
+		if v == "" {
+			continue
+		}
+		var err error
+		switch dst := p.dst.(type) {
+		case *int:
+			*dst, err = strconv.Atoi(v)
+		case *uint64:
+			*dst, err = strconv.ParseUint(v, 10, 64)
+		case *bool:
+			*dst, err = strconv.ParseBool(v)
+		}
+		if err != nil {
+			return fmt.Errorf("bad %s: %v", p.key, err)
+		}
+	}
+	return nil
+}
+
 // queryRequest is the wire form of one ranking request.
 type queryRequest struct {
-	Protein  string   `json:"protein"`
-	Methods  []string `json:"methods,omitempty"`
-	Trials   int      `json:"trials,omitempty"`
-	Seed     uint64   `json:"seed,omitempty"`
-	Reduce   bool     `json:"reduce,omitempty"`
-	Exact    bool     `json:"exact,omitempty"`
-	Workers  int      `json:"workers,omitempty"`
-	Adaptive bool     `json:"adaptive,omitempty"`
-	TopK     int      `json:"topk,omitempty"`
-	Worlds   bool     `json:"worlds,omitempty"`
-	Planner  bool     `json:"planner,omitempty"`
+	Protein string   `json:"protein"`
+	Methods []string `json:"methods,omitempty"`
+	estimatorWire
 	// TimeoutMs bounds this request's latency in milliseconds,
 	// overriding the server's -default-timeout; on expiry the ranking
 	// is returned truncated, not failed.
 	TimeoutMs int `json:"timeoutMs,omitempty"`
-}
-
-func (q queryRequest) options() biorank.Options {
-	return biorank.Options{Trials: q.Trials, Seed: q.Seed, Reduce: q.Reduce, Exact: q.Exact, Workers: q.Workers, Adaptive: q.Adaptive, TopK: q.TopK, Worlds: q.Worlds, Planner: q.Planner}
 }
 
 func (q queryRequest) methods() []biorank.Method {
@@ -537,7 +581,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		batch[i] = biorank.BatchRequest{
 			Protein: q.Protein,
 			Methods: q.methods(),
-			Options: q.options(),
+			Options: biorank.Options(q.estimatorWire),
 			Timeout: s.requestTimeout(q.TimeoutMs),
 		}
 	}
@@ -599,30 +643,8 @@ func parseQueryRequests(r *http.Request) ([]queryRequest, error) {
 		if m := q.Get("methods"); m != "" {
 			req.Methods = strings.Split(m, ",")
 		}
-		for key, dst := range map[string]*bool{"reduce": &req.Reduce, "exact": &req.Exact, "adaptive": &req.Adaptive, "worlds": &req.Worlds, "planner": &req.Planner} {
-			if v := q.Get(key); v != "" {
-				b, err := strconv.ParseBool(v)
-				if err != nil {
-					return nil, fmt.Errorf("bad %s: %v", key, err)
-				}
-				*dst = b
-			}
-		}
-		for key, dst := range map[string]*int{"trials": &req.Trials, "workers": &req.Workers, "topk": &req.TopK, "timeoutMs": &req.TimeoutMs} {
-			if v := q.Get(key); v != "" {
-				n, err := strconv.Atoi(v)
-				if err != nil {
-					return nil, fmt.Errorf("bad %s: %v", key, err)
-				}
-				*dst = n
-			}
-		}
-		if v := q.Get("seed"); v != "" {
-			n, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad seed: %v", err)
-			}
-			req.Seed = n
+		if err := parseParams(q, append(req.params(), param{"timeoutMs", &req.TimeoutMs})); err != nil {
+			return nil, err
 		}
 		return []queryRequest{req}, nil
 	}
@@ -645,16 +667,9 @@ func parseQueryRequests(r *http.Request) ([]queryRequest, error) {
 // rankRequest is the wire form of /rank: a serialized query graph plus
 // evaluation options.
 type rankRequest struct {
-	Graph    json.RawMessage `json:"graph"`
-	Methods  []string        `json:"methods,omitempty"`
-	Trials   int             `json:"trials,omitempty"`
-	Seed     uint64          `json:"seed,omitempty"`
-	Reduce   bool            `json:"reduce,omitempty"`
-	Exact    bool            `json:"exact,omitempty"`
-	Workers  int             `json:"workers,omitempty"`
-	Adaptive bool            `json:"adaptive,omitempty"`
-	Worlds   bool            `json:"worlds,omitempty"`
-	Planner  bool            `json:"planner,omitempty"`
+	Graph   json.RawMessage `json:"graph"`
+	Methods []string        `json:"methods,omitempty"`
+	estimatorWire
 	// TimeoutMs bounds the ranking's latency in milliseconds,
 	// overriding -default-timeout; expiry truncates rather than fails.
 	TimeoutMs int `json:"timeoutMs,omitempty"`
@@ -691,14 +706,13 @@ func (s *server) handleRank(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad graph: %v", err))
 		return
 	}
-	opts := biorank.Options{Trials: req.Trials, Seed: req.Seed, Reduce: req.Reduce, Exact: req.Exact, Workers: req.Workers, Adaptive: req.Adaptive, Worlds: req.Worlds, Planner: req.Planner}
 	methods := make([]biorank.Method, len(req.Methods))
 	for i, m := range req.Methods {
 		methods[i] = biorank.Method(m)
 	}
 	ctx, cancel := s.rankingContext(r, req.TimeoutMs)
 	defer cancel()
-	all, truncated, err := ans.RankAllCtx(ctx, opts, methods...)
+	all, truncated, err := ans.RankAllCtx(ctx, biorank.Options(req.estimatorWire), methods...)
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return
@@ -725,16 +739,13 @@ func (s *server) handleRank(w http.ResponseWriter, r *http.Request) {
 }
 
 // topkRequest is the wire form of /topk. Order "lower" re-sorts the
-// certified top k by interval lower bound (descending, stable).
+// certified top k by interval lower bound (descending, stable). K, not
+// the estimator's topk field, sets the race's k.
 type topkRequest struct {
 	Protein string `json:"protein"`
 	K       int    `json:"k,omitempty"`
-	Trials  int    `json:"trials,omitempty"`
-	Seed    uint64 `json:"seed,omitempty"`
-	Reduce  bool   `json:"reduce,omitempty"`
-	Worlds  bool   `json:"worlds,omitempty"`
-	Planner bool   `json:"planner,omitempty"`
 	Order   string `json:"order,omitempty"`
+	estimatorWire
 	// TimeoutMs bounds the race's latency in milliseconds, overriding
 	// -default-timeout; expiry returns the current standings with
 	// "truncated": true instead of failing.
@@ -763,33 +774,9 @@ func (s *server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		q := r.URL.Query()
 		req.Protein = q.Get("protein")
-		for key, dst := range map[string]*int{"k": &req.K, "trials": &req.Trials, "timeoutMs": &req.TimeoutMs} {
-			if v := q.Get(key); v != "" {
-				n, err := strconv.Atoi(v)
-				if err != nil {
-					httpError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %v", key, err))
-					return
-				}
-				*dst = n
-			}
-		}
-		if v := q.Get("seed"); v != "" {
-			n, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("bad seed: %v", err))
-				return
-			}
-			req.Seed = n
-		}
-		for key, dst := range map[string]*bool{"reduce": &req.Reduce, "worlds": &req.Worlds, "planner": &req.Planner} {
-			if v := q.Get(key); v != "" {
-				b, err := strconv.ParseBool(v)
-				if err != nil {
-					httpError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %v", key, err))
-					return
-				}
-				*dst = b
-			}
+		if err := parseParams(q, append(req.params(), param{"k", &req.K}, param{"timeoutMs", &req.TimeoutMs})); err != nil {
+			httpError(w, http.StatusBadRequest, err)
+			return
 		}
 		req.Order = q.Get("order")
 	case http.MethodPost:
@@ -833,7 +820,7 @@ func (s *server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.rankingContext(r, req.TimeoutMs)
 	defer cancel()
-	res, err := ans.TopKCtx(ctx, req.K, biorank.Options{Trials: req.Trials, Seed: req.Seed, Reduce: req.Reduce, Worlds: req.Worlds, Planner: req.Planner})
+	res, err := ans.TopKCtx(ctx, req.K, biorank.Options(req.estimatorWire))
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return

@@ -3,6 +3,8 @@ package engine
 import (
 	"container/list"
 	"sync"
+
+	"biorank/internal/rank"
 )
 
 // cacheKey identifies one cached ranking result. A key is only ever
@@ -10,35 +12,15 @@ import (
 // fingerprint hashes the full pruned query graph (nodes, edges,
 // probabilities, source, answer set), so any content change — including
 // a probability revision delivered by a source delta — produces a
-// different key and can never be served a stale entry.
-//
-// version is 0 under scoped invalidation (the default): content keying
-// already guarantees freshness, and stranded entries are reclaimed
-// eagerly by InvalidateSources instead of waiting for LRU eviction.
-// Under the legacy InvalidateVersion mode it carries the entity graph's
-// mutation counter, so ANY mutation anywhere strands every entry — the
-// whole-graph version-nuke behavior the churn study measures against.
+// different key and can never be served a stale entry. est is the
+// estimator normalised for the method (rank.Spec.Key): it holds exactly
+// the fields the method reads, so requests differing only in fields the
+// method ignores share one entry.
 type cacheKey struct {
-	source  string // query identity (e.g. the protein keyword)
-	fp      uint64 // query-graph fingerprint (content hash)
-	version uint64 // entity-graph version (InvalidateVersion mode only)
-	method  string
-	opts    optionsKey
-}
-
-// optionsKey is the comparable projection of Options onto the fields
-// that can change scores. MCWorkers is included because the parallel
-// Monte Carlo stream depends on the (seed, workers) pair.
-type optionsKey struct {
-	trials    int
-	seed      uint64
-	reduce    bool
-	exact     bool
-	mcWorkers int
-	adaptive  bool
-	topK      int
-	worlds    bool
-	planner   bool
+	source string // query identity (e.g. the protein keyword)
+	fp     uint64 // query-graph fingerprint (content hash)
+	method string
+	est    rank.Estimator
 }
 
 // CacheStats reports the cache's cumulative effectiveness counters.
@@ -176,9 +158,9 @@ func (c *resultCache) removeLocked(el *list.Element) {
 }
 
 // invalidateSources removes every entry whose query source is listed and
-// returns how many were dropped. This is the scoped counterpart of the
-// version-nuke: a delta invalidates exactly the sources that can reach
-// an affected node, and every other source's entries keep serving hits.
+// returns how many were dropped: a delta invalidates exactly the sources
+// that can reach an affected node, and every other source's entries keep
+// serving hits.
 func (c *resultCache) invalidateSources(sources []string) int {
 	if c == nil {
 		return 0

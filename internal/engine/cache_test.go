@@ -121,3 +121,29 @@ func TestCacheNoAliasing(t *testing.T) {
 		t.Fatalf("plain entry grew uncertainty payload: %+v", got)
 	}
 }
+
+// TestCacheKeyIgnoresUnreadEstimatorFields is the regression test for
+// result-cache keys that held estimator fields the method never reads:
+// the deterministic methods ignore Seed, Trials and Worlds, so requests
+// differing only there must share one entry per method.
+func TestCacheKeyIgnoresUnreadEstimatorFields(t *testing.T) {
+	e := New(nil, Config{Workers: 1})
+	defer e.Close()
+	qg := diamond()
+	methods := []string{"inedge", "pathcount", "propagation"}
+	for seed := uint64(1); seed <= 3; seed++ {
+		resp := e.Rank(Request{Source: "d", Graph: qg, Methods: methods,
+			Options: Options{Seed: seed, Trials: 100 * int(seed), Worlds: seed == 2}})
+		if resp.Err != nil {
+			t.Fatal(resp.Err)
+		}
+		for _, m := range methods {
+			if resp.Cached[m] != (seed > 1) {
+				t.Errorf("seed %d: %s cached = %v", seed, m, resp.Cached[m])
+			}
+		}
+	}
+	if s := e.CacheStats(); s.Misses != 3 || s.Hits != 6 || s.Entries != 3 {
+		t.Fatalf("cache stats %+v, want 3 misses, 6 hits, 3 entries", s)
+	}
+}

@@ -10,17 +10,17 @@
 //     every core instead of queueing behind one sequential loop.
 //   - Shared query graphs. Each request resolves (or receives) ONE
 //     pruned graph.QueryGraph and scores all requested semantics over it
-//     via rank.RankAll — the graph is never rebuilt per method, and the
+//     via rank.RankSpecs — the graph is never rebuilt per method, and the
 //     reliability estimator can additionally shard its Monte Carlo
-//     trials over goroutines (Options.MCWorkers) with deterministic
+//     trials over goroutines (Options.Workers) with deterministic
 //     per-shard RNG streams.
 //   - Result caching. Scores are memoized in an LRU keyed by (source,
-//     query-graph fingerprint, method, options). The fingerprint hashes
-//     the full pruned graph content, so mutating the underlying entity
-//     graph changes the keys of every affected query and stale results
-//     can never be served; InvalidateSources additionally reclaims the
-//     stranded entries for exactly the sources a delta touched (see
-//     InvalidationMode for the legacy whole-graph alternative).
+//     query-graph fingerprint, method, normalised estimator). The
+//     fingerprint hashes the full pruned graph content, so mutating the
+//     underlying entity graph changes the keys of every affected query
+//     and stale results can never be served; InvalidateSources
+//     additionally reclaims the stranded entries for exactly the sources
+//     a delta touched.
 //
 // The engine is safe for concurrent use; any number of goroutines may
 // call QueryBatch and Rank simultaneously.
@@ -72,54 +72,10 @@ func resolve(ctx context.Context, r Resolver, source string) (*graph.QueryGraph,
 	return r.Resolve(source)
 }
 
-// Options tune how a request's methods are evaluated. The zero value
-// uses the paper's defaults (10,000-trial serial Monte Carlo, no
-// reductions).
-type Options struct {
-	// Trials is the Monte Carlo budget for reliability (0 means
-	// rank.DefaultTrials).
-	Trials int
-	// Seed makes reliability simulations reproducible.
-	Seed uint64
-	// Reduce applies the Section 3.1.2 graph reductions first.
-	Reduce bool
-	// Exact computes reliability exactly instead of by simulation.
-	Exact bool
-	// MCWorkers shards Monte Carlo trials over goroutines; scores are
-	// deterministic for a fixed (Seed, MCWorkers) pair.
-	MCWorkers int
-	// Adaptive replaces the fixed-trial reliability simulation with the
-	// early-stopping adaptive estimator: batches run until a Theorem
-	// 3.1-style bound certifies the observed ranking. Trials then caps
-	// the total.
-	Adaptive bool
-	// TopK replaces the reliability estimator with the successive-
-	// elimination top-k racer (rank.TopKRacer): only the top K scores
-	// and their boundary are certified, and eliminated candidates stop
-	// being simulated. Takes precedence over Adaptive. Because only the
-	// top K is certified, K is part of the result-cache key.
-	TopK int
-	// Worlds runs reliability simulation on the bit-parallel block
-	// kernel (256 possible worlds per [4]uint64 block, trials rounded
-	// up to 64-world word multiples). The estimator is statistically —
-	// not bitwise — equivalent to the scalar kernels, so the flag is
-	// part of the result-cache key: a scalar hit must never serve a
-	// worlds request or vice versa.
-	Worlds bool
-	// Planner replaces the reliability estimator with the hybrid
-	// exact/Monte-Carlo planner (rank.HybridPlanner): answers whose
-	// subgraph reduces or factors cheaply are solved exactly and seed
-	// the top-k race as zero-width intervals; only the irreducible
-	// remainder is simulated. Results carry per-answer Lo/Hi bounds and
-	// Exact markers. Takes precedence over TopK and Adaptive (TopK then
-	// sets the planner's K) and is part of the result-cache key: planner
-	// scores are not interchangeable with plain Monte Carlo estimates.
-	Planner bool
-}
-
-func (o Options) key() optionsKey {
-	return optionsKey{trials: o.Trials, seed: o.Seed, reduce: o.Reduce, exact: o.Exact, mcWorkers: o.MCWorkers, adaptive: o.Adaptive, topK: o.TopK, worlds: o.Worlds, planner: o.Planner}
-}
+// Options tune how a request's methods are evaluated: the estimator
+// spec, passed to the rankers unchanged. The zero value uses the paper's
+// defaults (10,000-trial serial Monte Carlo, no reductions).
+type Options = rank.Estimator
 
 // Request is one unit of work in a batch: rank the answers of a query
 // under one or more semantics.
@@ -161,25 +117,6 @@ type Response struct {
 	Cached map[string]bool
 }
 
-// InvalidationMode selects how the result and plan caches are kept
-// consistent when the underlying entity graph mutates.
-type InvalidationMode int
-
-const (
-	// InvalidateScoped (the default) keys caches by query-graph content
-	// alone: a mutation changes the affected queries' fingerprints, so a
-	// stale entry can never be looked up, and Engine.InvalidateSources
-	// reclaims the stranded entries for exactly the sources a delta
-	// touched. Queries for unaffected sources keep hitting.
-	InvalidateScoped InvalidationMode = iota
-	// InvalidateVersion is the legacy whole-graph behavior: the entity
-	// graph's mutation counter is folded into every cache key, so any
-	// mutation anywhere strands every cached result and plan. Kept as
-	// the baseline the churn experiments measure scoped invalidation
-	// against.
-	InvalidateVersion
-)
-
 // Config sizes the engine.
 type Config struct {
 	// Workers is the worker-pool size; 0 means runtime.GOMAXPROCS(0).
@@ -202,9 +139,6 @@ type Config struct {
 	// with both zero the engine accepts everything, as it historically
 	// did.
 	MaxQueue int
-	// Invalidation selects the cache-consistency strategy under graph
-	// mutations; the zero value is InvalidateScoped.
-	Invalidation InvalidationMode
 }
 
 // DefaultCacheSize is the default LRU capacity.
@@ -256,13 +190,12 @@ var logPanic = func(format string, args ...any) { log.Printf(format, args...) }
 // Engine executes batched ranking requests over a worker pool. Create
 // one with New and release its workers with Close.
 type Engine struct {
-	resolver     Resolver
-	cache        *resultCache
-	plans        *planCache
-	invalidation InvalidationMode
-	jobs         chan job
-	wg           sync.WaitGroup
-	workers      int
+	resolver Resolver
+	cache    *resultCache
+	plans    *planCache
+	jobs     chan job
+	wg       sync.WaitGroup
+	workers  int
 
 	// Admission control. capacity is the admitted ceiling (0 =
 	// unlimited); pending counts admitted-but-unfinished requests,
@@ -316,10 +249,9 @@ func New(resolver Resolver, cfg Config) *Engine {
 		capacity = inFlight + cfg.MaxQueue
 	}
 	e := &Engine{
-		resolver:     resolver,
-		cache:        newResultCache(size), // nil when size < 0
-		plans:        newPlanCache(planSize),
-		invalidation: cfg.Invalidation,
+		resolver: resolver,
+		cache:    newResultCache(size), // nil when size < 0
+		plans:    newPlanCache(planSize),
 		// Buffered to the admission ceiling: an admitted send can then
 		// never block, so QueryBatch's enqueue loop cannot stall behind
 		// a slow pool and admission "queued" matches channel occupancy.
@@ -576,57 +508,46 @@ func (e *Engine) execute(ctx context.Context, req *Request, resp *Response) {
 	if len(methods) == 0 {
 		methods = rank.MethodNames
 	}
-	fp := qg.Fingerprint()
-	// Under scoped invalidation keys are pure content; the version slot
-	// is only populated in the legacy whole-graph mode, where any bump
-	// must strand every key.
-	var version uint64
-	if e.invalidation == InvalidateVersion {
-		version = qg.Version()
-	}
-	okey := req.Options.key()
-
-	results := make(map[string]rank.Result, len(methods))
-	cached := make(map[string]bool, len(methods))
-	var misses []string
-	for _, m := range methods {
-		if hit, ok := e.cache.get(cacheKey{source: req.Source, fp: fp, version: version, method: m, opts: okey}); ok {
-			results[m] = rank.Result{Method: m, Scores: hit.scores, Lo: hit.lo, Hi: hit.hi, Exact: hit.exact}
-			cached[m] = true
-			continue
-		}
-		misses = append(misses, m)
-	}
-
-	if len(misses) > 0 {
-		all := rank.AllOptions{
-			Trials:    req.Options.Trials,
-			Seed:      req.Options.Seed,
-			Reduce:    req.Options.Reduce,
-			Exact:     req.Options.Exact,
-			MCWorkers: req.Options.MCWorkers,
-			Adaptive:  req.Options.Adaptive,
-			TopK:      req.Options.TopK,
-			Worlds:    req.Options.Worlds,
-			Planner:   req.Options.Planner,
-			Methods:   misses,
-		}
-		all.Plan = e.planFor(qg, fp, version, all)
-		fresh, err := rank.RankAllCtx(ctx, qg, all)
+	specs := make([]rank.Spec, len(methods))
+	for i, m := range methods {
+		spec, err := req.Options.For(m)
 		if err != nil {
 			resp.Err = err
 			return
 		}
-		for m, res := range fresh {
-			results[m] = res
-			cached[m] = false
+		specs[i] = spec
+	}
+	fp := qg.Fingerprint()
+
+	results := make(map[string]rank.Result, len(specs))
+	cached := make(map[string]bool, len(specs))
+	var misses []rank.Spec
+	for _, s := range specs {
+		if hit, ok := e.cache.get(cacheKey{source: req.Source, fp: fp, method: s.Method, est: s.Key}); ok {
+			results[s.Method] = rank.Result{Method: s.Method, Scores: hit.scores, Lo: hit.lo, Hi: hit.hi, Exact: hit.exact}
+			cached[s.Method] = true
+			continue
+		}
+		misses = append(misses, s)
+	}
+
+	if len(misses) > 0 {
+		fresh, err := rank.RankSpecs(ctx, qg, misses, e.planFor(qg, fp, misses), false)
+		if err != nil {
+			resp.Err = err
+			return
+		}
+		for i, s := range misses {
+			res := fresh[i]
+			results[s.Method] = res
+			cached[s.Method] = false
 			if res.Truncated {
 				// A truncated result is specific to the deadline that
 				// produced it; memoizing it would serve partial tallies
 				// to future requests with all the time in the world.
 				continue
 			}
-			e.cache.put(cacheKey{source: req.Source, fp: fp, version: version, method: m, opts: okey},
+			e.cache.put(cacheKey{source: req.Source, fp: fp, method: s.Method, est: s.Key},
 				cachedResult{scores: res.Scores, lo: res.Lo, hi: res.Hi, exact: res.Exact})
 		}
 	}
@@ -635,26 +556,22 @@ func (e *Engine) execute(ctx context.Context, req *Request, resp *Response) {
 }
 
 // planFor returns a compiled kernel plan for qg when one of the missed
-// methods runs on a plan, consulting the plan LRU first. Keys are
-// content fingerprints (plus the graph version in InvalidateVersion
-// mode), so mutations strand stale plans exactly like stale results. On
-// a miss it first looks for a cached plan over the same wiring — the
-// typical aftermath of a probability-only delta — and derives the new
-// plan by patching its coin thresholds (kernel.Plan.Patch, ~2x cheaper
-// than Compile) before falling back to full compilation.
-func (e *Engine) planFor(qg *graph.QueryGraph, fp, version uint64, o rank.AllOptions) *kernel.Plan {
+// specs runs on a plan, consulting the plan LRU first. Keys are content
+// fingerprints, so mutations strand stale plans exactly like stale
+// results. On a miss it first looks for a cached plan over the same
+// wiring — the typical aftermath of a probability-only delta — and
+// derives the new plan by patching its coin thresholds
+// (kernel.Plan.Patch, ~2x cheaper than Compile) before falling back to
+// full compilation.
+func (e *Engine) planFor(qg *graph.QueryGraph, fp uint64, specs []rank.Spec) *kernel.Plan {
 	needed := false
-	for _, m := range o.Methods {
-		if o.UsesPlan(m) {
-			needed = true
-			break
-		}
+	for _, s := range specs {
+		needed = needed || s.UsesPlan()
 	}
 	if !needed {
 		return nil
 	}
-	key := planKey{fp: fp, version: version}
-	if plan := e.plans.get(key); plan != nil && plan.Matches(qg) {
+	if plan := e.plans.get(fp); plan != nil && plan.Matches(qg) {
 		return plan
 	}
 	topo := qg.TopoFingerprint()
@@ -669,6 +586,6 @@ func (e *Engine) planFor(qg *graph.QueryGraph, fp, version uint64, o rank.AllOpt
 	if plan == nil {
 		plan = kernel.Compile(qg)
 	}
-	e.plans.put(key, topo, plan, patched)
+	e.plans.put(fp, topo, plan, patched)
 	return plan
 }

@@ -111,7 +111,7 @@ func TestEngineConcurrentHammer(t *testing.T) {
 	defer e.Close()
 
 	const hammers = 8
-	opts := Options{Trials: 200, Seed: 3, Reduce: true, MCWorkers: 2}
+	opts := Options{Trials: 200, Seed: 3, Reduce: true, Workers: 2}
 	baseline := map[string]map[string][]float64{}
 	for _, p := range proteins[:4] {
 		resp := e.Rank(Request{Source: p, Options: opts})
@@ -172,7 +172,7 @@ func TestEngineParallelMCDeterministic(t *testing.T) {
 	e := New(nil, Config{Workers: 2, CacheSize: -1}) // cache off: every run recomputes
 	defer e.Close()
 	qg := diamond()
-	opts := Options{Trials: 20000, Seed: 5, MCWorkers: 4}
+	opts := Options{Trials: 20000, Seed: 5, Workers: 4}
 	req := Request{Source: "diamond", Graph: qg, Methods: []string{"reliability"}, Options: opts}
 
 	first := e.Rank(req)
@@ -236,14 +236,15 @@ func TestEngineCacheLifecycle(t *testing.T) {
 		t.Errorf("stats %+v, want %d hits and %d misses", s, len(rank.MethodNames), len(rank.MethodNames))
 	}
 
-	// Different options are a different key.
+	// A different seed is a different key for reliability, the only
+	// method that reads it; the deterministic methods keep hitting.
 	r3 := e.Rank(Request{Source: "diamond", Graph: qg, Options: Options{Trials: 1000, Seed: 9}})
 	if r3.Err != nil {
 		t.Fatal(r3.Err)
 	}
 	for m, hit := range r3.Cached {
-		if hit {
-			t.Errorf("different seed should miss for %s", m)
+		if hit != (m != "reliability") {
+			t.Errorf("different seed: %s cached = %v", m, hit)
 		}
 	}
 

@@ -109,39 +109,6 @@ func TestScopedInvalidation(t *testing.T) {
 	}
 }
 
-// TestVersionNukeMode pins the legacy baseline: with InvalidateVersion,
-// any mutation anywhere strands every entry, including sources the delta
-// could not possibly have affected.
-func TestVersionNukeMode(t *testing.T) {
-	st := chainStore()
-	base := storeResolver(st)
-	// Stamp snapshots with the store version, the one coherent clock.
-	res := ResolverFunc(func(source string) (*graph.QueryGraph, error) {
-		qg, err := base.Resolve(source)
-		if err == nil {
-			qg.Graph.SetVersion(st.Version())
-		}
-		return qg, err
-	})
-	e := New(res, Config{Workers: 2, Invalidation: InvalidateVersion})
-	defer e.Close()
-
-	opts := Options{Trials: 200, Seed: 1}
-	reqS2 := Request{Source: "s2", Methods: []string{"reliability"}, Options: opts}
-	if r := e.Rank(reqS2); r.Err != nil {
-		t.Fatal(r.Err)
-	}
-	if r := e.Rank(reqS2); !r.Cached["reliability"] {
-		t.Fatal("repeat should hit before any mutation")
-	}
-
-	setX(t, st, 0.9) // touches only the OTHER chain
-
-	if r := e.Rank(reqS2); r.Cached["reliability"] {
-		t.Fatal("version-nuke mode served a pre-mutation entry after a version bump")
-	}
-}
-
 // TestPlanPatchOnProbDelta pins the incremental plan path: after a
 // probability-only delta the plan cache misses on content but patches
 // the topology-equal predecessor instead of recompiling, and the patched

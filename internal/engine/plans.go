@@ -7,19 +7,6 @@ import (
 	"biorank/internal/kernel"
 )
 
-// planKey identifies one compiled kernel plan. The fingerprint hashes
-// the full pruned query graph (structure, probabilities, source, answer
-// set); version is 0 under scoped invalidation and the entity graph's
-// mutation counter under the legacy InvalidateVersion mode (see
-// cacheKey). Keying by content rather than graph identity is what makes
-// the cache effective: the resolver builds a fresh QueryGraph object per
-// query, but repeated queries for the same source produce
-// fingerprint-equal graphs and reuse one plan.
-type planKey struct {
-	fp      uint64
-	version uint64
-}
-
 // PlanCacheStats reports the plan cache's cumulative counters. A plan
 // hit means a ranking request skipped CSR compilation entirely; a patch
 // means a miss was served by rewriting the coin thresholds of a
@@ -38,15 +25,19 @@ type PlanCacheStats struct {
 // are compiled from.
 const DefaultPlanCacheSize = 256
 
-// planCache is a mutex-guarded LRU mapping planKey to compiled plans,
-// with a secondary index by topology fingerprint: after a
-// probability-only delta the new content fingerprint misses, but the
-// topology index still finds the predecessor plan to patch.
+// planCache is a mutex-guarded LRU mapping query-graph fingerprints to
+// compiled plans. Keying by content rather than graph identity is what
+// makes the cache effective: the resolver builds a fresh QueryGraph
+// object per query, but repeated queries for the same source produce
+// fingerprint-equal graphs and reuse one plan. A secondary index by
+// topology fingerprint serves the aftermath of a probability-only delta:
+// the new content fingerprint misses, but the topology index still finds
+// the predecessor plan to patch.
 type planCache struct {
 	mu    sync.Mutex
 	cap   int
 	ll    *list.List // front = most recently used
-	items map[planKey]*list.Element
+	items map[uint64]*list.Element
 	// byTopo maps a query graph's topology fingerprint to the most
 	// recently stored plan with that wiring (probabilities aside).
 	byTopo map[uint64]*list.Element
@@ -54,7 +45,7 @@ type planCache struct {
 }
 
 type planEntry struct {
-	key  planKey
+	key  uint64
 	topo uint64
 	plan *kernel.Plan
 }
@@ -66,13 +57,13 @@ func newPlanCache(capacity int) *planCache {
 	return &planCache{
 		cap:    capacity,
 		ll:     list.New(),
-		items:  make(map[planKey]*list.Element, capacity),
+		items:  make(map[uint64]*list.Element, capacity),
 		byTopo: make(map[uint64]*list.Element),
 	}
 }
 
-// get returns the cached plan for key, or nil.
-func (c *planCache) get(key planKey) *kernel.Plan {
+// get returns the cached plan for fingerprint key, or nil.
+func (c *planCache) get(key uint64) *kernel.Plan {
 	if c == nil {
 		return nil
 	}
@@ -106,7 +97,7 @@ func (c *planCache) topoGet(topo uint64) *kernel.Plan {
 // put stores a plan under key, evicting the least recently used entry
 // when over capacity. patched records whether the plan was derived by
 // Plan.Patch rather than compiled.
-func (c *planCache) put(key planKey, topo uint64, plan *kernel.Plan, patched bool) {
+func (c *planCache) put(key, topo uint64, plan *kernel.Plan, patched bool) {
 	if c == nil {
 		return
 	}

@@ -101,10 +101,10 @@ func TestAdaptiveOptionDistinctCacheKey(t *testing.T) {
 func TestPlanCacheEviction(t *testing.T) {
 	c := newPlanCache(2)
 	p := kernel.Compile(planTestGraph())
-	c.put(planKey{fp: 1}, 1, p, false)
-	c.put(planKey{fp: 2}, 2, p, false)
-	c.put(planKey{fp: 3}, 3, p, false)
-	if got := c.get(planKey{fp: 1}); got != nil {
+	c.put(1, 1, p, false)
+	c.put(2, 2, p, false)
+	c.put(3, 3, p, false)
+	if got := c.get(1); got != nil {
 		t.Fatal("oldest entry should have been evicted")
 	}
 	if s := c.Stats(); s.Evictions != 1 || s.Entries != 2 {

@@ -266,7 +266,7 @@ func TestEngineDeadlineCompletedBitIdentical(t *testing.T) {
 	for _, opts := range []Options{
 		{Trials: 2000, Seed: 9},
 		{Trials: 2000, Seed: 9, Worlds: true},
-		{Trials: 2000, Seed: 9, MCWorkers: 2},
+		{Trials: 2000, Seed: 9, Workers: 2},
 	} {
 		plain := e.Rank(Request{Source: "q", Methods: []string{"reliability"}, Options: opts})
 		timed := e.Rank(Request{Source: "q", Methods: []string{"reliability"}, Options: opts, Timeout: time.Hour})

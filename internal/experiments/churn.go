@@ -22,10 +22,10 @@ import (
 //
 //   - scoped: caches are keyed by query-graph content and a write
 //     reclaims only the keywords whose answer sets can reach the mutated
-//     record (the engine's default);
-//   - version-nuke: the graph's mutation counter is folded into every
-//     cache key, so any write anywhere strands every cached result and
-//     plan (the legacy baseline).
+//     record (the engine's behavior);
+//   - version-nuke: any write anywhere drops every cached result (the
+//     baseline; the experiment builds it by invalidating every keyword
+//     on each write).
 //
 // The study reports hit rates, invalidation and plan-patch counters for
 // both, plus a staleness check: after the workload, every keyword's
@@ -108,13 +108,13 @@ func (s *Suite) Churn(rounds int, writeRate float64, trials int) (ChurnResult, e
 	out := ChurnResult{Rounds: rounds, WriteRate: writeRate, Keywords: len(keywords), Trials: trials}
 	for _, pass := range []struct {
 		name string
-		mode engine.InvalidationMode
+		nuke bool
 		dst  *ChurnModeResult
 	}{
-		{"scoped", engine.InvalidateScoped, &out.Scoped},
-		{"version-nuke", engine.InvalidateVersion, &out.Nuke},
+		{"scoped", false, &out.Scoped},
+		{"version-nuke", true, &out.Nuke},
 	} {
-		res, err := s.churnMode(med, keywords, ops, pass.mode, trials)
+		res, err := s.churnMode(med, keywords, ops, pass.nuke, trials)
 		if err != nil {
 			return ChurnResult{}, fmt.Errorf("experiments: churn %s: %w", pass.name, err)
 		}
@@ -125,8 +125,9 @@ func (s *Suite) Churn(rounds int, writeRate float64, trials int) (ChurnResult, e
 }
 
 // churnMode replays the op stream against a fresh union store and engine
-// configured with one invalidation strategy.
-func (s *Suite) churnMode(med *mediator.Mediator, keywords []string, ops []churnOp, mode engine.InvalidationMode, trials int) (ChurnModeResult, error) {
+// under one invalidation strategy: scoped, or with nuke set the
+// version-nuke baseline.
+func (s *Suite) churnMode(med *mediator.Mediator, keywords []string, ops []churnOp, nuke bool, trials int) (ChurnModeResult, error) {
 	g, err := med.IntegrateAll(keywords)
 	if err != nil {
 		return ChurnModeResult{}, err
@@ -151,11 +152,9 @@ func (s *Suite) churnMode(med *mediator.Mediator, keywords []string, ops []churn
 		}
 		var (
 			qg  *graph.QueryGraph
-			ver uint64
 			err error
 		)
 		store.View(func(g *graph.Graph) {
-			ver = g.Version()
 			q := query.Exploratory{
 				InputKind:   mediator.KindProtein,
 				Match:       func(n graph.Node) bool { return accs[n.Label] },
@@ -164,13 +163,9 @@ func (s *Suite) churnMode(med *mediator.Mediator, keywords []string, ops []churn
 			}
 			qg, err = q.Run(g)
 		})
-		if err != nil {
-			return nil, err
-		}
-		qg.Graph.SetVersion(ver)
-		return qg, nil
+		return qg, err
 	})
-	eng := engine.New(resolver, engine.Config{Workers: 1, Invalidation: mode})
+	eng := engine.New(resolver, engine.Config{Workers: 1})
 	defer eng.Close()
 	// No Reduce: reductions bypass the compiled-plan path, and the plan
 	// cache's patch-vs-recompile behavior is half of what this measures.
@@ -194,10 +189,12 @@ func (s *Suite) churnMode(med *mediator.Mediator, keywords []string, ops []churn
 		if err != nil {
 			return ChurnModeResult{}, err
 		}
+		if nuke {
+			eng.InvalidateSources(keywords)
+			continue
+		}
 		// Affected records → the keywords whose answers can reach them —
-		// the same scoping the facade's Ingest performs. Under the
-		// version-nuke mode the call only reclaims memory; hit behavior
-		// is already governed by the version in every key.
+		// the same scoping the facade's Ingest performs.
 		affected := map[string]bool{}
 		for _, acc := range store.SourcesReaching(mediator.KindProtein, dr.Affected) {
 			for _, kw := range accKws[acc] {

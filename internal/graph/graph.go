@@ -75,11 +75,10 @@ type Graph struct {
 // bumped by AddNode, AddEdge, SetNodeP and SetEdgeQ. Clone preserves it.
 func (g *Graph) Version() uint64 { return g.version }
 
-// SetVersion overwrites the mutation counter. Query-graph construction
-// builds a fresh pruned copy whose counter reflects its own build steps,
-// not the live graph it was cut from; resolvers that serve snapshots of a
-// mutating store stamp the store's version onto the snapshot so that
-// version-keyed caches see one coherent clock.
+// SetVersion overwrites the mutation counter: WAL recovery restores a
+// checkpointed graph's version with it. Query-graph construction builds
+// a fresh pruned copy whose counter reflects its own build steps, so a
+// caller that wants the live graph's clock on a snapshot stamps it here.
 func (g *Graph) SetVersion(v uint64) { g.version = v }
 
 // SourceEpoch returns the number of deltas applied from the given source

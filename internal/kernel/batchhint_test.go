@@ -39,7 +39,7 @@ func TestWorldsBlockSessionChunkInvariant(t *testing.T) {
 
 	oneRNG := prob.NewRNG(91)
 	oneShot := make([]int64, plan.NumNodes())
-	plan.ReliabilityCountsWorldsBlock(oneShot, words, oneRNG, nil)
+	plan.reliabilityCountsWorldsBlock(oneShot, words, oneRNG, nil)
 
 	for _, chunks := range [][]int{
 		{23},
@@ -60,7 +60,7 @@ func TestWorldsBlockSessionChunkInvariant(t *testing.T) {
 		counts := make([]int64, plan.NumNodes())
 		var ops SimOps
 		for _, c := range chunks {
-			sess.Counts(counts, c, &ops)
+			sess.Counts(counts, nil, c, &ops)
 		}
 		if ops.Trials != words*WordSize {
 			t.Errorf("chunks %v: accounted %d trials, want %d", chunks, ops.Trials, words*WordSize)

@@ -77,7 +77,7 @@ func BenchmarkBitParallel1000(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rng.Seed(1)
-		plan.ReliabilityWorlds(scores, 1000, rng, nil)
+		plan.reliabilityWorlds(scores, 1000, rng, nil)
 	}
 }
 
@@ -91,36 +91,38 @@ func BenchmarkBitParallel10000(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rng.Seed(1)
-		plan.ReliabilityWorlds(scores, 10000, rng, nil)
+		plan.reliabilityWorlds(scores, 10000, rng, nil)
 	}
 }
 
 // BenchmarkWorldsBlock1000 is the block kernel (256 worlds per
 // [4]uint64 block) on the BenchmarkBitParallel1000 workload.
 func BenchmarkWorldsBlock1000(b *testing.B) {
-	plan := Compile(benchPlanGraph())
-	scores := make([]float64, plan.NumAnswers())
-	rng := prob.NewRNG(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rng.Seed(1)
-		plan.ReliabilityWorldsBlock(scores, 1000, rng, nil)
-	}
+	benchWorldsBlock(b, 1000)
 }
 
 // BenchmarkWorldsBlock10000 simulates the full 10,000-trial budget 256
 // worlds at a time (39 blocks + 1 remainder word); compare
 // BenchmarkBitParallel10000 — the ≥2x target of the block refactor.
 func BenchmarkWorldsBlock10000(b *testing.B) {
+	benchWorldsBlock(b, 10000)
+}
+
+// benchWorldsBlock runs one block session per op over the benchmark
+// plan, trials rounded up to whole words, and scores the answers.
+func benchWorldsBlock(b *testing.B, trials int) {
 	plan := Compile(benchPlanGraph())
 	scores := make([]float64, plan.NumAnswers())
+	counts := make([]int64, plan.NumNodes())
+	words := WorldWords(trials)
 	rng := prob.NewRNG(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rng.Seed(1)
-		plan.ReliabilityWorldsBlock(scores, 10000, rng, nil)
+		clear(counts)
+		plan.NewWorldsBlockSession(rng).Counts(counts, nil, words, nil)
+		plan.ScoresFromCounts(counts, words*WordSize, scores)
 	}
 }
 
@@ -157,7 +159,7 @@ func BenchmarkBitParallelSparseHarvest(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rng.Seed(1)
-		plan.ReliabilityWorlds(scores, 6400, rng, nil)
+		plan.reliabilityWorlds(scores, 6400, rng, nil)
 	}
 }
 

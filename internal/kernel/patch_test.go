@@ -59,10 +59,10 @@ func TestPatchBitIdentical(t *testing.T) {
 		p.Naive(s, 500, prob.NewRNG(42), nil)
 	})
 	run("Worlds", func(p *Plan, s []float64) {
-		p.ReliabilityWorlds(s, 2000, prob.NewRNG(42), nil)
+		p.reliabilityWorlds(s, 2000, prob.NewRNG(42), nil)
 	})
 	run("WorldsBlock", func(p *Plan, s []float64) {
-		p.ReliabilityWorldsBlock(s, 2000, prob.NewRNG(42), nil)
+		p.reliabilityWorldsBlock(s, 2000, prob.NewRNG(42), nil)
 	})
 	run("Propagation", func(p *Plan, s []float64) {
 		p.Propagation(s, p.LongestFromSource(), 1e-12, true)

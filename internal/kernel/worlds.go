@@ -22,10 +22,12 @@ import (
 // 53-bit draw, so scores differ from the scalar kernel's for the same
 // seed the way two scalar runs with different seeds differ. The
 // bit-parallel path is therefore an explicit estimator variant
-// (rank.*.Worlds / engine Options.Worlds), statistically — not
-// bitwise — equivalent, and the equivalence is pinned by property
-// tests (frequency bounds, chi-square against the scalar kernel, and
-// the exact evaluator on small graphs) instead of golden scores.
+// (rank.Estimator.Worlds), statistically — not bitwise — equivalent,
+// and the equivalence is pinned by property tests (frequency bounds,
+// chi-square against the scalar kernel, and the exact evaluator on
+// small graphs) instead of golden scores. This single-word loop is
+// reached through WorldsBlockSession, which runs it for the words of a
+// call that do not fill a whole block.
 //
 // SimOps semantics under bit parallelism: Trials counts WORLDS (64 per
 // word-trial), NodeVisits counts node reach events summed over worlds
@@ -138,63 +140,6 @@ func (ws *worldScratch) nextEpoch() int32 {
 	}
 	ws.epoch++
 	return ws.epoch
-}
-
-// ReliabilityWorlds estimates per-answer reliability with the
-// bit-parallel estimator: trials is rounded UP to the next multiple of
-// WordSize (the actual world count divides the reach counts), scores
-// must have length NumAnswers. Statistically equivalent to Reliability,
-// with a different RNG stream; see the file comment.
-func (p *Plan) ReliabilityWorlds(scores []float64, trials int, rng *prob.RNG, ops *SimOps) {
-	p.checkScores(scores)
-	words := WorldWords(trials)
-	counts := p.getScratch()
-	counts.resetCounts()
-	p.traverseWorlds(counts, nil, words, rng, ops)
-	total := words * WordSize
-	for i, a := range p.answers {
-		scores[i] = float64(counts.nodes[a].count) / float64(total)
-	}
-	p.putScratch(counts)
-}
-
-// ReliabilityCountsWorlds runs words 64-world word-trials and ADDS
-// per-node reach counts into counts (length NumNodes), for callers that
-// aggregate across batches or shards. The caller accounts
-// words·WordSize trials per call.
-func (p *Plan) ReliabilityCountsWorlds(counts []int64, words int, rng *prob.RNG, ops *SimOps) {
-	p.checkCounts(counts)
-	sc := p.getScratch()
-	sc.resetCounts()
-	p.traverseWorlds(sc, nil, words, rng, ops)
-	for i := 0; i < p.n; i++ {
-		counts[i] += sc.nodes[i].count
-	}
-	p.putScratch(sc)
-}
-
-// ReliabilityCountsMaskedWorlds is ReliabilityCountsWorlds restricted
-// to the live subgraph of an ActiveMask: out-edges whose head is not in
-// mask are skipped without sampling their presence mask, mirroring
-// ReliabilityCountsMasked for the top-k racer's elimination feedback.
-// When the source itself is dead the word-trials are accounted but no
-// simulation runs.
-func (p *Plan) ReliabilityCountsMaskedWorlds(counts []int64, mask []bool, words int, rng *prob.RNG, ops *SimOps) {
-	p.checkCounts(counts)
-	p.checkMask(mask)
-	if !mask[p.source] {
-		if ops != nil {
-			ops.Trials += int64(words) * WordSize
-		}
-		return
-	}
-	sc := p.getScratch()
-	sc.resetCounts()
-	p.traverseWorlds(sc, mask, words, rng, ops)
-	for i := 0; i < p.n; i++ {
-		counts[i] += sc.nodes[i].count
-	}
-	p.putScratch(sc)
 }
 
 // traverseWorlds is the bit-parallel inner loop: a monotone frontier

@@ -126,7 +126,7 @@ func TestBernoulliMaskCertainAndZero(t *testing.T) {
 	scores := make([]float64, 1)
 	rng := prob.NewRNG(3)
 	before := rng.State()
-	plan.ReliabilityWorlds(scores, 640, rng, nil)
+	plan.reliabilityWorlds(scores, 640, rng, nil)
 	if scores[0] != 0 {
 		t.Fatalf("impossible answer scored %v", scores[0])
 	}
@@ -251,7 +251,7 @@ func TestWorldsMatchesExact(t *testing.T) {
 		exact := exactReliability(tc.qg)
 		plan := Compile(tc.qg)
 		scores := make([]float64, plan.NumAnswers())
-		plan.ReliabilityWorlds(scores, trials, prob.NewRNG(17), nil)
+		plan.reliabilityWorlds(scores, trials, prob.NewRNG(17), nil)
 		for i := range scores {
 			sigma := math.Sqrt(exact[i] * (1 - exact[i]) / trials)
 			if math.Abs(scores[i]-exact[i]) > z*sigma+1e-12 {
@@ -275,7 +275,7 @@ func TestWorldsMatchesScalarStatistically(t *testing.T) {
 	scalar := make([]float64, plan.NumAnswers())
 	worlds := make([]float64, plan.NumAnswers())
 	plan.Reliability(scalar, trials, prob.NewRNG(23), nil)
-	plan.ReliabilityWorlds(worlds, trials, prob.NewRNG(29), nil)
+	plan.reliabilityWorlds(worlds, trials, prob.NewRNG(29), nil)
 	for i := range scalar {
 		v := scalar[i] * (1 - scalar[i])
 		bound := z*math.Sqrt(2*v/trials) + 1e-12
@@ -314,7 +314,7 @@ func TestWorldsChiSquareAgainstScalar(t *testing.T) {
 		for i := range counts {
 			counts[i] = 0
 		}
-		plan.ReliabilityCountsWorlds(counts, 1, wrng, nil)
+		plan.reliabilityCountsWorlds(counts, 1, wrng, nil)
 		worldCounts[b] = int(counts[answer])
 	}
 
@@ -366,12 +366,12 @@ func TestWorldsChiSquareAgainstScalar(t *testing.T) {
 func TestWorldsBatchingContinuesStream(t *testing.T) {
 	plan := Compile(diamondGraph())
 	oneShot := make([]int64, plan.NumNodes())
-	plan.ReliabilityCountsWorlds(oneShot, 64, prob.NewRNG(41), nil)
+	plan.reliabilityCountsWorlds(oneShot, 64, prob.NewRNG(41), nil)
 
 	batched := make([]int64, plan.NumNodes())
 	rng := prob.NewRNG(41)
 	for b := 0; b < 8; b++ {
-		plan.ReliabilityCountsWorlds(batched, 8, rng, nil)
+		plan.reliabilityCountsWorlds(batched, 8, rng, nil)
 	}
 	for i := range oneShot {
 		if oneShot[i] != batched[i] {
@@ -388,7 +388,7 @@ func TestWorldsSimOps(t *testing.T) {
 	plan := Compile(diamondGraph())
 	counts := make([]int64, plan.NumNodes())
 	var ops SimOps
-	plan.ReliabilityCountsWorlds(counts, 10, prob.NewRNG(43), &ops)
+	plan.reliabilityCountsWorlds(counts, 10, prob.NewRNG(43), &ops)
 	if ops.Trials != 640 {
 		t.Errorf("Trials = %d, want 10 words × 64 = 640", ops.Trials)
 	}
@@ -407,7 +407,7 @@ func TestWorldsSimOps(t *testing.T) {
 	}
 	// A second identical run doubles every counter.
 	first := ops
-	plan.ReliabilityCountsWorlds(counts, 10, prob.NewRNG(43), &ops)
+	plan.reliabilityCountsWorlds(counts, 10, prob.NewRNG(43), &ops)
 	if ops.Trials != 2*first.Trials || ops.CoinFlips != 2*first.CoinFlips || ops.NodeVisits != 2*first.NodeVisits {
 		t.Errorf("ops did not accumulate: %+v vs first %+v", ops, first)
 	}
@@ -419,7 +419,7 @@ func TestWorldsSimOps(t *testing.T) {
 func TestWorldsDeterministicAndConcurrent(t *testing.T) {
 	plan := Compile(diamondGraph())
 	want := make([]float64, plan.NumAnswers())
-	plan.ReliabilityWorlds(want, 2048, prob.NewRNG(47), nil)
+	plan.reliabilityWorlds(want, 2048, prob.NewRNG(47), nil)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -427,7 +427,7 @@ func TestWorldsDeterministicAndConcurrent(t *testing.T) {
 			defer wg.Done()
 			got := make([]float64, plan.NumAnswers())
 			for i := 0; i < 4; i++ {
-				plan.ReliabilityWorlds(got, 2048, prob.NewRNG(47), nil)
+				plan.reliabilityWorlds(got, 2048, prob.NewRNG(47), nil)
 				for j := range got {
 					if got[j] != want[j] {
 						t.Errorf("concurrent worlds run diverged: %v != %v", got[j], want[j])
@@ -447,13 +447,13 @@ func TestWorldsDeterministicAndConcurrent(t *testing.T) {
 func TestMaskedWorldsFullMaskMatchesUnmasked(t *testing.T) {
 	plan := Compile(diamondGraph())
 	full := make([]int64, plan.NumNodes())
-	plan.ReliabilityCountsWorlds(full, 32, prob.NewRNG(53), nil)
+	plan.reliabilityCountsWorlds(full, 32, prob.NewRNG(53), nil)
 	mask := make([]bool, plan.NumNodes())
 	for i := range mask {
 		mask[i] = true
 	}
 	masked := make([]int64, plan.NumNodes())
-	plan.ReliabilityCountsMaskedWorlds(masked, mask, 32, prob.NewRNG(53), nil)
+	plan.reliabilityCountsMaskedWorlds(masked, mask, 32, prob.NewRNG(53), nil)
 	for i := range full {
 		if full[i] != masked[i] {
 			t.Fatalf("node %d: masked count %d != unmasked %d", i, masked[i], full[i])
@@ -475,7 +475,7 @@ func TestMaskedWorldsActiveAnswersExact(t *testing.T) {
 	plan.ActiveMask(active, mask)
 	counts := make([]int64, plan.NumNodes())
 	words := WorldWords(trials)
-	plan.ReliabilityCountsMaskedWorlds(counts, mask, words, prob.NewRNG(59), nil)
+	plan.reliabilityCountsMaskedWorlds(counts, mask, words, prob.NewRNG(59), nil)
 	total := float64(words * WordSize)
 	for _, i := range active {
 		got := float64(counts[plan.AnswerNode(i)]) / total
@@ -495,7 +495,7 @@ func TestMaskedWorldsDeadSource(t *testing.T) {
 	var ops SimOps
 	rng := prob.NewRNG(61)
 	before := rng.State()
-	plan.ReliabilityCountsMaskedWorlds(counts, mask, 5, rng, &ops)
+	plan.reliabilityCountsMaskedWorlds(counts, mask, 5, rng, &ops)
 	if ops.Trials != 5*WordSize {
 		t.Errorf("Trials = %d, want %d", ops.Trials, 5*WordSize)
 	}
@@ -528,7 +528,7 @@ func TestWorldsEpochWraparound(t *testing.T) {
 	sc.worlds(plan).epoch = math.MaxInt32 - 10
 	plan.putScratch(sc)
 	scores := make([]float64, plan.NumAnswers())
-	plan.ReliabilityWorlds(scores, 64*100, prob.NewRNG(67), nil)
+	plan.reliabilityWorlds(scores, 64*100, prob.NewRNG(67), nil)
 	for _, s := range scores {
 		if s < 0 || s > 1 {
 			t.Fatalf("score %v outside [0,1] after epoch wrap", s)
@@ -556,15 +556,15 @@ func TestBufferLengthGuards(t *testing.T) {
 		want string
 	}{
 		{"Reliability", func() { plan.Reliability(shortScores, 10, rng, nil) }, "NumAnswers"},
-		{"ReliabilityWorlds", func() { plan.ReliabilityWorlds(shortScores, 10, rng, nil) }, "NumAnswers"},
+		{"ReliabilityWorlds", func() { plan.reliabilityWorlds(shortScores, 10, rng, nil) }, "NumAnswers"},
 		{"Naive", func() { plan.Naive(shortScores, 10, rng, nil) }, "NumAnswers"},
 		{"Propagation", func() { plan.Propagation(shortScores, 3, 0, false) }, "NumAnswers"},
 		{"Diffusion", func() { plan.Diffusion(shortScores, 3, 0, false) }, "NumAnswers"},
 		{"ReliabilityCounts", func() { plan.ReliabilityCounts(shortCounts, 10, rng, nil) }, "NumNodes"},
-		{"ReliabilityCountsWorlds", func() { plan.ReliabilityCountsWorlds(shortCounts, 1, rng, nil) }, "NumNodes"},
+		{"ReliabilityCountsWorlds", func() { plan.reliabilityCountsWorlds(shortCounts, 1, rng, nil) }, "NumNodes"},
 		{"ReliabilityCountsMasked", func() { plan.ReliabilityCountsMasked(shortCounts, goodMask, 10, rng, nil) }, "NumNodes"},
 		{"ReliabilityCountsMaskedShortMask", func() { plan.ReliabilityCountsMasked(goodCounts, shortMask, 10, rng, nil) }, "NumNodes"},
-		{"ReliabilityCountsMaskedWorlds", func() { plan.ReliabilityCountsMaskedWorlds(goodCounts, shortMask, 1, rng, nil) }, "NumNodes"},
+		{"ReliabilityCountsMaskedWorlds", func() { plan.reliabilityCountsMaskedWorlds(goodCounts, shortMask, 1, rng, nil) }, "NumNodes"},
 		{"ScoresFromCounts", func() { plan.ScoresFromCounts(goodCounts, 10, shortScores) }, "NumAnswers"},
 	} {
 		func() {
@@ -585,7 +585,7 @@ func TestBufferLengthGuards(t *testing.T) {
 	// Correct sizes must not panic.
 	okScores := make([]float64, plan.NumAnswers())
 	plan.Reliability(okScores, 10, rng, nil)
-	plan.ReliabilityWorlds(okScores, 10, rng, nil)
+	plan.reliabilityWorlds(okScores, 10, rng, nil)
 }
 
 // TestWorldsReachPopcountMatchesScalarSemantics cross-checks the count
@@ -605,7 +605,7 @@ func TestWorldsReachPopcountMatchesScalarSemantics(t *testing.T) {
 	}
 	plan := Compile(qg)
 	counts := make([]int64, plan.NumNodes())
-	plan.ReliabilityCountsWorlds(counts, 7, prob.NewRNG(71), nil)
+	plan.reliabilityCountsWorlds(counts, 7, prob.NewRNG(71), nil)
 	for i, c := range counts {
 		if c != 7*WordSize {
 			t.Errorf("node %d: count %d, want %d", i, c, 7*WordSize)

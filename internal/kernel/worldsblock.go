@@ -36,9 +36,10 @@ import (
 // chi-square agreement with the scalar kernel, and exact possible-world
 // enumeration on small graphs (worldsblock_test.go). The scalar and
 // 64-bit kernels remain in the tree as the reference implementations
-// those tests compare against; rank's Worlds option now routes to this
-// kernel, falling back to the single-word loop only for the remainder
-// words of a request that is not a whole number of blocks.
+// those tests compare against; rank's Worlds option runs on this kernel
+// through WorldsBlockSession, falling back to the single-word loop only
+// for the remainder words of a call that is not a whole number of
+// blocks.
 //
 // SimOps semantics match worlds.go with the mask as the unit of coin
 // accounting: Trials counts WORLDS (BlockSize per block-trial),
@@ -173,98 +174,21 @@ func (bs *blockScratch) nextEpoch() int32 {
 	return bs.epoch
 }
 
-// ReliabilityWorldsBlock estimates per-answer reliability with the
-// block kernel: trials is rounded UP to the next multiple of WordSize
-// (the actual world count divides the reach counts), scores must have
-// length NumAnswers. Whole blocks of BlockWords words run the wide
-// kernel; remainder words run the single-word worlds kernel on the same
-// RNG stream. Statistically equivalent to Reliability and
-// ReliabilityWorlds, with a different RNG stream; see the file comment.
-func (p *Plan) ReliabilityWorldsBlock(scores []float64, trials int, rng *prob.RNG, ops *SimOps) {
-	p.checkScores(scores)
-	words := WorldWords(trials)
-	sc := p.getScratch()
-	sc.resetCounts()
-	p.traverseWorldsBlock(sc, nil, words, rng, ops)
-	total := words * WordSize
-	for i, a := range p.answers {
-		scores[i] = float64(sc.nodes[a].count) / float64(total)
-	}
-	p.putScratch(sc)
-}
-
-// ReliabilityCountsWorldsBlock runs words 64-world word-trials on the
-// block kernel and ADDS per-node reach counts into counts (length
-// NumNodes), for callers that aggregate across batches or shards. The
-// caller accounts words·WordSize trials per call.
-func (p *Plan) ReliabilityCountsWorldsBlock(counts []int64, words int, rng *prob.RNG, ops *SimOps) {
-	p.checkCounts(counts)
-	sc := p.getScratch()
-	sc.resetCounts()
-	p.traverseWorldsBlock(sc, nil, words, rng, ops)
-	for i := 0; i < p.n; i++ {
-		counts[i] += sc.nodes[i].count
-	}
-	p.putScratch(sc)
-}
-
-// ReliabilityCountsMaskedWorldsBlock is ReliabilityCountsWorldsBlock
-// restricted to the live subgraph of an ActiveMask — the top-k racer's
-// shared-sample round: ONE block traversal samples a world block and
-// feeds every surviving candidate's counter, so all active candidates
-// are judged against the same possible worlds and eliminated
-// candidates' subgraphs are never coined. When the source itself is
-// dead the word-trials are accounted but no simulation runs.
-func (p *Plan) ReliabilityCountsMaskedWorldsBlock(counts []int64, mask []bool, words int, rng *prob.RNG, ops *SimOps) {
-	p.checkCounts(counts)
-	p.checkMask(mask)
-	if !mask[p.source] {
-		if ops != nil {
-			ops.Trials += int64(words) * WordSize
-		}
-		return
-	}
-	sc := p.getScratch()
-	sc.resetCounts()
-	p.traverseWorldsBlock(sc, mask, words, rng, ops)
-	for i := 0; i < p.n; i++ {
-		counts[i] += sc.nodes[i].count
-	}
-	p.putScratch(sc)
-}
-
-// traverseWorldsBlock runs words word-trials: whole blocks of
-// BlockWords words on the wide kernel, the remainder on the single-word
-// worlds loop, accumulating into the same scratch counts. Both phases
-// are functions of the caller's RNG — the block phase consumes one draw
-// to derive its four lane streams (borrowBlockRNG), the remainder phase
-// continues the caller's stream from there — so a fixed (plan, seed,
-// words) triple always reproduces the same counts.
-func (p *Plan) traverseWorldsBlock(sc *Scratch, live []bool, words int, rng *prob.RNG, ops *SimOps) {
-	nBlocks := words / BlockWords
-	if nBlocks > 0 {
-		p.traverseBlocks(sc, live, nBlocks, rng, ops)
-	}
-	if rem := words - nBlocks*BlockWords; rem > 0 {
-		p.traverseWorlds(sc, live, rem, rng, ops)
-	}
-}
-
-// WorldsBlockSession chunk-runs the block kernel over ONE logical
-// word-trial stream. ReliabilityCountsWorldsBlock derives its four
-// lane RNG streams from a fresh root draw on every call, so splitting
-// a run into several calls would restart the lane family mid-run and
-// change the sampled worlds. A session borrows the lane streams once,
-// on the first call that simulates a whole block, and keeps them
-// across calls: the concatenation of Counts calls consumes randomness
-// exactly like a single call over the summed words — the property the
-// deadline-aware estimators need to put context checks between chunks
-// without perturbing a completed run's scores. Every call but the last
-// must pass a multiple of BlockWords words (rank's chunk sizes are
-// BlockSize-multiples of trials, which guarantees it); the final call
-// may be ragged and runs its remainder words on the caller RNG's
-// single-word kernel, exactly like the one-shot entry point. Not safe
-// for concurrent use; shards hold one session each.
+// WorldsBlockSession runs the block kernel over ONE logical word-trial
+// stream; it is the only exported entry point of the bit-parallel
+// kernels. A session derives its four lane RNG streams from one root
+// draw of the caller's RNG (borrowBlockRNG), on the first call that
+// simulates a whole block, and keeps them across calls: the
+// concatenation of Counts calls consumes randomness exactly like a
+// single call over the summed words — the property the deadline-aware
+// estimators need to put context checks between chunks without
+// perturbing a completed run's scores. Every call but the last must
+// pass a multiple of BlockWords words for that equivalence (rank's
+// chunk sizes are BlockSize-multiples of trials, which guarantees it);
+// the words of a call that do not fill a whole block run on the
+// single-word kernel of worlds.go, continuing the caller's RNG. A fixed
+// (plan, seed, call sequence) therefore always reproduces the same
+// counts. Not safe for concurrent use; shards hold one session each.
 type WorldsBlockSession struct {
 	p       *Plan
 	rng     *prob.RNG
@@ -280,9 +204,26 @@ func (p *Plan) NewWorldsBlockSession(rng *prob.RNG) *WorldsBlockSession {
 // Counts runs words 64-world word-trials and ADDS per-node reach
 // counts into counts (length NumNodes), continuing the session's lane
 // streams. The caller accounts words·WordSize trials per call.
-func (s *WorldsBlockSession) Counts(counts []int64, words int, ops *SimOps) {
+//
+// mask, when non-nil, is an ActiveMask (length NumNodes): out-edges
+// whose head is outside it are skipped without sampling their presence
+// masks. This is the top-k racer's shared-sample round — one block
+// traversal feeds every surviving candidate's counter, so all active
+// candidates are judged against the same possible worlds, and
+// eliminated candidates' subgraphs are never coined. When the source
+// itself is dead the word-trials are accounted but nothing is sampled.
+func (s *WorldsBlockSession) Counts(counts []int64, mask []bool, words int, ops *SimOps) {
 	p := s.p
 	p.checkCounts(counts)
+	if mask != nil {
+		p.checkMask(mask)
+		if !mask[p.source] {
+			if ops != nil {
+				ops.Trials += int64(words) * WordSize
+			}
+			return
+		}
+	}
 	nBlocks := words / BlockWords
 	rem := words - nBlocks*BlockWords
 	sc := p.getScratch()
@@ -292,10 +233,10 @@ func (s *WorldsBlockSession) Counts(counts []int64, words int, ops *SimOps) {
 			s.br = borrowBlockRNG(s.rng)
 			s.started = true
 		}
-		p.traverseBlocksWith(sc, nil, nBlocks, &s.br, ops)
+		p.traverseBlocks(sc, mask, nBlocks, &s.br, ops)
 	}
 	if rem > 0 {
-		p.traverseWorlds(sc, nil, rem, s.rng, ops)
+		p.traverseWorlds(sc, mask, rem, s.rng, ops)
 	}
 	for i := 0; i < p.n; i++ {
 		counts[i] += sc.nodes[i].count
@@ -303,25 +244,15 @@ func (s *WorldsBlockSession) Counts(counts []int64, words int, ops *SimOps) {
 	p.putScratch(sc)
 }
 
-// traverseBlocks is the block-parallel inner loop: a monotone frontier
-// fixpoint over the CSR plan, BlockSize worlds per pass. The structure
-// is traverseWorlds with every mask widened to BlockWords lanes and the
-// lane arithmetic unrolled; reach masks only ever grow, a node
-// re-enters the worklist when new worlds reach it, and the stored
-// per-block element masks make re-scans see the same coins. live, when
-// non-nil, restricts the traversal to the active-subset closure exactly
-// like traverseMasked.
-func (p *Plan) traverseBlocks(sc *Scratch, live []bool, nBlocks int, rng *prob.RNG, ops *SimOps) {
-	br := borrowBlockRNG(rng)
-	p.traverseBlocksWith(sc, live, nBlocks, &br, ops)
-}
-
-// traverseBlocksWith is traverseBlocks on caller-held lane streams. It
-// exists so WorldsBlockSession can keep one blockRNG alive across
-// chunked calls: lane-stream derivation happens once per logical run,
-// not once per call, which makes chunked runs consume randomness
-// exactly like one-shot runs.
-func (p *Plan) traverseBlocksWith(sc *Scratch, live []bool, nBlocks int, br *blockRNG, ops *SimOps) {
+// traverseBlocks is the block-parallel inner loop on the session's lane
+// streams: a monotone frontier fixpoint over the CSR plan, BlockSize
+// worlds per pass. The structure is traverseWorlds with every mask
+// widened to BlockWords lanes and the lane arithmetic unrolled; reach
+// masks only ever grow, a node re-enters the worklist when new worlds
+// reach it, and the stored per-block element masks make re-scans see
+// the same coins. live, when non-nil, restricts the traversal to the
+// active-subset closure exactly like traverseMasked.
+func (p *Plan) traverseBlocks(sc *Scratch, live []bool, nBlocks int, br *blockRNG, ops *SimOps) {
 	bs := sc.blocks(p)
 	wn := bs.node
 	inq := bs.inq

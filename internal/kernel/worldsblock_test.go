@@ -160,7 +160,7 @@ func TestWorldsBlockMatchesExact(t *testing.T) {
 		exact := exactReliability(tc.qg)
 		plan := Compile(tc.qg)
 		scores := make([]float64, plan.NumAnswers())
-		plan.ReliabilityWorldsBlock(scores, trials, prob.NewRNG(17), nil)
+		plan.reliabilityWorldsBlock(scores, trials, prob.NewRNG(17), nil)
 		for i := range scores {
 			sigma := math.Sqrt(exact[i] * (1 - exact[i]) / trials)
 			if math.Abs(scores[i]-exact[i]) > z*sigma+1e-12 {
@@ -182,7 +182,7 @@ func TestWorldsBlockMatchesScalarStatistically(t *testing.T) {
 	scalar := make([]float64, plan.NumAnswers())
 	block := make([]float64, plan.NumAnswers())
 	plan.Reliability(scalar, trials, prob.NewRNG(23), nil)
-	plan.ReliabilityWorldsBlock(block, trials, prob.NewRNG(29), nil)
+	plan.reliabilityWorldsBlock(block, trials, prob.NewRNG(29), nil)
 	for i := range scalar {
 		v := scalar[i] * (1 - scalar[i])
 		bound := z*math.Sqrt(2*v/trials) + 1e-12
@@ -219,7 +219,7 @@ func TestWorldsBlockChiSquareAgainstScalar(t *testing.T) {
 		for i := range counts {
 			counts[i] = 0
 		}
-		plan.ReliabilityCountsWorldsBlock(counts, BlockWords, wrng, nil)
+		plan.reliabilityCountsWorldsBlock(counts, BlockWords, wrng, nil)
 		blockCounts[b] = int(counts[answer])
 	}
 
@@ -271,7 +271,7 @@ func TestWorldsBlockRemainderWords(t *testing.T) {
 	plan := Compile(diamondGraph())
 	first := make([]int64, plan.NumNodes())
 	var ops SimOps
-	plan.ReliabilityCountsWorldsBlock(first, 7, prob.NewRNG(73), &ops)
+	plan.reliabilityCountsWorldsBlock(first, 7, prob.NewRNG(73), &ops)
 	if ops.Trials != 7*WordSize {
 		t.Errorf("Trials = %d, want %d", ops.Trials, 7*WordSize)
 	}
@@ -281,7 +281,7 @@ func TestWorldsBlockRemainderWords(t *testing.T) {
 		}
 	}
 	second := make([]int64, plan.NumNodes())
-	plan.ReliabilityCountsWorldsBlock(second, 7, prob.NewRNG(73), nil)
+	plan.reliabilityCountsWorldsBlock(second, 7, prob.NewRNG(73), nil)
 	for i := range first {
 		if first[i] != second[i] {
 			t.Fatalf("node %d: repeat run count %d != first %d", i, second[i], first[i])
@@ -297,7 +297,7 @@ func TestWorldsBlockSimOps(t *testing.T) {
 	plan := Compile(diamondGraph())
 	counts := make([]int64, plan.NumNodes())
 	var ops SimOps
-	plan.ReliabilityCountsWorldsBlock(counts, 10, prob.NewRNG(43), &ops)
+	plan.reliabilityCountsWorldsBlock(counts, 10, prob.NewRNG(43), &ops)
 	if ops.Trials != 640 {
 		t.Errorf("Trials = %d, want 10 words × 64 = 640", ops.Trials)
 	}
@@ -316,7 +316,7 @@ func TestWorldsBlockSimOps(t *testing.T) {
 	}
 	// A second identical run doubles every counter.
 	first := ops
-	plan.ReliabilityCountsWorldsBlock(counts, 10, prob.NewRNG(43), &ops)
+	plan.reliabilityCountsWorldsBlock(counts, 10, prob.NewRNG(43), &ops)
 	if ops.Trials != 2*first.Trials || ops.CoinFlips != 2*first.CoinFlips || ops.NodeVisits != 2*first.NodeVisits {
 		t.Errorf("ops did not accumulate: %+v vs first %+v", ops, first)
 	}
@@ -329,7 +329,7 @@ func TestWorldsBlockSimOps(t *testing.T) {
 func TestWorldsBlockDeterministicAndConcurrent(t *testing.T) {
 	plan := Compile(diamondGraph())
 	want := make([]float64, plan.NumAnswers())
-	plan.ReliabilityWorldsBlock(want, 2048, prob.NewRNG(47), nil)
+	plan.reliabilityWorldsBlock(want, 2048, prob.NewRNG(47), nil)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -337,7 +337,7 @@ func TestWorldsBlockDeterministicAndConcurrent(t *testing.T) {
 			defer wg.Done()
 			got := make([]float64, plan.NumAnswers())
 			for i := 0; i < 4; i++ {
-				plan.ReliabilityWorldsBlock(got, 2048, prob.NewRNG(47), nil)
+				plan.reliabilityWorldsBlock(got, 2048, prob.NewRNG(47), nil)
 				for j := range got {
 					if got[j] != want[j] {
 						t.Errorf("concurrent block run diverged: %v != %v", got[j], want[j])
@@ -357,13 +357,13 @@ func TestWorldsBlockDeterministicAndConcurrent(t *testing.T) {
 func TestMaskedWorldsBlockFullMaskMatchesUnmasked(t *testing.T) {
 	plan := Compile(diamondGraph())
 	full := make([]int64, plan.NumNodes())
-	plan.ReliabilityCountsWorldsBlock(full, 8, prob.NewRNG(53), nil)
+	plan.reliabilityCountsWorldsBlock(full, 8, prob.NewRNG(53), nil)
 	mask := make([]bool, plan.NumNodes())
 	for i := range mask {
 		mask[i] = true
 	}
 	masked := make([]int64, plan.NumNodes())
-	plan.ReliabilityCountsMaskedWorldsBlock(masked, mask, 8, prob.NewRNG(53), nil)
+	plan.reliabilityCountsMaskedWorldsBlock(masked, mask, 8, prob.NewRNG(53), nil)
 	for i := range full {
 		if full[i] != masked[i] {
 			t.Fatalf("node %d: masked count %d != unmasked %d", i, masked[i], full[i])
@@ -386,7 +386,7 @@ func TestMaskedWorldsBlockActiveAnswersExact(t *testing.T) {
 	plan.ActiveMask(active, mask)
 	counts := make([]int64, plan.NumNodes())
 	words := WorldWords(trials)
-	plan.ReliabilityCountsMaskedWorldsBlock(counts, mask, words, prob.NewRNG(59), nil)
+	plan.reliabilityCountsMaskedWorldsBlock(counts, mask, words, prob.NewRNG(59), nil)
 	total := float64(words * WordSize)
 	for _, i := range active {
 		got := float64(counts[plan.AnswerNode(i)]) / total
@@ -408,7 +408,7 @@ func TestMaskedWorldsBlockDeadSource(t *testing.T) {
 	var ops SimOps
 	rng := prob.NewRNG(61)
 	before := rng.State()
-	plan.ReliabilityCountsMaskedWorldsBlock(counts, mask, 5, rng, &ops)
+	plan.reliabilityCountsMaskedWorldsBlock(counts, mask, 5, rng, &ops)
 	if ops.Trials != 5*WordSize {
 		t.Errorf("Trials = %d, want %d", ops.Trials, 5*WordSize)
 	}
@@ -444,7 +444,7 @@ func TestWorldsBlockCertainGraphCounts(t *testing.T) {
 	rng := prob.NewRNG(71)
 	ref := prob.NewRNG(71)
 	ref.Uint64() // the block phase's root draw
-	plan.ReliabilityCountsWorldsBlock(counts, 7, rng, nil)
+	plan.reliabilityCountsWorldsBlock(counts, 7, rng, nil)
 	for i, c := range counts {
 		if c != 7*WordSize {
 			t.Errorf("node %d: count %d, want %d", i, c, 7*WordSize)
@@ -463,7 +463,7 @@ func TestWorldsBlockEpochWraparound(t *testing.T) {
 	sc.blocks(plan).epoch = math.MaxInt32 - 10
 	plan.putScratch(sc)
 	scores := make([]float64, plan.NumAnswers())
-	plan.ReliabilityWorldsBlock(scores, 64*100, prob.NewRNG(67), nil)
+	plan.reliabilityWorldsBlock(scores, 64*100, prob.NewRNG(67), nil)
 	for _, s := range scores {
 		if s < 0 || s > 1 {
 			t.Fatalf("score %v outside [0,1] after epoch wrap", s)
@@ -471,8 +471,8 @@ func TestWorldsBlockEpochWraparound(t *testing.T) {
 	}
 }
 
-// TestWorldsBlockBufferGuards checks the three block entry points
-// reject mis-sized buffers up front like the rest of the kernel.
+// TestWorldsBlockBufferGuards checks the block session rejects
+// mis-sized buffers up front like the rest of the kernel.
 func TestWorldsBlockBufferGuards(t *testing.T) {
 	plan := Compile(chainGraph())
 	rng := prob.NewRNG(1)
@@ -485,9 +485,9 @@ func TestWorldsBlockBufferGuards(t *testing.T) {
 		call func()
 		want string
 	}{
-		{"ReliabilityWorldsBlock", func() { plan.ReliabilityWorldsBlock(shortScores, 10, rng, nil) }, "NumAnswers"},
-		{"ReliabilityCountsWorldsBlock", func() { plan.ReliabilityCountsWorldsBlock(shortCounts, 1, rng, nil) }, "NumNodes"},
-		{"ReliabilityCountsMaskedWorldsBlock", func() { plan.ReliabilityCountsMaskedWorldsBlock(goodCounts, shortMask, 1, rng, nil) }, "NumNodes"},
+		{"ScoresFromCounts", func() { plan.ScoresFromCounts(goodCounts, 64, shortScores) }, "NumAnswers"},
+		{"Counts", func() { plan.NewWorldsBlockSession(rng).Counts(shortCounts, nil, 1, nil) }, "NumNodes"},
+		{"Counts/masked", func() { plan.NewWorldsBlockSession(rng).Counts(goodCounts, shortMask, 1, nil) }, "NumNodes"},
 	} {
 		func() {
 			defer func() {
@@ -505,6 +505,6 @@ func TestWorldsBlockBufferGuards(t *testing.T) {
 		}()
 	}
 	// Correct sizes must not panic.
-	okScores := make([]float64, plan.NumAnswers())
-	plan.ReliabilityWorldsBlock(okScores, 10, rng, nil)
+	plan.NewWorldsBlockSession(rng).Counts(goodCounts, nil, 1, nil)
+	plan.ScoresFromCounts(goodCounts, 64, make([]float64, plan.NumAnswers()))
 }

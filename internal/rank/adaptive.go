@@ -43,41 +43,24 @@ type AdaptiveMonteCarlo struct {
 	Seed uint64
 	// Reduce applies the Section 3.1.2 reductions first.
 	Reduce bool
-	// Worlds runs the simulation batches on the bit-parallel block
-	// kernel (ReliabilityCountsWorldsBlock): batches round UP to
-	// multiples of kernel.WordSize (a fractional word costs the same as
-	// a full one), and MaxTrials rounds DOWN to a word multiple
-	// (minimum one word) so the cap is never exceeded — the same cap
-	// rule TopKRacer.Worlds follows, and the reported trial count is
-	// always a word multiple that honors MaxTrials exactly.
-	// Statistically equivalent to the scalar batches; the RNG stream
-	// differs.
+	// Worlds samples on the 256-world block kernel (see sampler):
+	// batches round UP to whole words and MaxTrials rounds DOWN to a
+	// word multiple (minimum one word), so the reported trial count is
+	// always a word multiple that honors the cap exactly. Statistically
+	// equivalent to the scalar batches; the RNG stream differs.
 	Worlds bool
 	// Plan optionally supplies a pre-compiled kernel plan for the query
 	// graph (ignored under Reduce).
 	Plan *kernel.Plan
 
-	memo planMemo
+	memo PlanMemo
 }
 
 // Name implements Ranker.
 func (*AdaptiveMonteCarlo) Name() string { return "reliability" }
 
 func (a *AdaptiveMonteCarlo) params() (eps, delta float64, batch, maxTrials int) {
-	eps, delta, batch, maxTrials = a.Eps, a.Delta, a.Batch, a.MaxTrials
-	if eps <= 0 {
-		eps = 0.02
-	}
-	if delta <= 0 {
-		delta = 0.05
-	}
-	if batch <= 0 {
-		batch = 500
-	}
-	if maxTrials <= 0 {
-		maxTrials = 10 * DefaultTrials
-	}
-	return eps, delta, batch, maxTrials
+	return seqDefaults(a.Eps, a.Delta, a.Batch, a.MaxTrials)
 }
 
 // Rank implements Ranker.
@@ -117,19 +100,8 @@ func (a *AdaptiveMonteCarlo) rankWithStats(ctx context.Context, qg *graph.QueryG
 		return Result{}, OpStats{}, err
 	}
 	var ops OpStats
-	res := Result{Method: a.Name()}
-	if a.Reduce {
-		red, _, mapping := ReduceAll(qg)
-		inner := a.simulate(ctx, kernel.Compile(red), &ops)
-		mapReducedOutcome(len(qg.Answers), mapping, inner, &res)
-		return res, ops, nil
-	}
-	out := a.simulate(ctx, a.memo.For(qg, a.Plan), &ops)
-	res.Scores = out.scores
-	if out.truncated {
-		res.Truncated = true
-		res.Lo, res.Hi = out.lo, out.hi
-	}
+	plan, mapping := samplePlan(&a.memo, qg, a.Plan, a.Reduce)
+	res := a.simulate(ctx, plan, &ops).result(a.Name(), mapping)
 	return res, ops, nil
 }
 
@@ -139,21 +111,12 @@ func (a *AdaptiveMonteCarlo) rankWithStats(ctx context.Context, qg *graph.QueryG
 // over the trials that ran.
 func (a *AdaptiveMonteCarlo) simulate(ctx context.Context, plan *kernel.Plan, ops *OpStats) simOutcome {
 	eps, delta, batch, maxTrials := a.params()
-	if a.Worlds {
-		// The bit-parallel kernel simulates whole 64-world words, so the
-		// cap must be a word multiple or the final batch would overshoot
-		// it by up to WordSize−1 trials. Round down (never below one
-		// word), mirroring TopKRacer.Worlds.
-		maxTrials -= maxTrials % kernel.WordSize
-		if maxTrials < kernel.WordSize {
-			maxTrials = kernel.WordSize
-		}
-	}
-	rng := prob.NewRNG(a.Seed)
+	var so kernel.SimOps
+	smp := newSampler(plan, prob.NewRNG(a.Seed), a.Worlds, &so)
+	maxTrials = smp.capTrials(maxTrials)
 	total := make([]int64, plan.NumNodes())
 	sorted := make([]float64, plan.NumAnswers())
 	scores := make([]float64, plan.NumAnswers())
-	var so kernel.SimOps
 	trials := 0
 	truncated := false
 	for trials < maxTrials {
@@ -161,37 +124,14 @@ func (a *AdaptiveMonteCarlo) simulate(ctx context.Context, plan *kernel.Plan, op
 			truncated = true
 			break
 		}
-		b := batch
-		if trials+b > maxTrials {
-			b = maxTrials - trials // honor the cap exactly
-		}
-		if a.Worlds {
-			// Rounding up to whole words cannot overshoot: trials and
-			// maxTrials are both word multiples, so ceil(b/WordSize)
-			// words still fit under the cap.
-			words := kernel.WorldWords(b)
-			plan.ReliabilityCountsWorldsBlock(total, words, rng, &so)
-			b = words * kernel.WordSize
-		} else {
-			plan.ReliabilityCounts(total, b, rng, &so)
-		}
-		trials += b
+		trials += smp.sample(total, nil, min(batch, maxTrials-trials))
 		plan.ScoresFromCounts(total, trials, scores)
 		if a.certified(scores, sorted, trials, eps, delta) {
 			break
 		}
 	}
-	if ops != nil {
-		ops.merge(opsFromSim(so))
-	}
-	if trials > 0 {
-		plan.ScoresFromCounts(total, trials, scores)
-	}
-	out := simOutcome{scores: scores, executed: trials, truncated: truncated}
-	if truncated {
-		out.lo, out.hi = wilsonTallyBounds(plan, total, trials)
-	}
-	return out
+	ops.merge(opsFromSim(so))
+	return newOutcome(plan, total, trials, truncated)
 }
 
 // certified reports whether, at the current trial count, every adjacent

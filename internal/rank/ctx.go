@@ -30,47 +30,6 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// chunkFor picks the unit-chunk size for ctx checks between kernel
-// calls: the whole run when ctx can never fire (one kernel call, zero
-// overhead), otherwise the plan's BatchHint. Under worlds the unit is
-// the 64-world word and chunks stay whole [4]uint64 blocks, so a
-// chunked run consumes the block kernel's RNG stream exactly like a
-// one-shot run.
-func chunkFor(ctx context.Context, plan *kernel.Plan, units int, worlds bool) int {
-	if ctx == nil || ctx.Done() == nil {
-		return units
-	}
-	hint := plan.BatchHint() // always a BlockSize multiple
-	if worlds {
-		return hint / kernel.WordSize
-	}
-	return hint
-}
-
-// mapReducedOutcome maps a simulation outcome computed on a reduced
-// graph back onto the original answer set through the reduction
-// mapping. Answers the reductions dropped (mapping[i] < 0) are
-// certainly unreachable: their zero score is exact, so on truncation
-// the zero-valued [0,0] interval the make leaves behind is correct.
-func mapReducedOutcome(nA int, mapping []int, out simOutcome, res *Result) {
-	res.Scores = make([]float64, nA)
-	for i, j := range mapping {
-		if j >= 0 {
-			res.Scores[i] = out.scores[j]
-		}
-	}
-	if out.truncated {
-		res.Truncated = true
-		res.Lo = make([]float64, nA)
-		res.Hi = make([]float64, nA)
-		for i, j := range mapping {
-			if j >= 0 {
-				res.Lo[i], res.Hi[i] = out.lo[j], out.hi[j]
-			}
-		}
-	}
-}
-
 // wilsonTallyBounds builds per-answer Wilson intervals from the raw
 // per-node reach tallies of an interrupted simulation. counts may be
 // nil and executed may be zero (a deadline that expired before the

@@ -42,7 +42,7 @@ type Diffusion struct {
 	// graph (shared across the methods of a RankAll pass).
 	Plan *kernel.Plan
 
-	memo planMemo
+	memo PlanMemo
 }
 
 // parentContrib is one incoming-edge contribution to the inner solve.

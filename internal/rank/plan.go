@@ -7,13 +7,14 @@ import (
 	"biorank/internal/kernel"
 )
 
-// planMemo caches the last compiled kernel.Plan of a ranker so repeated
-// Rank calls on the same (unmutated) query graph skip recompilation.
+// PlanMemo caches the last compiled kernel.Plan of a ranker (or of the
+// facade's Answers) so repeated Rank calls on the same (unmutated) query
+// graph skip recompilation.
 // Identity is the graph pointer plus its mutation Version: mutating a
 // probability bumps the version and forces a fresh compile, while a
 // different graph object never matches even if structurally equal.
 // The memo is safe for concurrent use (a lost race just compiles twice).
-type planMemo struct {
+type PlanMemo struct {
 	p atomic.Pointer[planEntry]
 }
 
@@ -26,7 +27,7 @@ type planEntry struct {
 // For returns a plan usable with qg: the explicit plan when it matches
 // (the caller-supplied shared plan of a RankAll pass or the engine's
 // plan cache), otherwise the memoized or freshly compiled one.
-func (m *planMemo) For(qg *graph.QueryGraph, explicit *kernel.Plan) *kernel.Plan {
+func (m *PlanMemo) For(qg *graph.QueryGraph, explicit *kernel.Plan) *kernel.Plan {
 	if explicit != nil && explicit.Matches(qg) {
 		return explicit
 	}

@@ -49,7 +49,8 @@ type HybridPlanner struct {
 	Batch     int
 	MaxTrials int
 	Seed      uint64
-	// Worlds runs the race's batches on the bit-parallel kernel.
+	// Worlds runs the race's rounds on the block kernel, as in
+	// TopKRacer.
 	Worlds bool
 	// Jeffreys reports Jeffreys instead of Wilson intervals for the
 	// Monte Carlo answers.
@@ -57,7 +58,7 @@ type HybridPlanner struct {
 	// Plan optionally supplies a pre-compiled kernel plan.
 	Plan *kernel.Plan
 
-	memo planMemo
+	memo PlanMemo
 }
 
 // DefaultPlannerBudget is the per-answer conditioning budget of the
@@ -182,10 +183,7 @@ func (p *HybridPlanner) rankWithStats(ctx context.Context, qg *graph.QueryGraph)
 	// Reporting intervals: exact answers are their own bounds; Monte
 	// Carlo answers get Wilson/Jeffreys intervals from their final
 	// (successes, trials) tally at the race's confidence level.
-	delta := racer.Delta
-	if delta <= 0 {
-		_, _, delta, _, _ = racer.params(nA)
-	}
+	_, delta, _, _ := seqDefaults(p.Eps, p.Delta, p.Batch, p.MaxTrials)
 	lo := make([]float64, nA)
 	hi := make([]float64, nA)
 	for i := range res.Scores {

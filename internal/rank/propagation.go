@@ -35,7 +35,7 @@ type Propagation struct {
 	// graph (shared across the methods of a RankAll pass).
 	Plan *kernel.Plan
 
-	memo planMemo
+	memo PlanMemo
 }
 
 // MaxIterations caps the iteration count on cyclic graphs.

@@ -12,48 +12,19 @@ import (
 // order, as the stable identifiers returned by Ranker.Name.
 var MethodNames = []string{"reliability", "propagation", "diffusion", "inedge", "pathcount"}
 
-// AllOptions configures a RankAll pass.
+// AllOptions configures a RankAll pass: the estimator spec as flat
+// fields (MCWorkers is Estimator.Workers; see Estimator for their
+// meaning) plus the pass's method list, concurrency and shared plan.
 type AllOptions struct {
-	// Trials is the Monte Carlo budget for reliability (0 means
-	// DefaultTrials).
-	Trials int
-	// Seed makes the reliability simulation reproducible.
-	Seed uint64
-	// Reduce applies the Section 3.1.2 reductions before simulating.
-	Reduce bool
-	// Exact computes reliability exactly instead of by simulation.
-	Exact bool
-	// MCWorkers shards the Monte Carlo trials over that many goroutines
-	// (deterministic for a fixed (Seed, MCWorkers); 0 or 1 is serial).
+	Trials    int
+	Seed      uint64
+	Reduce    bool
+	Exact     bool
 	MCWorkers int
-	// Adaptive replaces the fixed-trial Monte Carlo with the
-	// early-stopping AdaptiveMonteCarlo: simulation proceeds in batches
-	// and stops as soon as Theorem 3.1 certifies the observed ranking.
-	// Trials then acts as the cap (0 means the adaptive default cap).
-	Adaptive bool
-	// TopK replaces the reliability estimator with the bound-based
-	// TopKRacer: candidates outside the certified top K are successively
-	// eliminated and stop being simulated. Takes precedence over
-	// Adaptive; Trials caps the per-candidate trial count. Only the top
-	// K scores (and their boundary) are certified.
-	TopK int
-	// Planner replaces the reliability estimator with the HybridPlanner:
-	// each answer is probed for exact (closed-form or cheaply factored)
-	// evaluation and only the irreducible remainder is simulated, in a
-	// top-k race seeded with the exact answers as zero-width intervals.
-	// Takes precedence over TopK and Adaptive (TopK then sets the
-	// planner's K); Trials caps the per-candidate trial count. Results
-	// carry per-answer Lo/Hi intervals and Exact markers. Reduce is
-	// ignored — the probe already reduces each answer's subgraph.
-	Planner bool
-	// Worlds runs reliability simulation on the bit-parallel block
-	// kernel — 256 possible worlds per [4]uint64 block (single-word
-	// batches cover remainders), Trials (and adaptive/racer batches)
-	// rounded up to multiples of kernel.WordSize. Composes with
-	// MCWorkers, Adaptive and TopK. Scores are statistically, not
-	// bitwise, equivalent to the scalar estimators: the RNG stream
-	// differs, like changing the seed.
-	Worlds bool
+	Adaptive  bool
+	TopK      int
+	Planner   bool
+	Worlds    bool
 	// Sequential disables the per-method parallelism, evaluating the five
 	// semantics one after another. Scores are identical either way; the
 	// flag exists for benchmarking and for callers that are already
@@ -64,60 +35,21 @@ type AllOptions struct {
 	Methods []string
 	// Plan optionally supplies a pre-compiled kernel plan for the query
 	// graph. When nil, RankAll compiles one plan and shares it across
-	// every method of the pass; the engine passes plans from its cache
-	// here so repeat queries skip compilation entirely.
+	// every method of the pass.
 	Plan *kernel.Plan
 }
 
-// ranker builds the Ranker for a method name under these options.
-func (o AllOptions) ranker(name string) (Ranker, bool) {
-	switch name {
-	case "reliability":
-		if o.Exact {
-			return Exact{}, true
-		}
-		if o.Planner {
-			return &HybridPlanner{K: o.TopK, Seed: o.Seed, MaxTrials: o.Trials, Worlds: o.Worlds, Plan: o.Plan}, true
-		}
-		if o.TopK > 0 {
-			return &TopKRacer{K: o.TopK, Seed: o.Seed, Reduce: o.Reduce, MaxTrials: o.Trials, Worlds: o.Worlds, Plan: o.Plan}, true
-		}
-		if o.Adaptive {
-			return &AdaptiveMonteCarlo{Seed: o.Seed, Reduce: o.Reduce, MaxTrials: o.Trials, Worlds: o.Worlds, Plan: o.Plan}, true
-		}
-		return &MonteCarlo{Trials: o.Trials, Seed: o.Seed, Reduce: o.Reduce, Workers: o.MCWorkers, Worlds: o.Worlds, Plan: o.Plan}, true
-	case "propagation":
-		return &Propagation{Plan: o.Plan}, true
-	case "diffusion":
-		return &Diffusion{Plan: o.Plan}, true
-	case "inedge":
-		return InEdge{}, true
-	case "pathcount":
-		return PathCount{}, true
-	default:
-		return nil, false
-	}
+// Estimator returns the pass's estimator spec.
+func (o AllOptions) Estimator() Estimator {
+	return Estimator{Trials: o.Trials, Seed: o.Seed, Reduce: o.Reduce, Exact: o.Exact, Workers: o.MCWorkers,
+		Adaptive: o.Adaptive, TopK: o.TopK, Worlds: o.Worlds, Planner: o.Planner}
 }
 
 // UsesPlan reports whether the named method executes on a compiled
-// kernel plan under these options. Reliability under Reduce simulates
-// the reduced graph with its own plan, so the shared full-graph plan
-// would go unused.
+// kernel plan under these options (see Spec.UsesPlan).
 func (o AllOptions) UsesPlan(name string) bool {
-	switch name {
-	case "reliability":
-		if o.Exact {
-			return false
-		}
-		if o.Planner {
-			return true // the planner's race always runs on the full-graph plan
-		}
-		return !o.Reduce
-	case "propagation", "diffusion":
-		return true
-	default:
-		return false
-	}
+	s, err := o.Estimator().For(name)
+	return err == nil && s.UsesPlan()
 }
 
 // RankAll scores the answer set under all five relevance semantics (or
@@ -145,49 +77,65 @@ func RankAllCtx(ctx context.Context, qg *graph.QueryGraph, o AllOptions) (map[st
 	if len(methods) == 0 {
 		methods = MethodNames
 	}
-	if o.Plan == nil {
-		for _, name := range methods {
-			if o.UsesPlan(name) {
-				o.Plan = kernel.Compile(qg)
+	est := o.Estimator()
+	specs := make([]Spec, len(methods))
+	for i, name := range methods {
+		s, err := est.For(name)
+		if err != nil {
+			return nil, err
+		}
+		specs[i] = s
+	}
+	results, err := RankSpecs(ctx, qg, specs, o.Plan, o.Sequential)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]Result, len(specs))
+	for i, s := range specs {
+		out[s.Method] = results[i]
+	}
+	return out, nil
+}
+
+// RankSpecs runs every spec over qg and returns the results in spec
+// order, concurrently unless sequential. plan is shared by every spec
+// that runs on one; when nil and some spec needs it, one plan is
+// compiled for the pass.
+func RankSpecs(ctx context.Context, qg *graph.QueryGraph, specs []Spec, plan *kernel.Plan, sequential bool) ([]Result, error) {
+	if err := validate(qg); err != nil {
+		return nil, err
+	}
+	if plan == nil {
+		for _, s := range specs {
+			if s.UsesPlan() {
+				plan = kernel.Compile(qg)
 				break
 			}
 		}
 	}
-	rankers := make([]Ranker, len(methods))
-	for i, name := range methods {
-		r, ok := o.ranker(name)
-		if !ok {
-			return nil, &UnknownMethodError{Method: name}
-		}
-		rankers[i] = r
-	}
-
-	results := make([]Result, len(methods))
-	errs := make([]error, len(methods))
-	if o.Sequential {
-		for i, r := range rankers {
-			results[i], errs[i] = RankWithCtx(ctx, r, qg)
+	results := make([]Result, len(specs))
+	errs := make([]error, len(specs))
+	if sequential {
+		for i, s := range specs {
+			results[i], errs[i] = RankWithCtx(ctx, s.Ranker(plan), qg)
 		}
 	} else {
 		var wg sync.WaitGroup
-		for i, r := range rankers {
+		for i, s := range specs {
 			wg.Add(1)
 			go func(i int, r Ranker) {
 				defer wg.Done()
 				results[i], errs[i] = RankWithCtx(ctx, r, qg)
-			}(i, r)
+			}(i, s.Ranker(plan))
 		}
 		wg.Wait()
 	}
-
-	out := make(map[string]Result, len(methods))
-	for i, name := range methods {
-		if errs[i] != nil {
-			return nil, errs[i]
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		out[name] = results[i]
 	}
-	return out, nil
+	return results, nil
 }
 
 // UnknownMethodError reports a method name outside MethodNames.

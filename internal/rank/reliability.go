@@ -52,16 +52,11 @@ type MonteCarlo struct {
 	// Results are deterministic for a fixed (Seed, Workers) pair; 0 or 1
 	// runs serially. Only the traversal estimator parallelizes.
 	Workers int
-	// Worlds switches to the bit-parallel estimator, which since the
-	// block kernel runs kernel.BlockSize (256) possible worlds per
-	// [4]uint64 block with per-lane RNG streams, falling back to
-	// single-word batches only for the remainder of a request that is
-	// not a whole number of blocks. Trials is rounded UP to the next
-	// multiple of kernel.WordSize. Statistically equivalent to the
-	// scalar traversal estimator (the per-element coin probabilities
-	// are identical), but the RNG stream differs, so scores for a fixed
-	// seed are NOT bit-identical to the scalar kernel's. Composes with
-	// Workers (words are sharded); ignored under Naive.
+	// Worlds samples on the 256-world block kernel (see sampler):
+	// Trials rounds UP to a multiple of kernel.WordSize. Statistically
+	// equivalent to the scalar estimator, but on a different RNG stream,
+	// so scores for a fixed seed are not bit-identical to it. Composes
+	// with Workers (words are sharded); ignored under Naive.
 	Worlds bool
 	// Plan, when non-nil and structurally matching the query graph,
 	// skips plan compilation — RankAll and the engine share one compiled
@@ -69,7 +64,7 @@ type MonteCarlo struct {
 	// (the reduced graph needs its own plan).
 	Plan *kernel.Plan
 
-	memo planMemo
+	memo PlanMemo
 }
 
 // DefaultTrials is the trial count the paper derives from Theorem 3.1 for
@@ -134,148 +129,90 @@ func (m *MonteCarlo) rankCtx(ctx context.Context, qg *graph.QueryGraph, ops *OpS
 	if trials <= 0 {
 		trials = DefaultTrials
 	}
-	res := Result{Method: m.Name()}
-	if m.Reduce {
-		red, _, mapping := ReduceAll(qg)
-		inner := m.simulate(ctx, kernel.Compile(red), trials, ops)
-		mapReducedOutcome(len(qg.Answers), mapping, inner, &res)
-		return res, nil
-	}
-	out := m.simulate(ctx, m.memo.For(qg, m.Plan), trials, ops)
-	res.Scores = out.scores
-	if out.truncated {
-		res.Truncated = true
-		res.Lo, res.Hi = out.lo, out.hi
-	}
-	return res, nil
+	plan, mapping := samplePlan(&m.memo, qg, m.Plan, m.Reduce)
+	return m.simulate(ctx, plan, trials, ops).result(m.Name(), mapping), nil
 }
 
 // simOutcome is what one simulation pass produced: the scores, and —
-// when the context truncated the pass — the executed trial count and
-// the Wilson intervals of the partial tallies.
+// when the context truncated the pass — the Wilson intervals of the
+// partial tallies.
 type simOutcome struct {
 	scores    []float64
 	lo, hi    []float64
-	executed  int
 	truncated bool
 }
 
-// simulate runs the configured estimator on a compiled plan. ops may be
-// nil, in which case the kernels skip counter bookkeeping. All paths
-// accumulate per-node reach counts so an interrupted pass can report
-// its partial tallies; for an uncancellable ctx every path is a single
-// kernel call on the historical RNG stream.
-func (m *MonteCarlo) simulate(ctx context.Context, plan *kernel.Plan, trials int, ops *OpStats) simOutcome {
-	scores := make([]float64, plan.NumAnswers())
-	var so *kernel.SimOps
-	if ops != nil {
-		so = new(kernel.SimOps)
+// newOutcome scores the reach counts of executed trials, attaching
+// Wilson intervals when the pass was truncated.
+func newOutcome(plan *kernel.Plan, counts []int64, executed int, truncated bool) simOutcome {
+	out := simOutcome{scores: make([]float64, plan.NumAnswers()), truncated: truncated}
+	if executed > 0 {
+		plan.ScoresFromCounts(counts, executed, out.scores)
 	}
-	out := simOutcome{scores: scores}
-	switch {
-	case m.Naive:
-		// The all-coins baseline is a paper artifact, not a serving
-		// estimator: honor a context that is already dead, otherwise run
-		// it whole.
-		if ctxErr(ctx) != nil {
-			out.truncated = true
-			out.lo, out.hi = wilsonTallyBounds(plan, nil, 0)
-			break
-		}
-		plan.Naive(scores, trials, prob.NewRNG(m.Seed), so)
-		out.executed = trials
-	case m.Workers > 1:
-		counts := make([]int64, plan.NumNodes())
-		executed, truncated, sim := parallelShardedMC(ctx, plan, trials, m.Seed, m.Workers, m.Worlds, counts)
-		if so != nil {
-			*so = sim
-		}
-		out.executed, out.truncated = executed, truncated
-		if executed > 0 {
-			plan.ScoresFromCounts(counts, executed, scores)
-		}
-		if truncated {
-			out.lo, out.hi = wilsonTallyBounds(plan, counts, executed)
-		}
-	default:
-		counts := make([]int64, plan.NumNodes())
-		rng := prob.NewRNG(m.Seed)
-		var executed int
-		var truncated bool
-		if m.Worlds {
-			// A session, not per-chunk ReliabilityCountsWorldsBlock calls:
-			// the block kernel reseeds its lane streams per call, so only
-			// the session keeps a chunked run bit-identical to a one-shot
-			// run.
-			sess := plan.NewWorldsBlockSession(rng)
-			sim := func(_ *kernel.Plan, c []int64, words int, _ *prob.RNG, o *kernel.SimOps) {
-				sess.Counts(c, words, o)
-			}
-			words, trunc := chunkedCounts(ctx, plan, counts, kernel.WorldWords(trials), chunkFor(ctx, plan, 0, true), rng, so, sim)
-			executed, truncated = words*kernel.WordSize, trunc
-		} else {
-			executed, truncated = chunkedCounts(ctx, plan, counts, trials, chunkFor(ctx, plan, trials, false), rng, so,
-				(*kernel.Plan).ReliabilityCounts)
-		}
-		out.executed, out.truncated = executed, truncated
-		if executed > 0 {
-			plan.ScoresFromCounts(counts, executed, scores)
-		}
-		if truncated {
-			out.lo, out.hi = wilsonTallyBounds(plan, counts, executed)
-		}
-	}
-	if ops != nil {
-		ops.merge(opsFromSim(*so))
+	if truncated {
+		out.lo, out.hi = wilsonTallyBounds(plan, counts, executed)
 	}
 	return out
 }
 
-// chunkedCounts feeds units of simulation work (scalar trials or
-// 64-world words) through sim on one RNG stream, checking ctx between
-// chunks. It returns the units executed and whether the run was cut
-// short. chunk <= 0 means "all at once".
-func chunkedCounts(ctx context.Context, plan *kernel.Plan, counts []int64, units, chunk int, rng *prob.RNG, so *kernel.SimOps,
-	sim func(*kernel.Plan, []int64, int, *prob.RNG, *kernel.SimOps)) (int, bool) {
-	if chunk <= 0 {
-		chunk = units
+// result maps the outcome onto qg's answers (mapping from samplePlan).
+func (o simOutcome) result(method string, mapping []int) Result {
+	res := Result{Method: method, Scores: remap(mapping, o.scores), Truncated: o.truncated}
+	if o.truncated {
+		res.Lo, res.Hi = remap(mapping, o.lo), remap(mapping, o.hi)
 	}
-	done := 0
-	for done < units {
+	return res
+}
+
+// simulate runs the configured estimator on a compiled plan. ops may be
+// nil, in which case the kernels skip counter bookkeeping.
+func (m *MonteCarlo) simulate(ctx context.Context, plan *kernel.Plan, trials int, ops *OpStats) simOutcome {
+	var so *kernel.SimOps
+	if ops != nil {
+		so = new(kernel.SimOps)
+		defer func() { ops.merge(opsFromSim(*so)) }()
+	}
+	if m.Naive {
+		// The all-coins baseline is a paper artifact, not a serving
+		// estimator: honor a context that is already dead, otherwise run
+		// it whole.
 		if ctxErr(ctx) != nil {
-			return done, true
+			return newOutcome(plan, nil, 0, true)
 		}
-		b := chunk
-		if done+b > units {
-			b = units - done
-		}
-		sim(plan, counts, b, rng, so)
-		done += b
+		out := simOutcome{scores: make([]float64, plan.NumAnswers())}
+		plan.Naive(out.scores, trials, prob.NewRNG(m.Seed), so)
+		return out
 	}
-	return done, false
+	counts := make([]int64, plan.NumNodes())
+	var executed int
+	var truncated bool
+	if m.Workers > 1 {
+		var sim kernel.SimOps
+		executed, truncated, sim = parallelShardedMC(ctx, plan, trials, m.Seed, m.Workers, m.Worlds, counts)
+		if so != nil {
+			*so = sim
+		}
+	} else {
+		executed, truncated = newSampler(plan, prob.NewRNG(m.Seed), m.Worlds, so).run(ctx, counts, trials)
+	}
+	return newOutcome(plan, counts, executed, truncated)
 }
 
 // parallelShardedMC splits the simulation over workers goroutines —
-// each with a deterministic prob.StreamSeed stream — and merges the
-// per-node reach counts into counts. The unit of division is the trial
-// (scalar) or the 64-world word (worlds), so every shard simulates
-// whole words; within a shard the work runs in ctx-checked chunks, and
-// on truncation each shard stops at its own chunk boundary. Returns
-// the total trials executed (a valid normalizer: every shard's counts
-// cover exactly its executed trials), whether any shard truncated, and
-// the merged op counters. A run that completes is deterministic for a
-// fixed (seed, workers) pair regardless of chunking.
+// each with a deterministic prob.StreamSeed stream and its own sampler —
+// and merges the per-node reach counts into counts. The unit of division
+// is the sampler's unit, so every shard simulates whole words; on
+// truncation each shard stops at its own chunk boundary. Returns the
+// total trials executed (a valid normalizer: every shard's counts cover
+// exactly its executed trials), whether any shard truncated, and the
+// merged op counters. A run that completes is deterministic for a fixed
+// (seed, workers) pair regardless of chunking.
 func parallelShardedMC(ctx context.Context, plan *kernel.Plan, trials int, seed uint64, workers int, worlds bool, counts []int64) (int, bool, kernel.SimOps) {
-	units := trials
-	trialsPerUnit := 1
-	if worlds {
-		units = kernel.WorldWords(trials)
-		trialsPerUnit = kernel.WordSize
-	}
+	unit := sampleUnit(worlds)
+	units := (trials + unit - 1) / unit
 	if workers > units {
 		workers = units
 	}
-	chunk := chunkFor(ctx, plan, 0, worlds)
 	shardCounts := make([][]int64, workers)
 	shardDone := make([]int, workers)
 	shardTrunc := make([]bool, workers)
@@ -293,17 +230,8 @@ func parallelShardedMC(ctx context.Context, plan *kernel.Plan, trials int, seed 
 			defer wg.Done()
 			// Distinct, deterministic stream per worker.
 			rng := prob.NewRNG(prob.StreamSeed(seed, uint64(w)))
-			sim := (*kernel.Plan).ReliabilityCounts
-			if worlds {
-				// One session per shard keeps the shard's lane streams
-				// alive across its chunks (see WorldsBlockSession).
-				sess := plan.NewWorldsBlockSession(rng)
-				sim = func(_ *kernel.Plan, c []int64, words int, _ *prob.RNG, o *kernel.SimOps) {
-					sess.Counts(c, words, o)
-				}
-			}
 			c := make([]int64, plan.NumNodes())
-			shardDone[w], shardTrunc[w] = chunkedCounts(ctx, plan, c, share, chunk, rng, &shardOps[w], sim)
+			shardDone[w], shardTrunc[w] = newSampler(plan, rng, worlds, &shardOps[w]).run(ctx, c, share*unit)
 			shardCounts[w] = c
 		}(w, share)
 	}
@@ -315,7 +243,7 @@ func parallelShardedMC(ctx context.Context, plan *kernel.Plan, trials int, seed 
 		for i, v := range shardCounts[w] {
 			counts[i] += v
 		}
-		executed += shardDone[w] * trialsPerUnit
+		executed += shardDone[w]
 		truncated = truncated || shardTrunc[w]
 		ops.Trials += shardOps[w].Trials
 		ops.NodeVisits += shardOps[w].NodeVisits

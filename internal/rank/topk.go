@@ -54,26 +54,21 @@ type TopKRacer struct {
 	// Reduce applies the Section 3.1.2 reductions first and races on the
 	// reduced graph.
 	Reduce bool
-	// Worlds runs the race's simulation batches on the bit-parallel
-	// masked block kernel (ReliabilityCountsMaskedWorldsBlock), the
-	// shared-sample round: one traversal samples each block of 256
-	// possible worlds and feeds EVERY surviving candidate's counter, so
-	// all active candidates are judged against the same sampled worlds —
-	// elimination decisions carry no cross-candidate sampling variance —
-	// and one coin pass serves the whole round. Batches round UP to
-	// multiples of kernel.WordSize, and MaxTrials rounds DOWN to a word
-	// multiple (minimum one word) so the cap is never exceeded — the
-	// effective cap under Worlds is MaxTrials − MaxTrials mod
-	// kernel.WordSize. Elimination feedback (ActiveMask) applies
-	// unchanged. The elimination schedule is still deterministic for a
-	// fixed seed, but differs from the scalar racer's (different RNG
-	// stream).
+	// Worlds samples on the 256-world block kernel (see sampler). Its
+	// rounds are shared-sample: one masked block traversal feeds EVERY
+	// surviving candidate's counter, so all active candidates are judged
+	// against the same sampled worlds and elimination decisions carry no
+	// cross-candidate sampling variance. Batches round UP to whole words
+	// and MaxTrials rounds DOWN to a word multiple (minimum one word), so
+	// the cap is never exceeded. The elimination schedule is still
+	// deterministic for a fixed seed, but differs from the scalar
+	// racer's (different RNG stream).
 	Worlds bool
 	// Plan optionally supplies a pre-compiled kernel plan for the query
 	// graph (ignored under Reduce).
 	Plan *kernel.Plan
 
-	memo planMemo
+	memo PlanMemo
 }
 
 // RaceStats reports what a top-k race did, beyond the shared OpStats
@@ -117,25 +112,8 @@ func (rs RaceStats) CandidateTrials() int64 {
 func (*TopKRacer) Name() string { return "reliability" }
 
 func (r *TopKRacer) params(numAnswers int) (k int, eps, delta float64, batch, maxTrials int) {
-	k, eps, delta, batch, maxTrials = r.K, r.Eps, r.Delta, r.Batch, r.MaxTrials
-	if k < 1 {
-		k = 1
-	}
-	if k > numAnswers {
-		k = numAnswers
-	}
-	if eps <= 0 {
-		eps = 0.02
-	}
-	if delta <= 0 {
-		delta = 0.05
-	}
-	if batch <= 0 {
-		batch = 500
-	}
-	if maxTrials <= 0 {
-		maxTrials = 10 * DefaultTrials
-	}
+	k = min(max(r.K, 1), numAnswers)
+	eps, delta, batch, maxTrials = seqDefaults(r.Eps, r.Delta, r.Batch, r.MaxTrials)
 	return k, eps, delta, batch, maxTrials
 }
 
@@ -168,45 +146,21 @@ func (r *TopKRacer) RankWithRaceCtx(ctx context.Context, qg *graph.QueryGraph) (
 	if err := validate(qg); err != nil {
 		return Result{}, RaceStats{}, err
 	}
-	res := Result{Method: r.Name()}
-	if r.Reduce {
-		red, _, mapping := ReduceAll(qg)
-		var inner RaceStats
-		innerScores := r.race(ctx, kernel.Compile(red), &inner)
-		// Map the reduced-graph race back onto the original answer set.
-		// Answers the reductions removed are unreachable: score 0 with
-		// certainty.
-		nA := len(qg.Answers)
-		rs := RaceStats{
-			OpStats:            inner.OpStats,
-			TrialsPerCandidate: make([]int64, nA),
-			Lo:                 make([]float64, nA),
-			Hi:                 make([]float64, nA),
-			Pruned:             inner.Pruned,
-			Rounds:             inner.Rounds,
-			Truncated:          inner.Truncated,
-		}
-		res.Scores = make([]float64, nA)
-		for i, j := range mapping {
-			if j >= 0 {
-				res.Scores[i] = innerScores[j]
-				rs.TrialsPerCandidate[i] = inner.TrialsPerCandidate[j]
-				rs.Lo[i] = inner.Lo[j]
-				rs.Hi[i] = inner.Hi[j]
-			}
-			// Answers the reductions dropped are certainly unreachable:
-			// their zero score is exact, hence the zero-width [0,0]
-			// interval rs.Lo/Hi already hold.
-		}
-		res.Lo, res.Hi = rs.Lo, rs.Hi
-		res.Truncated = rs.Truncated
-		return res, rs, nil
-	}
+	plan, mapping := samplePlan(&r.memo, qg, r.Plan, r.Reduce)
 	var rs RaceStats
-	res.Scores = r.race(ctx, r.memo.For(qg, r.Plan), &rs)
-	res.Lo, res.Hi = rs.Lo, rs.Hi
-	res.Truncated = rs.Truncated
+	scores := r.race(ctx, plan, &rs)
+	rs.TrialsPerCandidate = remap(mapping, rs.TrialsPerCandidate)
+	rs.Lo, rs.Hi = remap(mapping, rs.Lo), remap(mapping, rs.Hi)
+	res := Result{Method: r.Name(), Scores: remap(mapping, scores), Lo: rs.Lo, Hi: rs.Hi, Truncated: rs.Truncated}
 	return res, rs, nil
+}
+
+// RankWithStatsCtx is RankWithRaceCtx reporting the PlannerStats shape
+// HybridPlanner shares (ExactAnswers stays 0), so callers can run either
+// race estimator through one method.
+func (r *TopKRacer) RankWithStatsCtx(ctx context.Context, qg *graph.QueryGraph) (Result, PlannerStats, error) {
+	res, rs, err := r.RankWithRaceCtx(ctx, qg)
+	return res, PlannerStats{RaceStats: rs}, err
 }
 
 // exactPrior seeds a race with an answer whose reliability is already
@@ -239,16 +193,9 @@ func (r *TopKRacer) raceWithPriors(ctx context.Context, plan *kernel.Plan, rs *R
 		return scores
 	}
 	k, eps, delta, batch, maxTrials := r.params(nA)
-	if r.Worlds {
-		// The bit-parallel kernel simulates whole 64-world words, so the
-		// cap must be a word multiple or the final batch would overshoot
-		// it. Round down (never below one word); trials then always
-		// matches the number of worlds actually simulated.
-		maxTrials -= maxTrials % kernel.WordSize
-		if maxTrials < kernel.WordSize {
-			maxTrials = kernel.WordSize
-		}
-	}
+	var so kernel.SimOps
+	smp := newSampler(plan, prob.NewRNG(r.Seed), r.Worlds, &so)
+	maxTrials = smp.capTrials(maxTrials)
 	rounds := (maxTrials + batch - 1) / batch
 	// Union bound: every (candidate, round) interval must hold
 	// simultaneously for eliminations to be sound, so each individual
@@ -286,8 +233,6 @@ func (r *TopKRacer) raceWithPriors(ctx context.Context, plan *kernel.Plan, rs *R
 	order := make([]int, nA)
 	loSorted := make([]float64, nA)
 
-	rng := prob.NewRNG(r.Seed)
-	var so kernel.SimOps
 	trials := 0
 	for trials < maxTrials {
 		if ctxErr(ctx) != nil {
@@ -298,21 +243,7 @@ func (r *TopKRacer) raceWithPriors(ctx context.Context, plan *kernel.Plan, rs *R
 			rs.Truncated = true
 			break
 		}
-		b := batch
-		if trials+b > maxTrials {
-			b = maxTrials - trials // honor the cap exactly
-		}
-		if r.Worlds {
-			// Rounding up to whole words cannot overshoot: trials and
-			// maxTrials are both word multiples, so ceil(b/WordSize)
-			// words still fit under the cap.
-			words := kernel.WorldWords(b)
-			plan.ReliabilityCountsMaskedWorldsBlock(counts, mask, words, rng, &so)
-			b = words * kernel.WordSize
-		} else {
-			plan.ReliabilityCountsMasked(counts, mask, b, rng, &so)
-		}
-		trials += b
+		trials += smp.sample(counts, mask, min(batch, maxTrials-trials))
 		rs.Rounds++
 
 		for _, i := range activeIdx {

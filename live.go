@@ -141,9 +141,7 @@ type liveState struct {
 // resolve carves the keyword's pruned query graph out of a live snapshot
 // of the union graph: under the store's read lock the exploratory query
 // clones the graph, selects the keyword's accessions as input records,
-// and prunes to the answer-directed subgraph. The snapshot is stamped
-// with the store's version so the legacy InvalidateVersion mode sees one
-// coherent clock.
+// and prunes to the answer-directed subgraph.
 func (ls *liveState) resolve(keyword string) (*graph.QueryGraph, error) {
 	accs := ls.keywordAccessions[keyword]
 	if len(accs) == 0 {
@@ -151,11 +149,9 @@ func (ls *liveState) resolve(keyword string) (*graph.QueryGraph, error) {
 	}
 	var (
 		qg  *graph.QueryGraph
-		ver uint64
 		err error
 	)
 	ls.store.View(func(g *graph.Graph) {
-		ver = g.Version()
 		q := query.Exploratory{
 			InputKind:   mediator.KindProtein,
 			Match:       func(n graph.Node) bool { return accs[n.Label] },
@@ -164,11 +160,7 @@ func (ls *liveState) resolve(keyword string) (*graph.QueryGraph, error) {
 		}
 		qg, err = q.Run(g)
 	})
-	if err != nil {
-		return nil, err
-	}
-	qg.Graph.SetVersion(ver)
-	return qg, nil
+	return qg, err
 }
 
 // EnableLive switches the system to live mode: the mediator integrates
