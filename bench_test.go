@@ -10,6 +10,7 @@ package biorank
 // World construction is done once and excluded from timings.
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -146,7 +147,7 @@ func benchRank(b *testing.B, r rank.Ranker) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		qg := graphs[i%len(graphs)]
-		if _, err := r.Rank(qg); err != nil {
+		if _, err := r.RankCtx(context.Background(), qg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -250,7 +251,7 @@ func BenchmarkEndToEndQuery(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ans.Rank(Reliability, Options{Trials: 1000, Seed: 1, Reduce: true}); err != nil {
+		if _, _, err := ans.RankCtx(context.Background(), Reliability, Options{Trials: 1000, Seed: 1, Reduce: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

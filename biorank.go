@@ -27,6 +27,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -113,9 +114,9 @@ func (g *Graph) Explore(keyword, inputKind string, outputKinds ...string) (*Answ
 
 // Answers is the answer set of an exploratory query, ready for ranking.
 // The first ranking call compiles the query graph into a CSR kernel
-// plan (internal/kernel) and memoizes it, so every later Rank/RankAll
-// call on the same Answers skips compilation and runs the simulation
-// kernels directly.
+// plan (internal/kernel) and memoizes it, so every later RankCtx or
+// RankAllCtx call on the same Answers skips compilation and runs the
+// simulation kernels directly.
 type Answers struct {
 	qg   *graph.QueryGraph
 	plan rank.PlanMemo
@@ -185,28 +186,23 @@ type ScoredAnswer struct {
 	Exact bool
 }
 
-// Rank scores every answer with the chosen method and returns them in
-// descending score order (ties in input order).
-func (a *Answers) Rank(m Method, o Options) ([]ScoredAnswer, error) {
-	out, _, err := a.RankCtx(context.Background(), m, o)
-	return out, err
-}
-
-// RankCtx is Rank under a context deadline. The Monte Carlo estimators
-// check the context between simulation batches; when it expires they
-// return the ranking built from the trials completed so far — every
-// answer still carries a valid confidence interval (HasBounds), just a
-// wider one — and truncated reports that the budget was cut short
-// rather than spent. Deterministic methods (InEdge, PathCount, exact
-// reliability) ignore the deadline and always complete. A run that
-// finishes before the deadline is bit-identical to Rank with the same
-// seed, and truncated is false.
+// RankCtx scores every answer with the chosen method and returns them
+// in descending score order (ties in input order). The Monte Carlo
+// estimators check the context between simulation batches; when its
+// deadline expires they return the ranking built from the trials
+// completed so far — every answer still carries a valid confidence
+// interval (HasBounds), just a wider one — and truncated reports that
+// the budget was cut short rather than spent. Deterministic methods
+// (InEdge, PathCount, exact reliability) ignore the deadline and always
+// complete. A run that finishes before the deadline is bit-identical to
+// one under context.Background() with the same seed, and truncated is
+// false.
 func (a *Answers) RankCtx(ctx context.Context, m Method, o Options) (answers []ScoredAnswer, truncated bool, err error) {
 	spec, err := o.For(string(m))
 	if err != nil {
 		return nil, false, err
 	}
-	res, err := rank.RankWithCtx(ctx, spec.Ranker(a.planFor(spec)), a.qg)
+	res, err := spec.Ranker(a.planFor(spec)).RankCtx(ctx, a.qg)
 	if err != nil {
 		return nil, false, err
 	}
@@ -265,7 +261,13 @@ type racer interface {
 	RankWithStatsCtx(ctx context.Context, qg *graph.QueryGraph) (rank.Result, rank.PlannerStats, error)
 }
 
-// TopK races the answer set and returns the certified top k by
+// TopK is TopKCtx under context.Background(), kept for callers that
+// carry no context (the end-to-end benchmark's oracle).
+func (a *Answers) TopK(k int, o Options) (*TopKResult, error) {
+	return a.TopKCtx(context.Background(), k, o)
+}
+
+// TopKCtx races the answer set and returns the certified top k by
 // reliability, with per-answer confidence bounds: candidates whose
 // upper confidence bound falls below the k-th largest lower bound are
 // successively eliminated, and the Monte Carlo kernel stops simulating
@@ -274,19 +276,16 @@ type racer interface {
 // deterministically. With Options.Planner the answers are first probed
 // for exact evaluation: exact answers enter the race as zero-width
 // intervals (Exact true, Trials 0) and only the irreducible remainder
-// is simulated. For the full ranking (all answers, no bounds) use Rank
-// or RankAll.
-func (a *Answers) TopK(k int, o Options) (*TopKResult, error) {
-	return a.TopKCtx(context.Background(), k, o)
-}
-
-// TopKCtx is TopK under a context deadline. The racer checks the
-// context between simulation rounds; on expiry it stops and returns
-// the current standings with TopKResult.Truncated set — the answers
-// are the best estimates so far, their Lo/Hi intervals remain valid
-// (vacuous [0,1] for candidates that never simulated), but the top k
-// is no longer certified. A race that finishes before the deadline is
-// bit-identical to TopK with the same seed.
+// is simulated. For the full ranking (all answers, no bounds) use
+// RankCtx or RankAllCtx.
+//
+// The racer checks the context between simulation rounds; on expiry it
+// stops and returns the current standings with TopKResult.Truncated
+// set — the answers are the best estimates so far, their Lo/Hi
+// intervals remain valid (vacuous [0,1] for candidates that never
+// simulated), but the top k is no longer certified. A race that
+// finishes before the deadline is bit-identical to one under
+// context.Background() with the same seed.
 func (a *Answers) TopKCtx(ctx context.Context, k int, o Options) (*TopKResult, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("biorank: top-k rank requires k >= 1, got %d", k)
@@ -332,34 +331,30 @@ func (a *Answers) TopKCtx(ctx context.Context, k int, o Options) (*TopKResult, e
 	return out, nil
 }
 
-// RankAll scores every answer under the given semantics (all five when
-// none are named) in one pass over the shared query graph — the graph
-// is resolved and pruned exactly once, the methods run concurrently,
-// and Monte Carlo trials can additionally be sharded via
-// Options.Workers. Scores are identical to calling Rank once per
-// method.
+// RankAll is RankAllCtx under context.Background(), kept for callers
+// that carry no context (the end-to-end benchmark's oracle).
 func (a *Answers) RankAll(o Options, methods ...Method) (map[Method][]ScoredAnswer, error) {
 	out, _, err := a.RankAllCtx(context.Background(), o, methods...)
 	return out, err
 }
 
-// RankAllCtx is RankAll under a context deadline. Monte Carlo methods
-// that hit the deadline return truncated partial rankings (flagged per
-// method in the truncated map) while deterministic methods always
-// complete; see RankCtx for the partial-result contract.
+// RankAllCtx scores every answer under the given semantics (all five
+// when none are named) in one pass over the shared query graph — the
+// graph is resolved and pruned exactly once, the methods run
+// concurrently, and Monte Carlo trials can additionally be sharded via
+// Options.Workers. Scores are identical to calling RankCtx once per
+// method. Monte Carlo methods that hit the deadline return truncated
+// partial rankings (flagged per method in the truncated map) while
+// deterministic methods always complete; see RankCtx for the
+// partial-result contract.
 func (a *Answers) RankAllCtx(ctx context.Context, o Options, methods ...Method) (rankings map[Method][]ScoredAnswer, truncated map[Method]bool, err error) {
-	names := rank.MethodNames
-	if len(methods) > 0 {
-		names = make([]string, len(methods))
-		for i, m := range methods {
-			names[i] = string(m)
-		}
+	names := make([]string, len(methods))
+	for i, m := range methods {
+		names[i] = string(m)
 	}
-	specs := make([]rank.Spec, len(names))
-	for i, name := range names {
-		if specs[i], err = o.For(name); err != nil {
-			return nil, nil, err
-		}
+	specs, err := o.Specs(names)
+	if err != nil {
+		return nil, nil, err
 	}
 	results, err := rank.RankSpecs(ctx, a.qg, specs, a.planFor(specs...), false)
 	if err != nil {
@@ -393,17 +388,9 @@ func scoredAnswers(qg *graph.QueryGraph, res rank.Result) []ScoredAnswer {
 			out[i].Exact = res.Exact[i]
 		}
 	}
-	sortByScore(out)
+	// Stable: ties keep answer order.
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Score > out[j].Score })
 	return out
-}
-
-func sortByScore(xs []ScoredAnswer) {
-	// insertion sort is stable and the lists are short (≤ a few hundred)
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j].Score > xs[j-1].Score; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // AveragePrecision computes the tie-aware average precision (Section 4)
@@ -423,8 +410,9 @@ func RandomAP(k, n int) float64 { return metrics.RandomAP(k, n) }
 
 // System is a fully populated BioRank instance: eleven integrated
 // sources behind a mediator, queried by protein name. Batched queries
-// (QueryBatch) run on an internal/engine worker pool with an LRU result
-// cache; the pool is started lazily on first use and released by Close.
+// (QueryBatchCtx) run on an internal/engine worker pool with an LRU
+// result cache; the pool is started lazily on first use and released by
+// Close.
 type System struct {
 	world *synth.World
 	med   *mediator.Mediator
@@ -587,14 +575,14 @@ type EngineConfig struct {
 }
 
 // ConfigureEngine sets the batch engine's configuration. It must be
-// called before the engine lazily starts (first QueryBatch, CacheStats,
-// PlanStats, EngineStats or Close); afterwards it fails with an error
-// and the running engine keeps its configuration.
+// called before the engine lazily starts (first QueryBatchCtx,
+// CacheStats, PlanStats, EngineStats or Close); afterwards it fails with
+// an error and the running engine keeps its configuration.
 func (s *System) ConfigureEngine(cfg EngineConfig) error {
 	s.engMu.Lock()
 	defer s.engMu.Unlock()
 	if s.engStarted {
-		return fmt.Errorf("biorank: engine already started; ConfigureEngine must precede the first QueryBatch")
+		return fmt.Errorf("biorank: engine already started; ConfigureEngine must precede the first QueryBatchCtx")
 	}
 	s.engCfg = engine.Config{
 		Workers:     cfg.Workers,
@@ -612,28 +600,23 @@ func (s *System) engineHandle() *engine.Engine {
 		cfg := s.engCfg
 		s.engStarted = true
 		s.engMu.Unlock()
-		s.eng = engine.New(engine.ResolverFunc(func(p string) (*graph.QueryGraph, error) {
+		s.eng = engine.New(engine.ResolverFunc(func(_ context.Context, p string) (*graph.QueryGraph, error) {
 			return s.resolve(p)
 		}), cfg)
 	})
 	return s.eng
 }
 
-// QueryBatch answers a batch of ranking requests on the system's worker
-// pool: each query graph is integrated once and shared by all requested
-// methods, and results are memoized in an LRU keyed by query, graph
-// fingerprint, method and options. Results arrive in request order.
-func (s *System) QueryBatch(reqs []BatchRequest) []BatchResult {
-	return s.QueryBatchCtx(context.Background(), reqs)
-}
-
-// QueryBatchCtx is QueryBatch under a context: cancelling it abandons
-// queued requests (their Err is the context error), while a deadline —
-// from the context or a per-request Timeout — truncates in-progress
-// Monte Carlo rankings into partial results (BatchResult.Truncated)
-// rather than failing them. Requests shed by admission control (see
-// ConfigureEngine) fail with an error matching ErrOverloaded; the
-// suggested backoff is available via RetryAfter.
+// QueryBatchCtx answers a batch of ranking requests on the system's
+// worker pool: each query graph is integrated once and shared by all
+// requested methods, and results are memoized in an LRU keyed by query,
+// graph fingerprint, method and options. Results arrive in request
+// order. Cancelling ctx abandons queued requests (their Err is the
+// context error), while a deadline — from ctx or a per-request Timeout
+// — truncates in-progress Monte Carlo rankings into partial results
+// (BatchResult.Truncated) rather than failing them. Requests shed by
+// admission control (see ConfigureEngine) fail with an error matching
+// ErrOverloaded; the suggested backoff is available via RetryAfter.
 func (s *System) QueryBatchCtx(ctx context.Context, reqs []BatchRequest) []BatchResult {
 	ereqs := make([]engine.Request, len(reqs))
 	for i, r := range reqs {
@@ -689,9 +672,9 @@ func (s *System) EngineStats() engine.Stats {
 }
 
 // CacheStats reports the batch engine's result-cache counters (zeros
-// before the first QueryBatch call). It goes through the same
-// once-guard as QueryBatch, so it is safe to call concurrently with a
-// first batch.
+// before the first QueryBatchCtx call). It goes through the same
+// once-guard as QueryBatchCtx, so it is safe to call concurrently with
+// a first batch.
 func (s *System) CacheStats() engine.CacheStats {
 	return s.engineHandle().CacheStats()
 }
@@ -704,8 +687,8 @@ func (s *System) PlanStats() engine.PlanCacheStats {
 }
 
 // Close releases the batch engine's worker pool. The System remains
-// usable for single queries; later QueryBatch calls fail every request
-// with engine.ErrClosed. Close is safe to call multiple times, from
+// usable for single queries; later QueryBatchCtx calls fail every
+// request with engine.ErrClosed. Close is safe to call multiple times, from
 // concurrent goroutines, and without ever having batched.
 func (s *System) Close() {
 	s.engineHandle().Close()

@@ -1,6 +1,7 @@
 package biorank
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -22,7 +23,7 @@ func TestGraphFacadeEndToEnd(t *testing.T) {
 	if ans.Len() != 2 {
 		t.Fatalf("want 2 answers, got %d", ans.Len())
 	}
-	scored, err := ans.Rank(Reliability, Options{Exact: true})
+	scored, _, err := ans.RankCtx(context.Background(), Reliability, Options{Exact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestAllMethodsRunOnFacadeGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range Methods() {
-		scored, err := ans.Rank(m, Options{Trials: 500, Seed: 1})
+		scored, _, err := ans.RankCtx(context.Background(), m, Options{Trials: 500, Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -55,7 +56,7 @@ func TestAllMethodsRunOnFacadeGraph(t *testing.T) {
 			t.Fatalf("%s: wrong answer count", m)
 		}
 	}
-	if _, err := ans.Rank(Method("bogus"), Options{}); err == nil {
+	if _, _, err := ans.RankCtx(context.Background(), Method("bogus"), Options{}); err == nil {
 		t.Fatal("unknown method accepted")
 	}
 }
@@ -88,7 +89,7 @@ func TestDemoSystemQuery(t *testing.T) {
 		t.Fatal("GALT has no emerging functions")
 	}
 
-	scored, err := ans.Rank(Reliability, Options{Trials: 2000, Seed: 7, Reduce: true})
+	scored, _, err := ans.RankCtx(context.Background(), Reliability, Options{Trials: 2000, Seed: 7, Reduce: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestAnswersRankAllMatchesPerMethod(t *testing.T) {
 		}
 	}
 	for _, m := range Methods() {
-		single, err := ans.Rank(m, o)
+		single, _, err := ans.RankCtx(context.Background(), m, o)
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -206,7 +207,7 @@ func TestSystemQueryBatch(t *testing.T) {
 		{Protein: "CFTR", Methods: []Method{Propagation, InEdge}, Options: o},
 		{Protein: "NO-SUCH-PROTEIN", Options: o},
 	}
-	results := sys.QueryBatch(reqs)
+	results := sys.QueryBatchCtx(context.Background(), reqs)
 	if len(results) != len(reqs) {
 		t.Fatalf("want %d results, got %d", len(reqs), len(results))
 	}
@@ -231,7 +232,7 @@ func TestSystemQueryBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ans.Rank(Reliability, o)
+	want, _, err := ans.RankCtx(context.Background(), Reliability, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestSystemQueryBatch(t *testing.T) {
 	}
 
 	// A repeated batch is served from the cache.
-	again := sys.QueryBatch(reqs[:2])
+	again := sys.QueryBatchCtx(context.Background(), reqs[:2])
 	for _, r := range again {
 		if r.Err != nil {
 			t.Fatal(r.Err)
@@ -269,11 +270,11 @@ func TestParallelReliabilityOptionDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := Options{Trials: 4000, Seed: 9, Workers: 4}
-	a, err := ans.Rank(Reliability, o)
+	a, _, err := ans.RankCtx(context.Background(), Reliability, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ans.Rank(Reliability, o)
+	b, _, err := ans.RankCtx(context.Background(), Reliability, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,11 +302,11 @@ func TestWorldsOptionFacade(t *testing.T) {
 	}
 
 	o := Options{Trials: 20000, Seed: 9, Worlds: true}
-	a, err := ans.Rank(Reliability, o)
+	a, _, err := ans.RankCtx(context.Background(), Reliability, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ans.Rank(Reliability, o)
+	b, _, err := ans.RankCtx(context.Background(), Reliability, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +315,7 @@ func TestWorldsOptionFacade(t *testing.T) {
 			t.Fatalf("worlds reliability not deterministic at answer %d", i)
 		}
 	}
-	scalar, err := ans.Rank(Reliability, Options{Trials: 20000, Seed: 9})
+	scalar, _, err := ans.RankCtx(context.Background(), Reliability, Options{Trials: 20000, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +326,7 @@ func TestWorldsOptionFacade(t *testing.T) {
 	}
 
 	// Batch path: worlds requests succeed and rank sanely.
-	res := sys.QueryBatch([]BatchRequest{{
+	res := sys.QueryBatchCtx(context.Background(), []BatchRequest{{
 		Protein: protein,
 		Methods: []Method{Reliability},
 		Options: Options{Trials: 2000, Seed: 1, Worlds: true},
@@ -399,7 +400,7 @@ func TestAnswersTopK(t *testing.T) {
 
 	// The certified top-k set must agree with an independent full
 	// ranking (fixed budget, sub-eps ties interchangeable).
-	full, err := ans.Rank(Reliability, Options{Seed: 7})
+	full, _, err := ans.RankCtx(context.Background(), Reliability, Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +425,7 @@ func TestAnswersTopK(t *testing.T) {
 	}
 
 	// The engine path accepts Options.TopK.
-	out := sys.QueryBatch([]BatchRequest{{
+	out := sys.QueryBatchCtx(context.Background(), []BatchRequest{{
 		Protein: protein,
 		Methods: []Method{Reliability},
 		Options: Options{Seed: 7, TopK: k},

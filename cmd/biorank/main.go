@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -75,7 +76,7 @@ func main() {
 		fmt.Printf("query graph written to %s (JSON)\n", *jsonFile)
 	}
 
-	scored, err := ans.Rank(biorank.Method(*method), biorank.Options{
+	scored, _, err := ans.RankCtx(context.Background(), biorank.Method(*method), biorank.Options{
 		Trials:  *trials,
 		Seed:    *seed,
 		Reduce:  *reduce,

@@ -94,7 +94,7 @@ func (s *System) EnableLiveDurable(cfg DurabilityConfig) (DurabilityStats, error
 	s.engMu.Lock()
 	defer s.engMu.Unlock()
 	if s.engStarted {
-		return DurabilityStats{}, fmt.Errorf("biorank: engine already started; EnableLiveDurable must precede the first QueryBatch")
+		return DurabilityStats{}, fmt.Errorf("biorank: engine already started; EnableLiveDurable must precede the first QueryBatchCtx")
 	}
 	if s.live.Load() != nil {
 		return DurabilityStats{}, fmt.Errorf("biorank: system is already live")

@@ -1,6 +1,7 @@
 package biorank
 
 import (
+	"context"
 	"errors"
 	"math"
 	"os"
@@ -81,7 +82,7 @@ func TestDurableRecoveryScoresBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ranked, err := ans.Rank(Reliability, opts)
+		ranked, _, err := ans.RankCtx(context.Background(), Reliability, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +117,7 @@ func TestDurableRecoveryScoresBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ranked, err := ans.Rank(Reliability, opts)
+		ranked, _, err := ans.RankCtx(context.Background(), Reliability, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -61,8 +61,8 @@ func goldenConfigs() []struct {
 		for _, reduce := range []bool{false, true} {
 			workers, reduce := workers, reduce
 			out = append(out, cfg{fmt.Sprintf("mc/workers=%d/reduce=%t", workers, reduce),
-				func(_ context.Context, qg *graph.QueryGraph) (rank.Result, string, error) {
-					res, ops, err := (&rank.MonteCarlo{Trials: 3000, Seed: 7, Workers: workers, Reduce: reduce}).RankWithStats(qg)
+				func(ctx context.Context, qg *graph.QueryGraph) (rank.Result, string, error) {
+					res, ops, err := (&rank.MonteCarlo{Trials: 3000, Seed: 7, Workers: workers, Reduce: reduce}).RankWithStatsCtx(ctx, qg)
 					return res, fmt.Sprint(ops), err
 				}})
 			out = append(out, cfg{fmt.Sprintf("mc-ctx/workers=%d/reduce=%t", workers, reduce),
@@ -84,16 +84,16 @@ func goldenConfigs() []struct {
 		for _, k := range []int{0, 3} {
 			reduce, k := reduce, k
 			out = append(out, cfg{fmt.Sprintf("adaptive/reduce=%t/topk=%d", reduce, k),
-				func(_ context.Context, qg *graph.QueryGraph) (rank.Result, string, error) {
-					res, ops, err := (&rank.AdaptiveMonteCarlo{MaxTrials: 6000, TopK: k, Seed: 11, Reduce: reduce}).RankWithStats(qg)
+				func(ctx context.Context, qg *graph.QueryGraph) (rank.Result, string, error) {
+					res, ops, err := (&rank.AdaptiveMonteCarlo{MaxTrials: 6000, TopK: k, Seed: 11, Reduce: reduce}).RankWithStatsCtx(ctx, qg)
 					return res, fmt.Sprint(ops), err
 				}})
 		}
 		reduce := reduce
 		out = append(out, cfg{fmt.Sprintf("racer/reduce=%t", reduce),
 			func(ctx context.Context, qg *graph.QueryGraph) (rank.Result, string, error) {
-				res, rs, err := (&rank.TopKRacer{K: 3, MaxTrials: 6000, Seed: 13, Reduce: reduce}).RankWithRaceCtx(ctx, qg)
-				return res, fmt.Sprint(rs), err
+				res, rs, err := (&rank.TopKRacer{K: 3, MaxTrials: 6000, Seed: 13, Reduce: reduce}).RankWithStatsCtx(ctx, qg)
+				return res, fmt.Sprint(rs.RaceStats), err
 			}})
 	}
 	for _, k := range []int{0, 3} {
@@ -107,13 +107,13 @@ func goldenConfigs() []struct {
 	// The sampled block-kernel paths of the sequential estimators. Their
 	// digests pin the one-session-per-run stream.
 	out = append(out,
-		cfg{"worlds/adaptive", func(_ context.Context, qg *graph.QueryGraph) (rank.Result, string, error) {
-			res, ops, err := (&rank.AdaptiveMonteCarlo{MaxTrials: 6000, Seed: 11, Worlds: true}).RankWithStats(qg)
+		cfg{"worlds/adaptive", func(ctx context.Context, qg *graph.QueryGraph) (rank.Result, string, error) {
+			res, ops, err := (&rank.AdaptiveMonteCarlo{MaxTrials: 6000, Seed: 11, Worlds: true}).RankWithStatsCtx(ctx, qg)
 			return res, fmt.Sprint(ops), err
 		}},
 		cfg{"worlds/racer", func(ctx context.Context, qg *graph.QueryGraph) (rank.Result, string, error) {
-			res, rs, err := (&rank.TopKRacer{K: 3, MaxTrials: 6000, Seed: 13, Worlds: true}).RankWithRaceCtx(ctx, qg)
-			return res, fmt.Sprint(rs), err
+			res, rs, err := (&rank.TopKRacer{K: 3, MaxTrials: 6000, Seed: 13, Worlds: true}).RankWithStatsCtx(ctx, qg)
+			return res, fmt.Sprint(rs.RaceStats), err
 		}},
 		cfg{"worlds/planner", func(ctx context.Context, qg *graph.QueryGraph) (rank.Result, string, error) {
 			res, ps, err := (&rank.HybridPlanner{K: 3, MaxTrials: 6000, Seed: 17, Worlds: true}).RankWithStatsCtx(ctx, qg)

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -35,7 +36,7 @@ func main() {
 		for _, f := range sys.GoldenFunctions(protein) {
 			golden[f] = true
 		}
-		ranked, err := answers.Rank(biorank.Reliability, biorank.Options{Trials: 5000, Seed: 1, Reduce: true})
+		ranked, _, err := answers.RankCtx(context.Background(), biorank.Reliability, biorank.Options{Trials: 5000, Seed: 1, Reduce: true})
 		if err != nil {
 			log.Fatal(err)
 		}

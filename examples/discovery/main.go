@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -39,7 +40,7 @@ func main() {
 			protein, answers.Len(), len(emerging))
 
 		for _, m := range []biorank.Method{biorank.Reliability, biorank.Diffusion, biorank.InEdge} {
-			scored, err := answers.Rank(m, biorank.Options{Trials: 10000, Seed: 3, Reduce: true})
+			scored, _, err := answers.RankCtx(context.Background(), m, biorank.Options{Trials: 10000, Seed: 3, Reduce: true})
 			if err != nil {
 				log.Fatal(err)
 			}

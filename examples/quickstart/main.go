@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -42,7 +43,7 @@ func main() {
 
 	fmt.Println("Ranking GO:0006915 under the five semantics of the paper:")
 	for _, m := range biorank.Methods() {
-		scored, err := answers.Rank(m, biorank.Options{Trials: 200000, Seed: 1, Exact: m == biorank.Reliability})
+		scored, _, err := answers.RankCtx(context.Background(), m, biorank.Options{Trials: 200000, Seed: 1, Exact: m == biorank.Reliability})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -48,7 +49,7 @@ func main() {
 	fmt.Println("Divergent star schema: one private evidence path per answer.")
 	fmt.Println()
 	for _, m := range []biorank.Method{biorank.Reliability, biorank.InEdge, biorank.PathCount} {
-		scored, err := answers.Rank(m, biorank.Options{Exact: m == biorank.Reliability})
+		scored, _, err := answers.RankCtx(context.Background(), m, biorank.Options{Exact: m == biorank.Reliability})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -52,18 +52,21 @@ func TestFacadeRankCtxTruncated(t *testing.T) {
 			t.Fatalf("invalid interval: %+v", a)
 		}
 	}
-	// A background context completes and matches the plain call bitwise.
-	got, truncated, err := ans.RankCtx(context.Background(), Reliability, Options{Trials: 2000, Seed: 3})
+	// A cancellable context that is never cancelled completes and
+	// matches the background (one-call) run bitwise.
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, truncated, err := ans.RankCtx(live, Reliability, Options{Trials: 2000, Seed: 3})
 	if err != nil || truncated {
-		t.Fatalf("background run: truncated=%v err=%v", truncated, err)
+		t.Fatalf("cancellable run: truncated=%v err=%v", truncated, err)
 	}
-	want, err := ans.Rank(Reliability, Options{Trials: 2000, Seed: 3})
+	want, _, err := ans.RankCtx(context.Background(), Reliability, Options{Trials: 2000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("answer %d: ctx run %+v != plain %+v", i, got[i], want[i])
+			t.Fatalf("answer %d: cancellable run %+v != background %+v", i, got[i], want[i])
 		}
 	}
 }

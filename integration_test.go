@@ -4,6 +4,7 @@ package biorank
 // determinism, serialization round trips, and cross-method consistency.
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 )
@@ -21,7 +22,7 @@ func TestEndToEndDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scored, err := ans.Rank(Reliability, Options{Trials: 3000, Seed: 9, Reduce: true})
+		scored, _, err := ans.RankCtx(context.Background(), Reliability, Options{Trials: 3000, Seed: 9, Reduce: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,11 +61,11 @@ func TestAnswersJSONRoundTrip(t *testing.T) {
 	}
 	// The reloaded graph must rank identically (exact method avoids MC
 	// stream concerns).
-	a, err := ans.Rank(Reliability, Options{Exact: true})
+	a, _, err := ans.RankCtx(context.Background(), Reliability, Options{Exact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := back.Rank(Reliability, Options{Exact: true})
+	b, _, err := back.RankCtx(context.Background(), Reliability, Options{Exact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +100,11 @@ func TestExactAndMCAgreeOnFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := ans.Rank(Reliability, Options{Exact: true})
+	exact, _, err := ans.RankCtx(context.Background(), Reliability, Options{Exact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := ans.Rank(Reliability, Options{Trials: 60000, Seed: 4, Reduce: true})
+	mc, _, err := ans.RankCtx(context.Background(), Reliability, Options{Trials: 60000, Seed: 4, Reduce: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +132,11 @@ func TestParallelReliabilityOnFacadeGraphs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := ans.Rank(Reliability, Options{Trials: 20000, Seed: 2, Reduce: true})
+	a, _, err := ans.RankCtx(context.Background(), Reliability, Options{Trials: 20000, Seed: 2, Reduce: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ans.Rank(Reliability, Options{Trials: 20000, Seed: 3, Reduce: true})
+	b, _, err := ans.RankCtx(context.Background(), Reliability, Options{Trials: 20000, Seed: 3, Reduce: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,14 +31,16 @@ var ErrInjected = errors.New("chaos: injected failure")
 // Inner is the resolver being wrapped — structurally identical to
 // engine.Resolver.
 type Inner interface {
-	Resolve(source string) (*graph.QueryGraph, error)
+	ResolveCtx(ctx context.Context, source string) (*graph.QueryGraph, error)
 }
 
 // InnerFunc adapts a function to Inner.
-type InnerFunc func(source string) (*graph.QueryGraph, error)
+type InnerFunc func(ctx context.Context, source string) (*graph.QueryGraph, error)
 
-// Resolve implements Inner.
-func (f InnerFunc) Resolve(source string) (*graph.QueryGraph, error) { return f(source) }
+// ResolveCtx implements Inner.
+func (f InnerFunc) ResolveCtx(ctx context.Context, source string) (*graph.QueryGraph, error) {
+	return f(ctx, source)
+}
 
 // Resolver wraps an Inner resolver with deterministic fault injection.
 // The zero schedule (all fields zero) is a transparent pass-through.
@@ -71,13 +73,8 @@ type Resolver struct {
 	panics   atomic.Uint64
 }
 
-// Resolve implements the engine's Resolver shape.
-func (r *Resolver) Resolve(source string) (*graph.QueryGraph, error) {
-	return r.ResolveCtx(context.Background(), source)
-}
-
-// ResolveCtx implements the engine's CtxResolver shape: injected
-// latency is interruptible by the context.
+// ResolveCtx implements the engine's Resolver shape: injected latency
+// is interruptible by the context, which then reaches Inner unchanged.
 func (r *Resolver) ResolveCtx(ctx context.Context, source string) (*graph.QueryGraph, error) {
 	n := r.calls.Add(1)
 	if r.Latency > 0 {
@@ -100,12 +97,7 @@ func (r *Resolver) ResolveCtx(ctx context.Context, source string) (*graph.QueryG
 		}
 		return nil, ErrInjected
 	}
-	if cr, ok := r.Inner.(interface {
-		ResolveCtx(ctx context.Context, source string) (*graph.QueryGraph, error)
-	}); ok {
-		return cr.ResolveCtx(ctx, source)
-	}
-	return r.Inner.Resolve(source)
+	return r.Inner.ResolveCtx(ctx, source)
 }
 
 // Calls returns how many resolutions were attempted.

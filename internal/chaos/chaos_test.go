@@ -23,13 +23,13 @@ func tinyGraph() *graph.QueryGraph {
 
 func passthrough() Inner {
 	qg := tinyGraph()
-	return InnerFunc(func(string) (*graph.QueryGraph, error) { return qg, nil })
+	return InnerFunc(func(context.Context, string) (*graph.QueryGraph, error) { return qg, nil })
 }
 
 func TestPassthrough(t *testing.T) {
 	r := &Resolver{Inner: passthrough()}
 	for i := 0; i < 5; i++ {
-		if _, err := r.Resolve("q"); err != nil {
+		if _, err := r.ResolveCtx(context.Background(), "q"); err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
@@ -42,7 +42,7 @@ func TestErrSchedule(t *testing.T) {
 	r := &Resolver{Inner: passthrough(), ErrEvery: 3}
 	var failed int
 	for i := 1; i <= 9; i++ {
-		_, err := r.Resolve("q")
+		_, err := r.ResolveCtx(context.Background(), "q")
 		if i%3 == 0 {
 			if !errors.Is(err, ErrInjected) {
 				t.Fatalf("call %d: want ErrInjected, got %v", i, err)
@@ -59,7 +59,7 @@ func TestErrSchedule(t *testing.T) {
 
 func TestPanicSchedule(t *testing.T) {
 	r := &Resolver{Inner: passthrough(), PanicEvery: 2}
-	if _, err := r.Resolve("q"); err != nil {
+	if _, err := r.ResolveCtx(context.Background(), "q"); err != nil {
 		t.Fatalf("call 1: %v", err)
 	}
 	func() {
@@ -68,7 +68,7 @@ func TestPanicSchedule(t *testing.T) {
 				t.Fatalf("call 2 did not panic")
 			}
 		}()
-		r.Resolve("q") //nolint:errcheck // panics
+		r.ResolveCtx(context.Background(), "q") //nolint:errcheck // panics
 	}()
 	if r.Panics() != 1 {
 		t.Fatalf("Panics() = %d, want 1", r.Panics())

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"biorank/internal/rank"
@@ -24,7 +25,7 @@ func BenchmarkEngineBatch(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, resp := range e.QueryBatch(reqs) {
+		for _, resp := range e.QueryBatchCtx(context.Background(), reqs) {
 			if resp.Err != nil {
 				b.Fatal(resp.Err)
 			}
@@ -40,11 +41,11 @@ func BenchmarkSequentialFiveMethods(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range proteins {
-			qg, err := resolver.Resolve(p)
+			qg, err := resolver.ResolveCtx(context.Background(), p)
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := rank.RankAll(qg, rank.AllOptions{
+			res, err := rank.RankAllCtx(context.Background(), qg, rank.AllOptions{
 				Trials:     benchOptions.Trials,
 				Seed:       benchOptions.Seed,
 				Reduce:     benchOptions.Reduce,
@@ -71,10 +72,10 @@ func BenchmarkEngineBatchCached(b *testing.B) {
 	for i, p := range proteins {
 		reqs[i] = Request{Source: p, Options: benchOptions}
 	}
-	e.QueryBatch(reqs) // warm the cache
+	e.QueryBatchCtx(context.Background(), reqs) // warm the cache
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, resp := range e.QueryBatch(reqs) {
+		for _, resp := range e.QueryBatchCtx(context.Background(), reqs) {
 			if resp.Err != nil {
 				b.Fatal(resp.Err)
 			}

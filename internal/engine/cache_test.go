@@ -1,6 +1,9 @@
 package engine
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func key(i int) cacheKey {
 	return cacheKey{source: "s", fp: uint64(i), method: "reliability"}
@@ -132,7 +135,7 @@ func TestCacheKeyIgnoresUnreadEstimatorFields(t *testing.T) {
 	qg := diamond()
 	methods := []string{"inedge", "pathcount", "propagation"}
 	for seed := uint64(1); seed <= 3; seed++ {
-		resp := e.Rank(Request{Source: "d", Graph: qg, Methods: methods,
+		resp := e.RankCtx(context.Background(), Request{Source: "d", Graph: qg, Methods: methods,
 			Options: Options{Seed: seed, Trials: 100 * int(seed), Worlds: seed == 2}})
 		if resp.Err != nil {
 			t.Fatal(resp.Err)

@@ -5,7 +5,7 @@
 //
 // Three mechanisms do the heavy lifting:
 //
-//   - Batching with a worker pool. A QueryBatch call fans its requests
+//   - Batching with a worker pool. A QueryBatchCtx call fans its requests
 //     out over a fixed pool of workers, so a burst of queries saturates
 //     every core instead of queueing behind one sequential loop.
 //   - Shared query graphs. Each request resolves (or receives) ONE
@@ -23,7 +23,7 @@
 //     a delta touched.
 //
 // The engine is safe for concurrent use; any number of goroutines may
-// call QueryBatch and Rank simultaneously.
+// call QueryBatchCtx and RankCtx simultaneously.
 package engine
 
 import (
@@ -43,33 +43,21 @@ import (
 )
 
 // Resolver turns a query source string (e.g. a protein keyword) into a
-// pruned probabilistic query graph. Implementations must be safe for
-// concurrent use; the mediator's Explore qualifies because it builds a
-// fresh graph per call from immutable sources.
+// pruned probabilistic query graph under the request's context, which
+// carries its deadline and values (a remote mediator call or an
+// injected chaos delay should honor cancellation). Implementations must
+// be safe for concurrent use; the mediator's Explore qualifies because
+// it builds a fresh graph per call from immutable sources.
 type Resolver interface {
-	Resolve(source string) (*graph.QueryGraph, error)
-}
-
-// CtxResolver is a Resolver that honors context cancellation during
-// resolution (a remote mediator call, an injected chaos delay). The
-// engine uses ResolveCtx when the implementation offers it.
-type CtxResolver interface {
-	Resolver
 	ResolveCtx(ctx context.Context, source string) (*graph.QueryGraph, error)
 }
 
 // ResolverFunc adapts a function to the Resolver interface.
-type ResolverFunc func(source string) (*graph.QueryGraph, error)
+type ResolverFunc func(ctx context.Context, source string) (*graph.QueryGraph, error)
 
-// Resolve implements Resolver.
-func (f ResolverFunc) Resolve(source string) (*graph.QueryGraph, error) { return f(source) }
-
-// resolve dispatches to ResolveCtx when the resolver supports it.
-func resolve(ctx context.Context, r Resolver, source string) (*graph.QueryGraph, error) {
-	if cr, ok := r.(CtxResolver); ok {
-		return cr.ResolveCtx(ctx, source)
-	}
-	return r.Resolve(source)
+// ResolveCtx implements Resolver.
+func (f ResolverFunc) ResolveCtx(ctx context.Context, source string) (*graph.QueryGraph, error) {
+	return f(ctx, source)
 }
 
 // Options tune how a request's methods are evaluated: the estimator
@@ -253,7 +241,7 @@ func New(resolver Resolver, cfg Config) *Engine {
 		cache:    newResultCache(size), // nil when size < 0
 		plans:    newPlanCache(planSize),
 		// Buffered to the admission ceiling: an admitted send can then
-		// never block, so QueryBatch's enqueue loop cannot stall behind
+		// never block, so QueryBatchCtx's enqueue loop cannot stall behind
 		// a slow pool and admission "queued" matches channel occupancy.
 		jobs:     make(chan job, capacity),
 		workers:  workers,
@@ -273,7 +261,7 @@ func New(resolver Resolver, cfg Config) *Engine {
 func (e *Engine) Workers() int { return e.workers }
 
 // Close shuts the worker pool down and waits for it to drain.
-// In-flight batches complete; QueryBatch calls after Close fail every
+// In-flight batches complete; QueryBatchCtx calls after Close fail every
 // request with ErrClosed.
 func (e *Engine) Close() {
 	e.mu.Lock()
@@ -415,21 +403,18 @@ func (e *Engine) retryAfter() time.Duration {
 	return d
 }
 
-// QueryBatch executes all requests on the worker pool and returns the
-// responses in request order. It blocks until the whole batch is done.
-// Per-request failures land in Response.Err; QueryBatch itself never
-// fails partially. After Close every response carries ErrClosed.
-func (e *Engine) QueryBatch(reqs []Request) []Response {
-	return e.QueryBatchCtx(context.Background(), reqs)
-}
-
-// QueryBatchCtx is QueryBatch under a context. The context bounds every
-// request in the batch: cancellation while queued skips the request
-// with the context's error; an expired deadline during estimation
-// yields truncated partial results (rank.Result.Truncated), not an
-// error. Per-request Request.Timeout layers a tighter per-request
-// deadline on top. Under admission control, requests beyond capacity
-// fail fast with an *OverloadError instead of queueing.
+// QueryBatchCtx executes all requests on the worker pool and returns
+// the responses in request order. It blocks until the whole batch is
+// done. Per-request failures land in Response.Err; QueryBatchCtx itself
+// never fails partially. After Close every response carries ErrClosed.
+//
+// The context bounds every request in the batch: cancellation while
+// queued skips the request with the context's error; an expired
+// deadline during estimation yields truncated partial results
+// (rank.Result.Truncated), not an error. Per-request Request.Timeout
+// layers a tighter per-request deadline on top. Under admission
+// control, requests beyond capacity fail fast with an *OverloadError
+// instead of queueing.
 func (e *Engine) QueryBatchCtx(ctx context.Context, reqs []Request) []Response {
 	if ctx == nil {
 		ctx = context.Background()
@@ -464,12 +449,7 @@ func (e *Engine) QueryBatchCtx(ctx context.Context, reqs []Request) []Response {
 	return out
 }
 
-// Rank executes a single request (a batch of one).
-func (e *Engine) Rank(req Request) Response {
-	return e.QueryBatch([]Request{req})[0]
-}
-
-// RankCtx executes a single request under a context.
+// RankCtx executes a single request (a batch of one).
 func (e *Engine) RankCtx(ctx context.Context, req Request) Response {
 	return e.QueryBatchCtx(ctx, []Request{req})[0]
 }
@@ -489,33 +469,22 @@ func (e *Engine) execute(ctx context.Context, req *Request, resp *Response) {
 		}
 	}()
 	resp.Source = req.Source
+	// Validate the method names before paying for a resolution.
+	specs, err := req.Options.Specs(req.Methods)
+	if err != nil {
+		resp.Err = err
+		return
+	}
 	qg := req.Graph
 	if qg == nil {
 		if e.resolver == nil {
 			resp.Err = fmt.Errorf("engine: request %q has no graph and no resolver is configured", req.Source)
 			return
 		}
-		var err error
-		qg, err = resolve(ctx, e.resolver, req.Source)
-		if err != nil {
+		if qg, err = e.resolver.ResolveCtx(ctx, req.Source); err != nil {
 			resp.Err = err
 			return
 		}
-	}
-	resp.Graph = qg
-
-	methods := req.Methods
-	if len(methods) == 0 {
-		methods = rank.MethodNames
-	}
-	specs := make([]rank.Spec, len(methods))
-	for i, m := range methods {
-		spec, err := req.Options.For(m)
-		if err != nil {
-			resp.Err = err
-			return
-		}
-		specs[i] = spec
 	}
 	fp := qg.Fingerprint()
 
@@ -551,6 +520,7 @@ func (e *Engine) execute(ctx context.Context, req *Request, resp *Response) {
 				cachedResult{scores: res.Scores, lo: res.Lo, hi: res.Hi, exact: res.Exact})
 		}
 	}
+	resp.Graph = qg
 	resp.Results = results
 	resp.Cached = cached
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -21,7 +22,7 @@ func testResolver(t testing.TB) (Resolver, []string) {
 	for _, c := range w.Cases {
 		proteins = append(proteins, c.Protein)
 	}
-	return ResolverFunc(func(s string) (*graph.QueryGraph, error) { return med.Explore(s) }), proteins
+	return ResolverFunc(func(_ context.Context, s string) (*graph.QueryGraph, error) { return med.Explore(s) }), proteins
 }
 
 // diamond builds a small hand-made query graph for cache tests.
@@ -55,7 +56,7 @@ func TestEngineBatchMatchesSequential(t *testing.T) {
 	for i, p := range proteins {
 		reqs[i] = Request{Source: p, Options: opts}
 	}
-	resps := e.QueryBatch(reqs)
+	resps := e.QueryBatchCtx(context.Background(), reqs)
 	if len(resps) != len(proteins) {
 		t.Fatalf("got %d responses for %d requests", len(resps), len(proteins))
 	}
@@ -66,7 +67,7 @@ func TestEngineBatchMatchesSequential(t *testing.T) {
 		if resp.Source != proteins[i] {
 			t.Fatalf("response %d out of order: %s != %s", i, resp.Source, proteins[i])
 		}
-		qg, err := resolver.Resolve(proteins[i])
+		qg, err := resolver.ResolveCtx(context.Background(), proteins[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,15 +75,15 @@ func TestEngineBatchMatchesSequential(t *testing.T) {
 			var want rank.Result
 			switch m {
 			case "reliability":
-				want, err = (&rank.MonteCarlo{Trials: 500, Seed: 7, Reduce: true}).Rank(qg)
+				want, err = (&rank.MonteCarlo{Trials: 500, Seed: 7, Reduce: true}).RankCtx(context.Background(), qg)
 			case "propagation":
-				want, err = (&rank.Propagation{}).Rank(qg)
+				want, err = (&rank.Propagation{}).RankCtx(context.Background(), qg)
 			case "diffusion":
-				want, err = (&rank.Diffusion{}).Rank(qg)
+				want, err = (&rank.Diffusion{}).RankCtx(context.Background(), qg)
 			case "inedge":
-				want, err = rank.InEdge{}.Rank(qg)
+				want, err = rank.InEdge{}.RankCtx(context.Background(), qg)
 			case "pathcount":
-				want, err = rank.PathCount{}.Rank(qg)
+				want, err = rank.PathCount{}.RankCtx(context.Background(), qg)
 			}
 			if err != nil {
 				t.Fatalf("%s/%s: %v", proteins[i], m, err)
@@ -114,7 +115,7 @@ func TestEngineConcurrentHammer(t *testing.T) {
 	opts := Options{Trials: 200, Seed: 3, Reduce: true, Workers: 2}
 	baseline := map[string]map[string][]float64{}
 	for _, p := range proteins[:4] {
-		resp := e.Rank(Request{Source: p, Options: opts})
+		resp := e.RankCtx(context.Background(), Request{Source: p, Options: opts})
 		if resp.Err != nil {
 			t.Fatal(resp.Err)
 		}
@@ -135,7 +136,7 @@ func TestEngineConcurrentHammer(t *testing.T) {
 				for _, p := range proteins[:4] {
 					reqs = append(reqs, Request{Source: p, Options: opts})
 				}
-				for _, resp := range e.QueryBatch(reqs) {
+				for _, resp := range e.QueryBatchCtx(context.Background(), reqs) {
 					if resp.Err != nil {
 						errs <- resp.Err
 						return
@@ -175,15 +176,15 @@ func TestEngineParallelMCDeterministic(t *testing.T) {
 	opts := Options{Trials: 20000, Seed: 5, Workers: 4}
 	req := Request{Source: "diamond", Graph: qg, Methods: []string{"reliability"}, Options: opts}
 
-	first := e.Rank(req)
+	first := e.RankCtx(context.Background(), req)
 	if first.Err != nil {
 		t.Fatal(first.Err)
 	}
-	second := e.Rank(req)
+	second := e.RankCtx(context.Background(), req)
 	if second.Err != nil {
 		t.Fatal(second.Err)
 	}
-	direct, err := (&rank.MonteCarlo{Trials: 20000, Seed: 5, Workers: 4}).Rank(qg)
+	direct, err := (&rank.MonteCarlo{Trials: 20000, Seed: 5, Workers: 4}).RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func TestEngineCacheLifecycle(t *testing.T) {
 	req := Request{Source: "diamond", Graph: qg, Options: opts}
 
 	// First evaluation: all five methods miss.
-	r1 := e.Rank(req)
+	r1 := e.RankCtx(context.Background(), req)
 	if r1.Err != nil {
 		t.Fatal(r1.Err)
 	}
@@ -218,7 +219,7 @@ func TestEngineCacheLifecycle(t *testing.T) {
 	}
 
 	// Second evaluation: all five hit, scores identical.
-	r2 := e.Rank(req)
+	r2 := e.RankCtx(context.Background(), req)
 	if r2.Err != nil {
 		t.Fatal(r2.Err)
 	}
@@ -238,7 +239,7 @@ func TestEngineCacheLifecycle(t *testing.T) {
 
 	// A different seed is a different key for reliability, the only
 	// method that reads it; the deterministic methods keep hitting.
-	r3 := e.Rank(Request{Source: "diamond", Graph: qg, Options: Options{Trials: 1000, Seed: 9}})
+	r3 := e.RankCtx(context.Background(), Request{Source: "diamond", Graph: qg, Options: Options{Trials: 1000, Seed: 9}})
 	if r3.Err != nil {
 		t.Fatal(r3.Err)
 	}
@@ -254,7 +255,7 @@ func TestEngineCacheLifecycle(t *testing.T) {
 	if qg.Version() == before {
 		t.Fatal("SetNodeP should bump the graph version")
 	}
-	r4 := e.Rank(req)
+	r4 := e.RankCtx(context.Background(), req)
 	if r4.Err != nil {
 		t.Fatal(r4.Err)
 	}
@@ -275,17 +276,17 @@ func TestEngineCacheLifecycle(t *testing.T) {
 func TestEngineErrors(t *testing.T) {
 	e := New(nil, Config{Workers: 1})
 	defer e.Close()
-	if resp := e.Rank(Request{Source: "x"}); resp.Err == nil {
+	if resp := e.RankCtx(context.Background(), Request{Source: "x"}); resp.Err == nil {
 		t.Fatal("no graph and no resolver should error")
 	}
-	if resp := e.Rank(Request{Source: "x", Graph: diamond(), Methods: []string{"bogus"}}); resp.Err == nil {
+	if resp := e.RankCtx(context.Background(), Request{Source: "x", Graph: diamond(), Methods: []string{"bogus"}}); resp.Err == nil {
 		t.Fatal("unknown method should error")
 	}
 
 	resolver, _ := testResolver(t)
 	e2 := New(resolver, Config{Workers: 2})
 	defer e2.Close()
-	resps := e2.QueryBatch([]Request{
+	resps := e2.QueryBatchCtx(context.Background(), []Request{
 		{Source: "NO-SUCH-PROTEIN"},
 		{Source: "ABCC8", Options: Options{Trials: 100, Reduce: true}},
 	})
@@ -306,11 +307,11 @@ func TestEngineMediatorResolverCacheHit(t *testing.T) {
 	defer e.Close()
 	opts := Options{Trials: 300, Seed: 1, Reduce: true}
 	p := proteins[0]
-	r1 := e.Rank(Request{Source: p, Options: opts})
+	r1 := e.RankCtx(context.Background(), Request{Source: p, Options: opts})
 	if r1.Err != nil {
 		t.Fatal(r1.Err)
 	}
-	r2 := e.Rank(Request{Source: p, Options: opts})
+	r2 := e.RankCtx(context.Background(), Request{Source: p, Options: opts})
 	if r2.Err != nil {
 		t.Fatal(r2.Err)
 	}
@@ -325,7 +326,7 @@ func TestEngineCloseIdempotent(t *testing.T) {
 	e := New(nil, Config{Workers: 1})
 	e.Close()
 	e.Close() // must not panic or deadlock
-	for _, resp := range e.QueryBatch([]Request{{Source: "late", Graph: diamond()}}) {
+	for _, resp := range e.QueryBatchCtx(context.Background(), []Request{{Source: "late", Graph: diamond()}}) {
 		if resp.Err != ErrClosed {
 			t.Fatalf("post-Close batch error = %v, want ErrClosed", resp.Err)
 		}
@@ -352,7 +353,7 @@ func TestEngineCloseDuringBatch(t *testing.T) {
 					{Source: "a", Graph: diamond(), Methods: []string{"inedge"}},
 					{Source: "b", Graph: diamond(), Methods: []string{"pathcount"}},
 				}
-				for _, resp := range e.QueryBatch(reqs) {
+				for _, resp := range e.QueryBatchCtx(context.Background(), reqs) {
 					if resp.Err != nil && resp.Err != ErrClosed {
 						t.Errorf("unexpected error: %v", resp.Err)
 					}

@@ -37,7 +37,7 @@ func chainStore() *graph.Store {
 // store, the way a live mediator does: clone under the read lock, stamp
 // the store version, answer set = the chain's terminal node.
 func storeResolver(st *graph.Store) Resolver {
-	return ResolverFunc(func(source string) (*graph.QueryGraph, error) {
+	return ResolverFunc(func(_ context.Context, source string) (*graph.QueryGraph, error) {
 		var qg *graph.QueryGraph
 		var err error
 		st.View(func(g *graph.Graph) {
@@ -80,7 +80,7 @@ func TestScopedInvalidation(t *testing.T) {
 	opts := Options{Trials: 200, Seed: 1}
 	reqS := Request{Source: "s", Methods: []string{"reliability"}, Options: opts}
 	reqS2 := Request{Source: "s2", Methods: []string{"reliability"}, Options: opts}
-	for _, r := range e.QueryBatch([]Request{reqS, reqS2}) {
+	for _, r := range e.QueryBatchCtx(context.Background(), []Request{reqS, reqS2}) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
@@ -99,11 +99,11 @@ func TestScopedInvalidation(t *testing.T) {
 	}
 
 	// The unaffected source still hits; the affected one recomputes.
-	r := e.Rank(reqS2)
+	r := e.RankCtx(context.Background(), reqS2)
 	if r.Err != nil || !r.Cached["reliability"] {
 		t.Fatalf("unaffected source missed the cache (err %v, cached %v)", r.Err, r.Cached)
 	}
-	r = e.Rank(reqS)
+	r = e.RankCtx(context.Background(), reqS)
 	if r.Err != nil || r.Cached["reliability"] {
 		t.Fatalf("affected source served from cache (err %v, cached %v)", r.Err, r.Cached)
 	}
@@ -119,7 +119,7 @@ func TestPlanPatchOnProbDelta(t *testing.T) {
 	defer e.Close()
 
 	req := Request{Source: "s", Methods: []string{"reliability"}, Options: Options{Trials: 500, Seed: 11}}
-	if r := e.Rank(req); r.Err != nil {
+	if r := e.RankCtx(context.Background(), req); r.Err != nil {
 		t.Fatal(r.Err)
 	}
 	if ps := e.PlanStats(); ps.Patches != 0 || ps.Misses != 1 {
@@ -127,7 +127,7 @@ func TestPlanPatchOnProbDelta(t *testing.T) {
 	}
 
 	setX(t, st, 0.42)
-	r := e.Rank(req)
+	r := e.RankCtx(context.Background(), req)
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}
@@ -138,7 +138,7 @@ func TestPlanPatchOnProbDelta(t *testing.T) {
 	// From-scratch engine over the same graph state: bit-identical.
 	e2 := New(storeResolver(st), Config{Workers: 1, CacheSize: -1})
 	defer e2.Close()
-	r2 := e2.Rank(req)
+	r2 := e2.RankCtx(context.Background(), req)
 	if r2.Err != nil {
 		t.Fatal(r2.Err)
 	}
@@ -160,7 +160,7 @@ func TestPlanPatchOnProbDelta(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	if r := e.Rank(req); r.Err != nil {
+	if r := e.RankCtx(context.Background(), req); r.Err != nil {
 		t.Fatal(r.Err)
 	}
 	if ps := e.PlanStats(); ps.Patches != 1 {
@@ -229,7 +229,7 @@ func TestMutateWhileQueryNoStalePlans(t *testing.T) {
 					return
 				default:
 				}
-				resp := e.Rank(req)
+				resp := e.RankCtx(context.Background(), req)
 				if resp.Err != nil {
 					t.Error(resp.Err)
 					return
@@ -251,7 +251,7 @@ func TestMutateWhileQueryNoStalePlans(t *testing.T) {
 		v := vals[i%len(vals)]
 		res := setX(t, st, v)
 		e.InvalidateSources(st.SourcesReaching("Q", res.Affected))
-		resp := e.Rank(req)
+		resp := e.RankCtx(context.Background(), req)
 		if resp.Err != nil {
 			t.Fatal(resp.Err)
 		}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -12,15 +13,15 @@ import (
 // scores and confidence bounds that a plain Monte Carlo entry does not,
 // so serving one for the other would silently change semantics.
 func TestPlannerOptionDistinctCacheKey(t *testing.T) {
-	e := New(ResolverFunc(func(string) (*graph.QueryGraph, error) {
+	e := New(ResolverFunc(func(context.Context, string) (*graph.QueryGraph, error) {
 		return planTestGraph(), nil
 	}), Config{})
 	defer e.Close()
 	mc := Request{Source: "x", Methods: []string{"reliability"}, Options: Options{Trials: 20000, Seed: 3}}
 	planner := mc
 	planner.Options.Planner = true
-	r1 := e.Rank(mc)
-	r2 := e.Rank(planner)
+	r1 := e.RankCtx(context.Background(), mc)
+	r2 := e.RankCtx(context.Background(), planner)
 	if r1.Err != nil || r2.Err != nil {
 		t.Fatal(r1.Err, r2.Err)
 	}
@@ -37,7 +38,7 @@ func TestPlannerOptionDistinctCacheKey(t *testing.T) {
 	}
 	// A repeat of the planner request must hit its own entry — and the
 	// hit must preserve the uncertainty payload.
-	r3 := e.Rank(planner)
+	r3 := e.RankCtx(context.Background(), planner)
 	if !r3.Cached["reliability"] {
 		t.Fatal("identical planner request missed the cache")
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"biorank/internal/graph"
@@ -24,14 +25,14 @@ func planTestGraph() *graph.QueryGraph {
 }
 
 func TestPlanCacheHitsAcrossFreshGraphObjects(t *testing.T) {
-	e := New(ResolverFunc(func(string) (*graph.QueryGraph, error) {
+	e := New(ResolverFunc(func(context.Context, string) (*graph.QueryGraph, error) {
 		return planTestGraph(), nil
 	}), Config{CacheSize: -1}) // result cache off so every request ranks
 	defer e.Close()
 
 	req := Request{Source: "x", Methods: []string{"reliability"}, Options: Options{Trials: 200, Seed: 1}}
 	for i := 0; i < 3; i++ {
-		if resp := e.Rank(req); resp.Err != nil {
+		if resp := e.RankCtx(context.Background(), req); resp.Err != nil {
 			t.Fatal(resp.Err)
 		}
 	}
@@ -45,11 +46,11 @@ func TestPlanCacheHitsAcrossFreshGraphObjects(t *testing.T) {
 }
 
 func TestPlanCacheSkipsPlanFreeMethods(t *testing.T) {
-	e := New(ResolverFunc(func(string) (*graph.QueryGraph, error) {
+	e := New(ResolverFunc(func(context.Context, string) (*graph.QueryGraph, error) {
 		return planTestGraph(), nil
 	}), Config{CacheSize: -1})
 	defer e.Close()
-	if resp := e.Rank(Request{Source: "x", Methods: []string{"inedge", "pathcount"}}); resp.Err != nil {
+	if resp := e.RankCtx(context.Background(), Request{Source: "x", Methods: []string{"inedge", "pathcount"}}); resp.Err != nil {
 		t.Fatal(resp.Err)
 	}
 	if ps := e.PlanStats(); ps.Hits+ps.Misses != 0 {
@@ -58,11 +59,11 @@ func TestPlanCacheSkipsPlanFreeMethods(t *testing.T) {
 }
 
 func TestPlanCacheDisabled(t *testing.T) {
-	e := New(ResolverFunc(func(string) (*graph.QueryGraph, error) {
+	e := New(ResolverFunc(func(context.Context, string) (*graph.QueryGraph, error) {
 		return planTestGraph(), nil
 	}), Config{CacheSize: -1, PlanCacheSize: -1})
 	defer e.Close()
-	if resp := e.Rank(Request{Source: "x", Methods: []string{"reliability"}, Options: Options{Trials: 100}}); resp.Err != nil {
+	if resp := e.RankCtx(context.Background(), Request{Source: "x", Methods: []string{"reliability"}, Options: Options{Trials: 100}}); resp.Err != nil {
 		t.Fatal(resp.Err)
 	}
 	if ps := e.PlanStats(); ps != (PlanCacheStats{}) {
@@ -71,15 +72,15 @@ func TestPlanCacheDisabled(t *testing.T) {
 }
 
 func TestAdaptiveOptionDistinctCacheKey(t *testing.T) {
-	e := New(ResolverFunc(func(string) (*graph.QueryGraph, error) {
+	e := New(ResolverFunc(func(context.Context, string) (*graph.QueryGraph, error) {
 		return planTestGraph(), nil
 	}), Config{})
 	defer e.Close()
 	fixed := Request{Source: "x", Methods: []string{"reliability"}, Options: Options{Trials: 20000, Seed: 3}}
 	adaptive := fixed
 	adaptive.Options.Adaptive = true
-	r1 := e.Rank(fixed)
-	r2 := e.Rank(adaptive)
+	r1 := e.RankCtx(context.Background(), fixed)
+	r2 := e.RankCtx(context.Background(), adaptive)
 	if r1.Err != nil || r2.Err != nil {
 		t.Fatal(r1.Err, r2.Err)
 	}
@@ -117,15 +118,15 @@ func TestPlanCacheEviction(t *testing.T) {
 // different RNG stream, so a scalar entry served to a worlds request
 // (or vice versa) would silently break seed reproducibility.
 func TestWorldsOptionDistinctCacheKey(t *testing.T) {
-	e := New(ResolverFunc(func(string) (*graph.QueryGraph, error) {
+	e := New(ResolverFunc(func(context.Context, string) (*graph.QueryGraph, error) {
 		return planTestGraph(), nil
 	}), Config{})
 	defer e.Close()
 	scalar := Request{Source: "x", Methods: []string{"reliability"}, Options: Options{Trials: 20000, Seed: 3}}
 	worlds := scalar
 	worlds.Options.Worlds = true
-	r1 := e.Rank(scalar)
-	r2 := e.Rank(worlds)
+	r1 := e.RankCtx(context.Background(), scalar)
+	r2 := e.RankCtx(context.Background(), worlds)
 	if r1.Err != nil || r2.Err != nil {
 		t.Fatal(r1.Err, r2.Err)
 	}
@@ -141,7 +142,7 @@ func TestWorldsOptionDistinctCacheKey(t *testing.T) {
 		}
 	}
 	// A repeat of the worlds request must hit its own entry.
-	if r := e.Rank(worlds); !r.Cached["reliability"] {
+	if r := e.RankCtx(context.Background(), worlds); !r.Cached["reliability"] {
 		t.Fatal("identical worlds request missed the cache")
 	}
 }
@@ -151,7 +152,7 @@ func TestWorldsOptionDistinctCacheKey(t *testing.T) {
 // K=2 race from a K=5 (or fixed-budget) entry would hand out bounds
 // that were never certified.
 func TestTopKOptionDistinctCacheKey(t *testing.T) {
-	e := New(ResolverFunc(func(string) (*graph.QueryGraph, error) {
+	e := New(ResolverFunc(func(context.Context, string) (*graph.QueryGraph, error) {
 		return planTestGraph(), nil
 	}), Config{})
 	defer e.Close()
@@ -160,9 +161,9 @@ func TestTopKOptionDistinctCacheKey(t *testing.T) {
 	topk.Options.TopK = 2
 	topk2 := fixed
 	topk2.Options.TopK = 3
-	r1 := e.Rank(fixed)
-	r2 := e.Rank(topk)
-	r3 := e.Rank(topk2)
+	r1 := e.RankCtx(context.Background(), fixed)
+	r2 := e.RankCtx(context.Background(), topk)
+	r3 := e.RankCtx(context.Background(), topk2)
 	for _, r := range []Response{r1, r2, r3} {
 		if r.Err != nil {
 			t.Fatal(r.Err)
@@ -172,7 +173,7 @@ func TestTopKOptionDistinctCacheKey(t *testing.T) {
 		t.Fatal("top-k result served from a differently-keyed cache entry")
 	}
 	// A repeat of the same K must hit.
-	if r := e.Rank(topk); !r.Cached["reliability"] {
+	if r := e.RankCtx(context.Background(), topk); !r.Cached["reliability"] {
 		t.Fatal("identical top-k request missed the cache")
 	}
 }

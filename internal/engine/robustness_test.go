@@ -5,11 +5,13 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"biorank/internal/chaos"
 	"biorank/internal/graph"
+	"biorank/internal/rank"
 )
 
 // silencePanicLog swaps the panic logger for a capture during the test,
@@ -34,7 +36,7 @@ func silencePanicLog(t *testing.T) *[]string {
 func TestEnginePanicIsolation(t *testing.T) {
 	logged := silencePanicLog(t)
 	resolver, proteins := testResolver(t)
-	cr := &chaos.Resolver{Inner: resolverInner{resolver}, PanicEvery: 2}
+	cr := &chaos.Resolver{Inner: resolver, PanicEvery: 2}
 	e := New(cr, Config{Workers: 2})
 	defer e.Close()
 
@@ -42,7 +44,7 @@ func TestEnginePanicIsolation(t *testing.T) {
 	// run enough singles that every worker eats at least one panic.
 	var panicked, served int
 	for i := 0; i < 10; i++ {
-		resp := e.Rank(Request{Source: proteins[0], Methods: []string{"inedge"}})
+		resp := e.RankCtx(context.Background(), Request{Source: proteins[0], Methods: []string{"inedge"}})
 		switch {
 		case resp.Err == nil:
 			served++
@@ -65,9 +67,9 @@ func TestEnginePanicIsolation(t *testing.T) {
 	}
 	e2 := New(resolver, Config{Workers: 2})
 	defer e2.Close()
-	want := e2.QueryBatch(reqs)
+	want := e2.QueryBatchCtx(context.Background(), reqs)
 	cr.PanicEvery = 0
-	got := e.QueryBatch(reqs)
+	got := e.QueryBatchCtx(context.Background(), reqs)
 	for i := range got {
 		if got[i].Err != nil {
 			t.Fatalf("post-panic batch request %d failed: %v", i, got[i].Err)
@@ -77,11 +79,6 @@ func TestEnginePanicIsolation(t *testing.T) {
 		}
 	}
 }
-
-// resolverInner adapts an engine Resolver to chaos.Inner.
-type resolverInner struct{ r Resolver }
-
-func (a resolverInner) Resolve(source string) (*graph.QueryGraph, error) { return a.r.Resolve(source) }
 
 // A panicking estimator (not resolver) is recovered the same way: feed
 // the engine a poisoned pre-resolved graph via a panicking ranker path.
@@ -94,7 +91,7 @@ func TestEnginePanicDoesNotPoisonCache(t *testing.T) {
 	silencePanicLog(t)
 	qg := diamond()
 	calls := 0
-	r := ResolverFunc(func(s string) (*graph.QueryGraph, error) {
+	r := ResolverFunc(func(_ context.Context, s string) (*graph.QueryGraph, error) {
 		calls++
 		if calls == 1 {
 			panic("poisoned")
@@ -103,10 +100,10 @@ func TestEnginePanicDoesNotPoisonCache(t *testing.T) {
 	})
 	e := New(r, Config{Workers: 1})
 	defer e.Close()
-	if resp := e.Rank(Request{Source: "x", Methods: []string{"inedge"}}); resp.Err == nil {
+	if resp := e.RankCtx(context.Background(), Request{Source: "x", Methods: []string{"inedge"}}); resp.Err == nil {
 		t.Fatalf("poisoned request did not fail")
 	}
-	resp := e.Rank(Request{Source: "x", Methods: []string{"inedge"}})
+	resp := e.RankCtx(context.Background(), Request{Source: "x", Methods: []string{"inedge"}})
 	if resp.Err != nil {
 		t.Fatalf("request after panic failed: %v", resp.Err)
 	}
@@ -121,7 +118,7 @@ func TestEnginePanicDoesNotPoisonCache(t *testing.T) {
 func TestEngineAdmissionControl(t *testing.T) {
 	release := make(chan struct{})
 	qg := diamond()
-	r := ResolverFunc(func(s string) (*graph.QueryGraph, error) {
+	r := ResolverFunc(func(_ context.Context, s string) (*graph.QueryGraph, error) {
 		<-release
 		return qg, nil
 	})
@@ -134,7 +131,7 @@ func TestEngineAdmissionControl(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			e.Rank(Request{Source: "held", Methods: []string{"inedge"}})
+			e.RankCtx(context.Background(), Request{Source: "held", Methods: []string{"inedge"}})
 		}(i)
 	}
 	// Wait until all four tokens are claimed.
@@ -147,7 +144,7 @@ func TestEngineAdmissionControl(t *testing.T) {
 	}
 
 	// The fifth request must shed, not block.
-	resp := e.Rank(Request{Source: "extra", Methods: []string{"inedge"}})
+	resp := e.RankCtx(context.Background(), Request{Source: "extra", Methods: []string{"inedge"}})
 	if !errors.Is(resp.Err, ErrOverloaded) {
 		t.Fatalf("want ErrOverloaded, got %v", resp.Err)
 	}
@@ -163,7 +160,7 @@ func TestEngineAdmissionControl(t *testing.T) {
 	wg.Wait()
 
 	// With the backlog drained, the engine admits again.
-	resp = e.Rank(Request{Source: "after", Methods: []string{"inedge"}})
+	resp = e.RankCtx(context.Background(), Request{Source: "after", Methods: []string{"inedge"}})
 	if resp.Err != nil {
 		t.Fatalf("post-drain request failed: %v", resp.Err)
 	}
@@ -177,7 +174,7 @@ func TestEngineAdmissionControl(t *testing.T) {
 // returns truncated partial results.
 func TestEngineContextSemantics(t *testing.T) {
 	qg := diamond()
-	r := ResolverFunc(func(s string) (*graph.QueryGraph, error) { return qg, nil })
+	r := ResolverFunc(func(_ context.Context, s string) (*graph.QueryGraph, error) { return qg, nil })
 
 	t.Run("cancelled", func(t *testing.T) {
 		e := New(r, Config{Workers: 1})
@@ -213,7 +210,7 @@ func TestEngineContextSemantics(t *testing.T) {
 	t.Run("request-timeout", func(t *testing.T) {
 		e := New(r, Config{Workers: 1, CacheSize: -1})
 		defer e.Close()
-		resp := e.Rank(Request{Source: "q", Methods: []string{"reliability"}, Timeout: time.Nanosecond, Options: Options{Trials: 4000}})
+		resp := e.RankCtx(context.Background(), Request{Source: "q", Methods: []string{"reliability"}, Timeout: time.Nanosecond, Options: Options{Trials: 4000}})
 		if resp.Err != nil {
 			t.Fatalf("timeout returned error %v, want truncated partials", resp.Err)
 		}
@@ -228,16 +225,16 @@ func TestEngineContextSemantics(t *testing.T) {
 // result must not be truncated.
 func TestEngineTruncatedNeverCached(t *testing.T) {
 	qg := diamond()
-	r := ResolverFunc(func(s string) (*graph.QueryGraph, error) { return qg, nil })
+	r := ResolverFunc(func(_ context.Context, s string) (*graph.QueryGraph, error) { return qg, nil })
 	e := New(r, Config{Workers: 1})
 	defer e.Close()
 
-	resp := e.Rank(Request{Source: "q", Methods: []string{"reliability"}, Timeout: time.Nanosecond})
+	resp := e.RankCtx(context.Background(), Request{Source: "q", Methods: []string{"reliability"}, Timeout: time.Nanosecond})
 	if resp.Err != nil || !resp.Results["reliability"].Truncated {
 		t.Fatalf("setup: want truncated result, got err=%v res=%+v", resp.Err, resp.Results["reliability"])
 	}
 
-	resp = e.Rank(Request{Source: "q", Methods: []string{"reliability"}})
+	resp = e.RankCtx(context.Background(), Request{Source: "q", Methods: []string{"reliability"}})
 	if resp.Err != nil {
 		t.Fatal(resp.Err)
 	}
@@ -249,7 +246,7 @@ func TestEngineTruncatedNeverCached(t *testing.T) {
 	}
 
 	// The full result DID get cached.
-	resp = e.Rank(Request{Source: "q", Methods: []string{"reliability"}})
+	resp = e.RankCtx(context.Background(), Request{Source: "q", Methods: []string{"reliability"}})
 	if !resp.Cached["reliability"] {
 		t.Fatalf("complete result was not cached")
 	}
@@ -259,7 +256,7 @@ func TestEngineTruncatedNeverCached(t *testing.T) {
 // without one, so deadline presence alone can't perturb cached scores.
 func TestEngineDeadlineCompletedBitIdentical(t *testing.T) {
 	qg := diamond()
-	r := ResolverFunc(func(s string) (*graph.QueryGraph, error) { return qg, nil })
+	r := ResolverFunc(func(_ context.Context, s string) (*graph.QueryGraph, error) { return qg, nil })
 	e := New(r, Config{Workers: 1, CacheSize: -1})
 	defer e.Close()
 
@@ -268,8 +265,8 @@ func TestEngineDeadlineCompletedBitIdentical(t *testing.T) {
 		{Trials: 2000, Seed: 9, Worlds: true},
 		{Trials: 2000, Seed: 9, Workers: 2},
 	} {
-		plain := e.Rank(Request{Source: "q", Methods: []string{"reliability"}, Options: opts})
-		timed := e.Rank(Request{Source: "q", Methods: []string{"reliability"}, Options: opts, Timeout: time.Hour})
+		plain := e.RankCtx(context.Background(), Request{Source: "q", Methods: []string{"reliability"}, Options: opts})
+		timed := e.RankCtx(context.Background(), Request{Source: "q", Methods: []string{"reliability"}, Options: opts, Timeout: time.Hour})
 		if plain.Err != nil || timed.Err != nil {
 			t.Fatalf("errs: %v / %v", plain.Err, timed.Err)
 		}
@@ -290,7 +287,7 @@ func TestEngineDeadlineCompletedBitIdentical(t *testing.T) {
 func TestEngineChaosLatencyCancellation(t *testing.T) {
 	qg := diamond()
 	cr := &chaos.Resolver{
-		Inner:   chaos.InnerFunc(func(string) (*graph.QueryGraph, error) { return qg, nil }),
+		Inner:   chaos.InnerFunc(func(context.Context, string) (*graph.QueryGraph, error) { return qg, nil }),
 		Latency: time.Hour,
 	}
 	e := New(cr, Config{Workers: 1})
@@ -313,7 +310,7 @@ func TestEngineChaosLatencyCancellation(t *testing.T) {
 func TestEngineChaosErrorIsolation(t *testing.T) {
 	qg := diamond()
 	cr := &chaos.Resolver{
-		Inner:    chaos.InnerFunc(func(string) (*graph.QueryGraph, error) { return qg, nil }),
+		Inner:    chaos.InnerFunc(func(context.Context, string) (*graph.QueryGraph, error) { return qg, nil }),
 		ErrEvery: 2,
 	}
 	e := New(cr, Config{Workers: 1, CacheSize: -1})
@@ -323,7 +320,7 @@ func TestEngineChaosErrorIsolation(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = Request{Source: "q", Methods: []string{"inedge"}}
 	}
-	out := e.QueryBatch(reqs)
+	out := e.QueryBatchCtx(context.Background(), reqs)
 	var failed, ok int
 	for _, resp := range out {
 		if resp.Err != nil {
@@ -337,5 +334,124 @@ func TestEngineChaosErrorIsolation(t *testing.T) {
 	}
 	if failed != 3 || ok != 3 {
 		t.Fatalf("failed=%d ok=%d, want 3/3", failed, ok)
+	}
+}
+
+// A request that names an unknown method fails before the resolver
+// runs, so it costs no integration; and no error response carries a
+// graph — including a ranking error after a successful resolution
+// (pathcount on a cyclic graph).
+func TestEngineErrorsSkipResolveAndCarryNoGraph(t *testing.T) {
+	g := graph.New(3, 3)
+	s := g.AddNode("Q", "s", 1)
+	a := g.AddNode("X", "a", 1)
+	tgt := g.AddNode("A", "t", 1)
+	g.AddEdge(s, a, "r", 1)
+	g.AddEdge(a, a, "r", 1)
+	g.AddEdge(a, tgt, "r", 1)
+	cyclic, err := graph.NewQueryGraph(g, s, []graph.NodeID{tgt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int64
+	r := ResolverFunc(func(context.Context, string) (*graph.QueryGraph, error) {
+		calls.Add(1)
+		return cyclic, nil
+	})
+	e := New(r, Config{Workers: 1})
+	defer e.Close()
+
+	resp := e.RankCtx(context.Background(), Request{Source: "q", Methods: []string{"inedge", "bogus"}})
+	var unknown *rank.UnknownMethodError
+	if !errors.As(resp.Err, &unknown) {
+		t.Fatalf("want UnknownMethodError, got %v", resp.Err)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("unknown method made %d resolver calls, want 0", n)
+	}
+	if resp.Graph != nil {
+		t.Fatal("unknown-method error response carries a graph")
+	}
+
+	resp = e.RankCtx(context.Background(), Request{Source: "q", Methods: []string{"pathcount"}})
+	if !errors.Is(resp.Err, rank.ErrCyclicPathCount) {
+		t.Fatalf("want ErrCyclicPathCount, got %v", resp.Err)
+	}
+	if calls.Load() != 1 {
+		t.Fatalf("resolver calls = %d, want 1", calls.Load())
+	}
+	if resp.Graph != nil || resp.Results != nil || resp.Cached != nil {
+		t.Fatalf("ranking error response is not otherwise zero: %+v", resp)
+	}
+}
+
+// The engine hands the caller's context to the resolver: a value set on
+// the QueryBatchCtx context is visible inside ResolveCtx, and a request
+// with a Timeout sees a deadline counted from submission, not from when
+// a worker picks it up.
+func TestEngineResolverSeesCallerContext(t *testing.T) {
+	type key struct{}
+	type seen struct {
+		val      any
+		deadline time.Time
+		ok       bool
+	}
+	var mu sync.Mutex
+	got := map[string]seen{}
+	started, hold := make(chan struct{}), make(chan struct{})
+	qg := diamond()
+	r := ResolverFunc(func(ctx context.Context, s string) (*graph.QueryGraph, error) {
+		if s == "slow" {
+			close(started)
+			<-hold
+		}
+		d, ok := ctx.Deadline()
+		mu.Lock()
+		got[s] = seen{ctx.Value(key{}), d, ok}
+		mu.Unlock()
+		return qg, nil
+	})
+	// One worker, and a queue so submission never waits for it: "timed"
+	// sits in the queue while "slow" holds the worker.
+	e := New(r, Config{Workers: 1, MaxQueue: 2})
+	defer e.Close()
+
+	const timeout = time.Hour
+	ctx := context.WithValue(context.Background(), key{}, "caller")
+	submitted := time.Now()
+	done := make(chan []Response)
+	go func() {
+		done <- e.QueryBatchCtx(ctx, []Request{
+			{Source: "slow", Methods: []string{"inedge"}},
+			{Source: "timed", Methods: []string{"inedge"}, Timeout: timeout},
+		})
+	}()
+	<-started
+	for e.Stats().Queued < 1 { // "timed" admitted behind "slow"
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // a queue wait the deadline must not include
+	queued := time.Now()
+	close(hold)
+	for _, resp := range <-done {
+		if resp.Err != nil {
+			t.Fatalf("%s: %v", resp.Source, resp.Err)
+		}
+	}
+	for _, src := range []string{"slow", "timed"} {
+		if v := got[src].val; v != "caller" {
+			t.Fatalf("%s: resolver saw context value %v, want %q", src, v, "caller")
+		}
+	}
+	if got["slow"].ok {
+		t.Fatalf("request without Timeout saw a deadline %v", got["slow"].deadline)
+	}
+	timed := got["timed"]
+	if !timed.ok {
+		t.Fatal("request with Timeout saw no deadline")
+	}
+	if timed.deadline.Before(submitted.Add(timeout)) || timed.deadline.After(queued.Add(timeout)) {
+		t.Fatalf("deadline %v not within submission+Timeout [%v, %v]",
+			timed.deadline, submitted.Add(timeout), queued.Add(timeout))
 	}
 }

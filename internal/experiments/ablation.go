@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"biorank/internal/mediator"
@@ -95,7 +96,7 @@ func (s *Suite) Ablation() ([]AblationRow, error) {
 					goldenFound++
 				}
 			}
-			res, err := mc.Rank(qg)
+			res, err := mc.RankCtx(context.Background(), qg)
 			if err != nil {
 				return nil, fmt.Errorf("ablation %s %s: %w", v.name, cs.Protein, err)
 			}

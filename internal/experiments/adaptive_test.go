@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"sort"
 	"testing"
 
@@ -23,14 +24,14 @@ func TestAdaptiveStopsEarlyOnFigure8Workload(t *testing.T) {
 	var fixedTrials, adaptiveTrials int64
 	for gi, qg := range s.Graphs12 {
 		fixed := &rank.MonteCarlo{Trials: rank.DefaultTrials, Seed: seed}
-		fres, fops, err := fixed.RankWithStats(qg)
+		fres, fops, err := fixed.RankWithStatsCtx(context.Background(), qg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fixedTrials += fops.Trials
 
 		adaptive := &rank.AdaptiveMonteCarlo{Seed: seed, TopK: topK}
-		ares, aops, err := adaptive.RankWithStats(qg)
+		ares, aops, err := adaptive.RankWithStatsCtx(context.Background(), qg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -145,7 +146,7 @@ func (s *Suite) churnMode(med *mediator.Mediator, keywords []string, ops []churn
 		}
 		kwAccs[kw] = set
 	}
-	resolver := engine.ResolverFunc(func(keyword string) (*graph.QueryGraph, error) {
+	resolver := engine.ResolverFunc(func(_ context.Context, keyword string) (*graph.QueryGraph, error) {
 		accs := kwAccs[keyword]
 		if len(accs) == 0 {
 			return nil, fmt.Errorf("unknown keyword %q", keyword)
@@ -174,7 +175,7 @@ func (s *Suite) churnMode(med *mediator.Mediator, keywords []string, ops []churn
 	for _, op := range ops {
 		if !op.write {
 			res.Reads++
-			resp := eng.Rank(engine.Request{Source: op.keyword, Methods: []string{"reliability"}, Options: reqOpts})
+			resp := eng.RankCtx(context.Background(), engine.Request{Source: op.keyword, Methods: []string{"reliability"}, Options: reqOpts})
 			if resp.Err != nil {
 				return ChurnModeResult{}, resp.Err
 			}
@@ -225,7 +226,7 @@ func (s *Suite) churnMode(med *mediator.Mediator, keywords []string, ops []churn
 	defer cold.Close()
 	for _, kw := range keywords {
 		req := engine.Request{Source: kw, Methods: []string{"reliability"}, Options: reqOpts}
-		warm, fresh := eng.Rank(req), cold.Rank(req)
+		warm, fresh := eng.RankCtx(context.Background(), req), cold.RankCtx(context.Background(), req)
 		if warm.Err != nil {
 			return ChurnModeResult{}, warm.Err
 		}

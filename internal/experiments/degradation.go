@@ -97,7 +97,7 @@ func (s *Suite) AnytimeDegradation(trials int) (DegradationResult, error) {
 		}
 		batches := (t + hint - 1) / hint
 		mc := &rank.MonteCarlo{Trials: t, Seed: s.Opts.Seed, Plan: plan}
-		full, err := mc.Rank(qg)
+		full, err := mc.RankCtx(context.Background(), qg)
 		if err != nil {
 			return DegradationResult{}, err
 		}

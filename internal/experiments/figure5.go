@@ -1,6 +1,9 @@
 package experiments
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+)
 
 // Fig5Row is one bar of a Figure 5 panel: a ranking method's AP across
 // the scenario's proteins, next to the paper's reported mean.
@@ -55,7 +58,7 @@ func (s *Suite) Figure5Scenario(scenario int) (Fig5Panel, error) {
 	for mi, method := range s.methods(s.Opts.Trials, s.Opts.Seed) {
 		var aps []float64
 		for _, c := range cases {
-			res, err := method.Rank(c.QG)
+			res, err := method.RankCtx(context.Background(), c.QG)
 			if err != nil {
 				return Fig5Panel{}, fmt.Errorf("scenario %d %s %s: %w", scenario, method.Name(), c.Protein, err)
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"biorank/internal/graph"
@@ -112,7 +113,7 @@ func (s *Suite) Figure6Panel(scenario int, method string) (Fig6Panel, error) {
 				if sigma > 0 {
 					qg = perturbGraph(rng, qg, sigma)
 				}
-				res, err := ranker.Rank(qg)
+				res, err := ranker.RankCtx(context.Background(), qg)
 				if err != nil {
 					return Fig6Panel{}, err
 				}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"biorank/internal/rank"
 )
 
@@ -60,7 +62,7 @@ func (s *Suite) Figure7(trialCounts []int) (Fig7Result, error) {
 				Reduce: true,
 			}
 			for _, c := range cases {
-				res, err := mc.Rank(c.QG)
+				res, err := mc.RankCtx(context.Background(), c.QG)
 				if err != nil {
 					return Fig7Result{}, err
 				}

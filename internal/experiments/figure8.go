@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"time"
 
 	"biorank/internal/graph"
@@ -75,7 +76,7 @@ func timePerGraph(graphs []*graph.QueryGraph, fn func(*graph.QueryGraph) error) 
 
 func rankTimer(r rank.Ranker) func(*graph.QueryGraph) error {
 	return func(qg *graph.QueryGraph) error {
-		_, err := r.Rank(qg)
+		_, err := r.RankCtx(context.Background(), qg)
 		return err
 	}
 }
@@ -86,13 +87,11 @@ func rankTimer(r rank.Ranker) func(*graph.QueryGraph) error {
 func mcOps(graphs []*graph.QueryGraph, mc *rank.MonteCarlo) (rank.OpStats, error) {
 	var total rank.OpStats
 	for _, qg := range graphs {
-		_, ops, err := mc.RankWithStats(qg)
+		_, ops, err := mc.RankWithStatsCtx(context.Background(), qg)
 		if err != nil {
 			return rank.OpStats{}, err
 		}
-		total.Trials += ops.Trials
-		total.NodeVisits += ops.NodeVisits
-		total.CoinFlips += ops.CoinFlips
+		total.Add(ops)
 	}
 	return total, nil
 }
@@ -224,10 +223,10 @@ type reduceThenExact struct{}
 // Name implements rank.Ranker.
 func (reduceThenExact) Name() string { return "reduce+exact" }
 
-// Rank implements rank.Ranker.
-func (reduceThenExact) Rank(qg *graph.QueryGraph) (rank.Result, error) {
+// RankCtx implements rank.Ranker.
+func (reduceThenExact) RankCtx(ctx context.Context, qg *graph.QueryGraph) (rank.Result, error) {
 	red, _, mapping := rank.ReduceAll(qg)
-	inner, err := rank.Exact{}.Rank(red)
+	inner, err := rank.Exact{}.RankCtx(ctx, red)
 	if err != nil {
 		return rank.Result{}, err
 	}

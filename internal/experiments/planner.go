@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -58,13 +59,13 @@ func (s *Suite) PlannerEfficiency(k int) (PlannerResult, error) {
 		out.Candidates += len(qg.Answers)
 
 		fixed := &rank.MonteCarlo{Trials: rank.DefaultTrials, Seed: seed}
-		fres, err := fixed.Rank(qg)
+		fres, err := fixed.RankCtx(context.Background(), qg)
 		if err != nil {
 			return PlannerResult{}, err
 		}
 
 		racer := &rank.TopKRacer{K: k, Seed: seed}
-		_, rs, err := racer.RankWithRace(qg)
+		_, rs, err := racer.RankWithStatsCtx(context.Background(), qg)
 		if err != nil {
 			return PlannerResult{}, err
 		}
@@ -73,7 +74,7 @@ func (s *Suite) PlannerEfficiency(k int) (PlannerResult, error) {
 		out.Racer.Pruned += rs.Pruned
 
 		planner := &rank.HybridPlanner{K: k, Seed: seed}
-		pres, ps, err := planner.RankWithStats(qg)
+		pres, ps, err := planner.RankWithStatsCtx(context.Background(), qg)
 		if err != nil {
 			return PlannerResult{}, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -59,37 +60,31 @@ func (s *Suite) RacerEfficiency(k int) (RacerResult, error) {
 		out.Candidates += int(nA)
 
 		fixed := &rank.MonteCarlo{Trials: rank.DefaultTrials, Seed: seed}
-		fres, fops, err := fixed.RankWithStats(qg)
+		fres, fops, err := fixed.RankWithStatsCtx(context.Background(), qg)
 		if err != nil {
 			return RacerResult{}, err
 		}
 		out.Fixed.Trials += fops.Trials
 		out.Fixed.CandidateTrials += fops.Trials * nA
-		out.Fixed.Ops.Trials += fops.Trials
-		out.Fixed.Ops.NodeVisits += fops.NodeVisits
-		out.Fixed.Ops.CoinFlips += fops.CoinFlips
+		out.Fixed.Ops.Add(fops)
 
 		adaptive := &rank.AdaptiveMonteCarlo{Seed: seed, TopK: k}
-		_, aops, err := adaptive.RankWithStats(qg)
+		_, aops, err := adaptive.RankWithStatsCtx(context.Background(), qg)
 		if err != nil {
 			return RacerResult{}, err
 		}
 		out.Adaptive.Trials += aops.Trials
 		out.Adaptive.CandidateTrials += aops.Trials * nA
-		out.Adaptive.Ops.Trials += aops.Trials
-		out.Adaptive.Ops.NodeVisits += aops.NodeVisits
-		out.Adaptive.Ops.CoinFlips += aops.CoinFlips
+		out.Adaptive.Ops.Add(aops)
 
 		racer := &rank.TopKRacer{K: k, Seed: seed}
-		rres, rs, err := racer.RankWithRace(qg)
+		rres, rs, err := racer.RankWithStatsCtx(context.Background(), qg)
 		if err != nil {
 			return RacerResult{}, err
 		}
 		out.Racer.Trials += rs.Trials
 		out.Racer.CandidateTrials += rs.CandidateTrials()
-		out.Racer.Ops.Trials += rs.OpStats.Trials
-		out.Racer.Ops.NodeVisits += rs.NodeVisits
-		out.Racer.Ops.CoinFlips += rs.CoinFlips
+		out.Racer.Ops.Add(rs.OpStats)
 		out.Racer.Pruned += rs.Pruned
 
 		if topKMatches(fres.Scores, rres.Scores, k, eps) {

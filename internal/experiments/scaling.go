@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -51,7 +52,7 @@ func (s *Suite) Scaling(sizes []int) ([]ScalingRow, error) {
 			best := 0.0
 			for rep := 0; rep < 3; rep++ {
 				start := time.Now()
-				if _, err := r.Rank(qg); err != nil {
+				if _, err := r.RankCtx(context.Background(), qg); err != nil {
 					return 0, err
 				}
 				ms := float64(time.Since(start).Microseconds()) / 1000

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -117,17 +118,17 @@ func (s *Suite) RankStability(seeds, trials int) (StabilityResult, error) {
 		for i := 0; i < seeds; i++ {
 			seed := s.Opts.Seed + uint64(i)
 			f := &rank.MonteCarlo{Trials: trials, Seed: seed}
-			fres, err := f.Rank(qg)
+			fres, err := f.RankCtx(context.Background(), qg)
 			if err != nil {
 				return StabilityResult{}, err
 			}
 			r := &rank.TopKRacer{Seed: seed, MaxTrials: trials}
-			rres, err := r.Rank(qg)
+			rres, err := r.RankCtx(context.Background(), qg)
 			if err != nil {
 				return StabilityResult{}, err
 			}
 			p := &rank.HybridPlanner{Seed: seed, MaxTrials: trials}
-			pres, err := p.Rank(qg)
+			pres, err := p.RankCtx(context.Background(), qg)
 			if err != nil {
 				return StabilityResult{}, err
 			}

@@ -8,6 +8,10 @@
 // Absolute timings depend on hardware; what must reproduce is the shape:
 // which method wins where, by roughly what factor, and where crossovers
 // fall. EXPERIMENTS.md records paper-vs-measured for every experiment.
+//
+// Estimators run under context.Background(): the evaluation measures
+// full, uncancellable budgets (the degradation study simulates its
+// deadlines with a step context instead).
 package experiments
 
 import (

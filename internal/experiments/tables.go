@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"biorank/internal/bio"
@@ -76,7 +77,7 @@ func rankOf(scores []float64, i int) RankInterval {
 func (s *Suite) functionRanks(qg caseGraph, funcs []bio.TermID, pubmed map[bio.TermID]string) ([]FunctionRanks, error) {
 	perMethod := map[string][]float64{}
 	for _, m := range s.methods(s.Opts.Trials, s.Opts.Seed) {
-		res, err := m.Rank(qg.QG)
+		res, err := m.RankCtx(context.Background(), qg.QG)
 		if err != nil {
 			return nil, err
 		}
@@ -191,7 +192,7 @@ func Figure4() ([]Figure4Row, error) {
 		}
 		row.Scores["reliability"] = exact[0]
 		for _, m := range []rank.Ranker{&rank.Propagation{}, &rank.Diffusion{}, rank.InEdge{}, rank.PathCount{}} {
-			res, err := m.Rank(g.qg)
+			res, err := m.RankCtx(context.Background(), g.qg)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -71,7 +72,7 @@ func (s *Suite) BitParallel(trials int) (WorldsResult, error) {
 
 		scalar := &rank.MonteCarlo{Trials: trials, Seed: seed}
 		t0 := time.Now()
-		sres, sops, err := scalar.RankWithStats(qg)
+		sres, sops, err := scalar.RankWithStatsCtx(context.Background(), qg)
 		if err != nil {
 			return WorldsResult{}, err
 		}
@@ -81,7 +82,7 @@ func (s *Suite) BitParallel(trials int) (WorldsResult, error) {
 
 		worlds := &rank.MonteCarlo{Trials: trials, Seed: seed, Worlds: true}
 		t0 = time.Now()
-		wres, wops, err := worlds.RankWithStats(qg)
+		wres, wops, err := worlds.RankWithStatsCtx(context.Background(), qg)
 		if err != nil {
 			return WorldsResult{}, err
 		}

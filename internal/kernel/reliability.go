@@ -8,12 +8,27 @@ import "biorank/internal/prob"
 // consumption and operation counters exactly (see the package comment),
 // so their scores are bit-identical for a fixed seed.
 
-// SimOps counts the work a simulation performed, in the same
-// machine-independent units as rank.OpStats.
+// SimOps counts the work a simulation performs, in machine-independent
+// units (rank.OpStats is an alias). Unlike wall-clock time, the counters
+// are fully determined by (graph, trials, seed, workers), which makes
+// them suitable for efficiency assertions in tests and for capacity
+// planning. For adaptive simulations Trials additionally reports how
+// many trials the stopping rule actually consumed.
 type SimOps struct {
-	Trials     int64
-	NodeVisits int64
-	CoinFlips  int64
+	Trials     int64 // simulation trials executed
+	NodeVisits int64 // nodes found present and expanded, summed over trials
+	CoinFlips  int64 // Bernoulli coin flips drawn, summed over trials
+}
+
+// Total returns the combined operation count, the deterministic analogue
+// of elapsed time for comparing simulation strategies.
+func (s SimOps) Total() int64 { return s.NodeVisits + s.CoinFlips }
+
+// Add accumulates o into s.
+func (s *SimOps) Add(o SimOps) {
+	s.Trials += o.Trials
+	s.NodeVisits += o.NodeVisits
+	s.CoinFlips += o.CoinFlips
 }
 
 // Reliability runs trials traversal simulations with rng and writes

@@ -1,6 +1,7 @@
 package mediator
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -270,7 +271,7 @@ func TestExploreClosedFormMatchesMonteCarlo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := (&rank.MonteCarlo{Trials: 60000, Seed: 7}).Rank(qg)
+	mc, err := (&rank.MonteCarlo{Trials: 60000, Seed: 7}).RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,39 +63,19 @@ func (a *AdaptiveMonteCarlo) params() (eps, delta float64, batch, maxTrials int)
 	return seqDefaults(a.Eps, a.Delta, a.Batch, a.MaxTrials)
 }
 
-// Rank implements Ranker.
-func (a *AdaptiveMonteCarlo) Rank(qg *graph.QueryGraph) (Result, error) {
-	res, _, err := a.rankWithStats(context.Background(), qg)
-	return res, err
-}
-
-// RankCtx implements CtxRanker: the context is checked between
-// adaptive batches, and an expired deadline returns the scores of the
-// batches that DID run with Wilson intervals and Result.Truncated set —
-// the stopping rule simply fires early.
+// RankCtx implements Ranker: the context is checked between adaptive
+// batches, and an expired deadline returns the scores of the batches
+// that DID run with Wilson intervals and Result.Truncated set — the
+// stopping rule simply fires early.
 func (a *AdaptiveMonteCarlo) RankCtx(ctx context.Context, qg *graph.QueryGraph) (Result, error) {
-	res, _, err := a.rankWithStats(ctx, qg)
+	res, _, err := a.RankWithStatsCtx(ctx, qg)
 	return res, err
 }
 
-// RankWithTrials ranks and additionally reports how many trials the
-// stopping rule consumed.
-func (a *AdaptiveMonteCarlo) RankWithTrials(qg *graph.QueryGraph) ([]float64, int, error) {
-	res, ops, err := a.RankWithStats(qg)
-	if err != nil {
-		return nil, 0, err
-	}
-	return res.Scores, int(ops.Trials), nil
-}
-
-// RankWithStats ranks and reports operation counters; OpStats.Trials is
-// the number of trials the stopping rule actually ran (compare
-// DefaultTrials for the fixed a-priori budget).
-func (a *AdaptiveMonteCarlo) RankWithStats(qg *graph.QueryGraph) (Result, OpStats, error) {
-	return a.rankWithStats(context.Background(), qg)
-}
-
-func (a *AdaptiveMonteCarlo) rankWithStats(ctx context.Context, qg *graph.QueryGraph) (Result, OpStats, error) {
+// RankWithStatsCtx ranks like RankCtx and reports operation counters;
+// OpStats.Trials is the number of trials the stopping rule actually ran
+// (compare DefaultTrials for the fixed a-priori budget).
+func (a *AdaptiveMonteCarlo) RankWithStatsCtx(ctx context.Context, qg *graph.QueryGraph) (Result, OpStats, error) {
 	if err := validate(qg); err != nil {
 		return Result{}, OpStats{}, err
 	}
@@ -111,8 +91,7 @@ func (a *AdaptiveMonteCarlo) rankWithStats(ctx context.Context, qg *graph.QueryG
 // over the trials that ran.
 func (a *AdaptiveMonteCarlo) simulate(ctx context.Context, plan *kernel.Plan, ops *OpStats) simOutcome {
 	eps, delta, batch, maxTrials := a.params()
-	var so kernel.SimOps
-	smp := newSampler(plan, prob.NewRNG(a.Seed), a.Worlds, &so)
+	smp := newSampler(plan, prob.NewRNG(a.Seed), a.Worlds, ops)
 	maxTrials = smp.capTrials(maxTrials)
 	total := make([]int64, plan.NumNodes())
 	sorted := make([]float64, plan.NumAnswers())
@@ -130,7 +109,6 @@ func (a *AdaptiveMonteCarlo) simulate(ctx context.Context, plan *kernel.Plan, op
 			break
 		}
 	}
-	ops.merge(opsFromSim(so))
 	return newOutcome(plan, total, trials, truncated)
 }
 

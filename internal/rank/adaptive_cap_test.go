@@ -20,7 +20,7 @@ func TestAdaptiveWorldsHonorsMaxTrials(t *testing.T) {
 		t.Fatal("test needs a non-word-multiple cap")
 	}
 	a := &AdaptiveMonteCarlo{Eps: 1e-9, Delta: 1e-6, Batch: 300, MaxTrials: cap, Seed: 5, Worlds: true}
-	_, trials, err := a.RankWithTrials(qg)
+	_, trials, err := adaptiveTrials(a, qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestAdaptiveWorldsHonorsMaxTrials(t *testing.T) {
 	}
 	// The scalar estimator honors the cap exactly.
 	a = &AdaptiveMonteCarlo{Eps: 1e-9, Delta: 1e-6, Batch: 300, MaxTrials: cap, Seed: 5}
-	_, trials, err = a.RankWithTrials(qg)
+	_, trials, err = adaptiveTrials(a, qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestAdaptiveWorldsHonorsMaxTrials(t *testing.T) {
 func TestAdaptiveWorldsTinyCapStillSimulates(t *testing.T) {
 	qg := nearTieGraph()
 	a := &AdaptiveMonteCarlo{Eps: 1e-9, Delta: 1e-6, MaxTrials: 10, Seed: 5, Worlds: true}
-	_, trials, err := a.RankWithTrials(qg)
+	_, trials, err := adaptiveTrials(a, qg)
 	if err != nil {
 		t.Fatal(err)
 	}

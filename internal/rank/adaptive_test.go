@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,13 +9,20 @@ import (
 	"biorank/internal/prob"
 )
 
+// adaptiveTrials runs a and returns its scores and how many trials its
+// stopping rule consumed.
+func adaptiveTrials(a *AdaptiveMonteCarlo, qg *graph.QueryGraph) ([]float64, int, error) {
+	res, ops, err := a.RankWithStatsCtx(context.Background(), qg)
+	return res.Scores, int(ops.Trials), err
+}
+
 func TestAdaptiveMatchesExact(t *testing.T) {
 	rng := prob.NewRNG(83)
 	for trial := 0; trial < 10; trial++ {
 		qg := randomDAG(rng)
 		exact := bruteReliability(qg)
 		a := &AdaptiveMonteCarlo{Seed: uint64(trial), MaxTrials: 200000}
-		scores, used, err := a.RankWithTrials(qg)
+		scores, used, err := adaptiveTrials(a, qg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +51,7 @@ func TestAdaptiveStopsEarlyOnSeparatedScores(t *testing.T) {
 	g.AddEdge(s, lo, "r", 0.1)
 	qg, _ := graph.NewQueryGraph(g, s, []graph.NodeID{hi, lo})
 	a := &AdaptiveMonteCarlo{Seed: 1, Batch: 200, MaxTrials: 100000}
-	_, used, err := a.RankWithTrials(qg)
+	_, used, err := adaptiveTrials(a, qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +71,7 @@ func TestAdaptiveTreatsTinyGapsAsTies(t *testing.T) {
 	g.AddEdge(s, a2, "r", 0.505)
 	qg, _ := graph.NewQueryGraph(g, s, []graph.NodeID{a1, a2})
 	am := &AdaptiveMonteCarlo{Seed: 2, Eps: 0.02, Batch: 500, MaxTrials: 400000}
-	_, used, err := am.RankWithTrials(qg)
+	_, used, err := adaptiveTrials(am, qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +83,11 @@ func TestAdaptiveTreatsTinyGapsAsTies(t *testing.T) {
 func TestAdaptiveDeterministic(t *testing.T) {
 	qg := fig4b()
 	am := &AdaptiveMonteCarlo{Seed: 7}
-	s1, n1, err := am.RankWithTrials(qg)
+	s1, n1, err := adaptiveTrials(am, qg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, n2, err := am.RankWithTrials(qg)
+	s2, n2, err := adaptiveTrials(am, qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +101,7 @@ func TestAdaptiveWithReduction(t *testing.T) {
 	qg := randomDAG(rng)
 	exact := bruteReliability(qg)
 	am := &AdaptiveMonteCarlo{Seed: 3, Reduce: true, MaxTrials: 200000}
-	scores, _, err := am.RankWithTrials(qg)
+	scores, _, err := adaptiveTrials(am, qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +125,7 @@ func TestAdaptiveHonorsMaxTrialsExactly(t *testing.T) {
 	g.AddEdge(s, a2, "r", 0.55)
 	qg, _ := graph.NewQueryGraph(g, s, []graph.NodeID{a1, a2})
 	am := &AdaptiveMonteCarlo{Seed: 3, Eps: 0.02, Batch: 500, MaxTrials: 1600}
-	_, used, err := am.RankWithTrials(qg)
+	_, used, err := adaptiveTrials(am, qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +135,7 @@ func TestAdaptiveHonorsMaxTrialsExactly(t *testing.T) {
 }
 
 func TestAdaptiveRejectsNil(t *testing.T) {
-	if _, err := (&AdaptiveMonteCarlo{}).Rank(nil); err == nil {
+	if _, err := (&AdaptiveMonteCarlo{}).RankCtx(context.Background(), nil); err == nil {
 		t.Fatal("nil graph accepted")
 	}
 }
@@ -194,7 +202,7 @@ func TestAdaptiveSingleNodeGraph(t *testing.T) {
 	}
 	for _, topK := range []int{0, 1, 2} {
 		a := &AdaptiveMonteCarlo{Seed: 1, TopK: topK}
-		res, ops, err := a.RankWithStats(qg)
+		res, ops, err := a.RankWithStatsCtx(context.Background(), qg)
 		if err != nil {
 			t.Fatal(err)
 		}

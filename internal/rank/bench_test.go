@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"context"
 	"testing"
 
 	"biorank/internal/graph"
@@ -42,7 +43,7 @@ func BenchmarkTraversalMC1000(b *testing.B) {
 	mc := &MonteCarlo{Trials: 1000, Seed: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mc.Rank(qg); err != nil {
+		if _, err := mc.RankCtx(context.Background(), qg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -53,7 +54,7 @@ func BenchmarkNaiveMC1000(b *testing.B) {
 	mc := &MonteCarlo{Trials: 1000, Seed: 1, Naive: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mc.Rank(qg); err != nil {
+		if _, err := mc.RankCtx(context.Background(), qg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -67,7 +68,7 @@ func BenchmarkAdaptiveMC(b *testing.B) {
 	am := &AdaptiveMonteCarlo{Seed: 1, TopK: 5}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := am.Rank(qg); err != nil {
+		if _, err := am.RankCtx(context.Background(), qg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -79,7 +80,7 @@ func BenchmarkRankAllSharedPlan(b *testing.B) {
 	qg := benchGraph(150, 50)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := RankAll(qg, AllOptions{Trials: 1000, Seed: 1})
+		res, err := RankAllCtx(context.Background(), qg, AllOptions{Trials: 1000, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -115,7 +116,7 @@ func BenchmarkPropagationLarge(b *testing.B) {
 	p := &Propagation{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Rank(qg); err != nil {
+		if _, err := p.RankCtx(context.Background(), qg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -126,7 +127,7 @@ func BenchmarkDiffusionLarge(b *testing.B) {
 	d := &Diffusion{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.Rank(qg); err != nil {
+		if _, err := d.RankCtx(context.Background(), qg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -137,7 +138,7 @@ func BenchmarkDiffusionIterativeInner(b *testing.B) {
 	d := &Diffusion{Iterative: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.Rank(qg); err != nil {
+		if _, err := d.RankCtx(context.Background(), qg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -147,7 +148,7 @@ func BenchmarkPathCountLarge(b *testing.B) {
 	qg := benchGraph(300, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := (PathCount{}).Rank(qg); err != nil {
+		if _, err := (PathCount{}).RankCtx(context.Background(), qg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -172,7 +173,7 @@ func BenchmarkTopKRacer(b *testing.B) {
 	racer := &TopKRacer{K: 5, Seed: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := racer.Rank(qg); err != nil {
+		if _, err := racer.RankCtx(context.Background(), qg); err != nil {
 			b.Fatal(err)
 		}
 	}

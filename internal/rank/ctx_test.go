@@ -79,7 +79,7 @@ func TestMonteCarloCtxCompletedBitIdentical(t *testing.T) {
 		{"reduce", &MonteCarlo{Trials: 9000, Seed: 7, Reduce: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := tc.mc.Rank(qg)
+			want, err := tc.mc.RankCtx(context.Background(), qg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,7 +198,7 @@ func TestTopKRacerCtx(t *testing.T) {
 
 	// Mid-race deadline: the interval state of the completed rounds is
 	// the partial result.
-	res, rs, err := r.RankWithRaceCtx(newStepCtx(3), qg)
+	res, rs, err := r.RankWithStatsCtx(newStepCtx(3), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestTopKRacerCtx(t *testing.T) {
 
 	// Deadline before round one: every candidate still carries the
 	// vacuous-but-valid [0,1].
-	res, _, err = r.RankWithRaceCtx(expiredCtx(t), qg)
+	res, _, err = r.RankWithStatsCtx(expiredCtx(t), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestTopKRacerCtx(t *testing.T) {
 
 	// Worlds path.
 	rw := &TopKRacer{K: 5, Eps: 1e-9, Delta: 1e-6, Batch: 500, MaxTrials: 1 << 20, Seed: 5, Worlds: true}
-	res, _, err = rw.RankWithRaceCtx(newStepCtx(3), qg)
+	res, _, err = rw.RankWithStatsCtx(newStepCtx(3), qg)
 	if err != nil {
 		t.Fatal(err)
 	}

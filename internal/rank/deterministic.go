@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"context"
 	"fmt"
 
 	"biorank/internal/graph"
@@ -16,8 +17,8 @@ type InEdge struct{}
 // Name implements Ranker.
 func (InEdge) Name() string { return "inedge" }
 
-// Rank implements Ranker.
-func (InEdge) Rank(qg *graph.QueryGraph) (Result, error) {
+// RankCtx implements Ranker; counting in-edges needs no ctx.
+func (InEdge) RankCtx(_ context.Context, qg *graph.QueryGraph) (Result, error) {
 	if err := validate(qg); err != nil {
 		return Result{}, err
 	}
@@ -42,8 +43,8 @@ func (PathCount) Name() string { return "pathcount" }
 // graph.
 var ErrCyclicPathCount = fmt.Errorf("rank: pathcount requires a DAG: %w", graph.ErrCyclic)
 
-// Rank implements Ranker.
-func (PathCount) Rank(qg *graph.QueryGraph) (Result, error) {
+// RankCtx implements Ranker; the path count needs no ctx.
+func (PathCount) RankCtx(_ context.Context, qg *graph.QueryGraph) (Result, error) {
 	if err := validate(qg); err != nil {
 		return Result{}, err
 	}

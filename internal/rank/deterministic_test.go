@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -19,7 +20,7 @@ func TestInEdgeCounts(t *testing.T) {
 	g.AddEdge(a, t1, "r", 0.5)
 	g.AddEdge(a, t2, "r", 0.5)
 	qg, _ := graph.NewQueryGraph(g, s, []graph.NodeID{t1, t2})
-	res, err := InEdge{}.Rank(qg)
+	res, err := InEdge{}.RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestInEdgeIgnoresProbabilities(t *testing.T) {
 	g.AddEdge(s, x, "r", 0.001)
 	g.AddEdge(x, tt, "r", 0.001)
 	qg, _ := graph.NewQueryGraph(g, s, []graph.NodeID{tt})
-	res, _ := InEdge{}.Rank(qg)
+	res, _ := InEdge{}.RankCtx(context.Background(), qg)
 	if res.Scores[0] != 1 {
 		t.Fatalf("InEdge must ignore probabilities: %v", res.Scores)
 	}
@@ -56,7 +57,7 @@ func TestPathCountDiamond(t *testing.T) {
 	g.AddEdge(b, m, "r", 1)
 	g.AddEdge(m, tt, "r", 1)
 	qg, _ := graph.NewQueryGraph(g, s, []graph.NodeID{tt})
-	res, err := PathCount{}.Rank(qg)
+	res, err := PathCount{}.RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestPathCountParallelEdgesAreDistinctPaths(t *testing.T) {
 	g.AddEdge(s, tt, "r", 1)
 	g.AddEdge(s, tt, "r", 1)
 	qg, _ := graph.NewQueryGraph(g, s, []graph.NodeID{tt})
-	res, _ := PathCount{}.Rank(qg)
+	res, _ := PathCount{}.RankCtx(context.Background(), qg)
 	if res.Scores[0] != 3 {
 		t.Fatalf("PathCount = %v, want 3", res.Scores[0])
 	}
@@ -89,7 +90,7 @@ func TestPathCountRejectsCycles(t *testing.T) {
 	g.AddEdge(a, a, "r", 1)
 	g.AddEdge(a, tt, "r", 1)
 	qg, _ := graph.NewQueryGraph(g, s, []graph.NodeID{tt})
-	_, err := PathCount{}.Rank(qg)
+	_, err := PathCount{}.RankCtx(context.Background(), qg)
 	if err == nil {
 		t.Fatal("PathCount must reject cyclic graphs")
 	}
@@ -103,7 +104,7 @@ func TestPathCountUnreachableAnswerIsZero(t *testing.T) {
 	s := g.AddNode("Q", "s", 1)
 	a := g.AddNode("A", "a", 1)
 	qg, _ := graph.NewQueryGraph(g, s, []graph.NodeID{a})
-	res, err := PathCount{}.Rank(qg)
+	res, err := PathCount{}.RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestCountPathsGrowth(t *testing.T) {
 		prev = join
 	}
 	qg, _ := graph.NewQueryGraph(g, g.NodesOfKind("Q")[0], []graph.NodeID{prev})
-	res, err := PathCount{}.Rank(qg)
+	res, err := PathCount{}.RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestDeterministicTiesAreCommon(t *testing.T) {
 		answers = append(answers, a)
 	}
 	qg, _ := graph.NewQueryGraph(g, s, answers)
-	res, _ := InEdge{}.Rank(qg)
+	res, _ := InEdge{}.RankCtx(context.Background(), qg)
 	for _, sc := range res.Scores {
 		if sc != 1 {
 			t.Fatalf("expected all ties at 1, got %v", res.Scores)

@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"context"
 	"math"
 	"sort"
 
@@ -39,7 +40,7 @@ type Diffusion struct {
 	// Tol is the convergence tolerance; 0 means DefaultTol.
 	Tol float64
 	// Plan optionally supplies a pre-compiled kernel plan for the query
-	// graph (shared across the methods of a RankAll pass).
+	// graph (shared across the methods of a RankAllCtx pass).
 	Plan *kernel.Plan
 
 	memo PlanMemo
@@ -51,8 +52,9 @@ type parentContrib struct{ r, q float64 }
 // Name implements Ranker.
 func (*Diffusion) Name() string { return "diffusion" }
 
-// Rank implements Ranker.
-func (d *Diffusion) Rank(qg *graph.QueryGraph) (Result, error) {
+// RankCtx implements Ranker. The fixpoint finishes in microseconds, so
+// ctx is not consulted.
+func (d *Diffusion) RankCtx(_ context.Context, qg *graph.QueryGraph) (Result, error) {
 	if err := validate(qg); err != nil {
 		return Result{}, err
 	}

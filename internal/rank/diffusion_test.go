@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -70,11 +71,11 @@ func TestDiffusionIterativeMatchesAnalytic(t *testing.T) {
 	rng := prob.NewRNG(47)
 	for trial := 0; trial < 20; trial++ {
 		qg := randomDAG(rng)
-		a, err := (&Diffusion{}).Rank(qg)
+		a, err := (&Diffusion{}).RankCtx(context.Background(), qg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := (&Diffusion{Iterative: true, InnerIterations: 300}).Rank(qg)
+		b, err := (&Diffusion{Iterative: true, InnerIterations: 300}).RankCtx(context.Background(), qg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +95,7 @@ func TestDiffusionChain(t *testing.T) {
 	tt := g.AddNode("A", "t", 0.8)
 	g.AddEdge(s, tt, "r", 0.5)
 	qg, _ := graph.NewQueryGraph(g, s, []graph.NodeID{tt})
-	res, err := (&Diffusion{}).Rank(qg)
+	res, err := (&Diffusion{}).RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestDiffusionPrefersFewerStrongerPaths(t *testing.T) {
 		g.AddEdge(m, weak, "r", 0.3)
 	}
 	qg, _ := graph.NewQueryGraph(g, s, []graph.NodeID{strong, weak})
-	diff, err := (&Diffusion{}).Rank(qg)
+	diff, err := (&Diffusion{}).RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestDiffusionShorterPathWins(t *testing.T) {
 	long := g.AddNode("A", "long", 1)
 	g.AddEdge(prev, long, "r", 0.8)
 	qg, _ := graph.NewQueryGraph(g, s, []graph.NodeID{short, long})
-	res, err := (&Diffusion{}).Rank(qg)
+	res, err := (&Diffusion{}).RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestDiffusionScoresBounded(t *testing.T) {
 	rng := prob.NewRNG(53)
 	for trial := 0; trial < 20; trial++ {
 		qg := randomDAG(rng)
-		res, err := (&Diffusion{}).Rank(qg)
+		res, err := (&Diffusion{}).RankCtx(context.Background(), qg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -101,6 +101,23 @@ func (e Estimator) For(method string) (Spec, error) {
 	return s, nil
 }
 
+// Specs resolves e for each of methods in order (see For); nil or
+// empty methods means all five (MethodNames).
+func (e Estimator) Specs(methods []string) ([]Spec, error) {
+	if len(methods) == 0 {
+		methods = MethodNames
+	}
+	specs := make([]Spec, len(methods))
+	for i, name := range methods {
+		s, err := e.For(name)
+		if err != nil {
+			return nil, err
+		}
+		specs[i] = s
+	}
+	return specs, nil
+}
+
 // UsesPlan reports whether the spec's ranker runs on a compiled kernel
 // plan of the full query graph. Under Reduce the sampled estimators
 // simulate the reduced graph with its own plan, so a shared plan would

@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -59,10 +60,10 @@ const NoFactoring = -1
 // Name implements Ranker.
 func (Exact) Name() string { return "reliability-exact" }
 
-// Rank implements Ranker. The result carries zero-width confidence
-// intervals (Lo = Hi = Scores) and an all-true Exact marker: exact
-// scores are their own bounds.
-func (e Exact) Rank(qg *graph.QueryGraph) (Result, error) {
+// RankCtx implements Ranker; ctx is not consulted. The result carries
+// zero-width confidence intervals (Lo = Hi = Scores) and an all-true
+// Exact marker: exact scores are their own bounds.
+func (e Exact) RankCtx(_ context.Context, qg *graph.QueryGraph) (Result, error) {
 	if err := validate(qg); err != nil {
 		return Result{}, err
 	}
@@ -275,7 +276,7 @@ func copyAdj(dst, src [][]int32) [][]int32 {
 		copy(nd, dst[:cap(dst)]) // keep old inner arrays for reuse
 		dst = nd
 	} else {
-		dst = dst[: len(src) : cap(dst)]
+		dst = dst[:len(src):cap(dst)]
 	}
 	for i := range src {
 		dst[i] = append(dst[i][:0], src[i]...)

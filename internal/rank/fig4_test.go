@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -28,7 +29,7 @@ func TestFig4aReliability(t *testing.T) {
 }
 
 func TestFig4aPropagation(t *testing.T) {
-	res, err := (&Propagation{}).Rank(fig4a())
+	res, err := (&Propagation{}).RankCtx(context.Background(), fig4a())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestFig4aPropagation(t *testing.T) {
 }
 
 func TestFig4aDiffusion(t *testing.T) {
-	res, err := (&Diffusion{}).Rank(fig4a())
+	res, err := (&Diffusion{}).RankCtx(context.Background(), fig4a())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,14 +50,14 @@ func TestFig4aDiffusion(t *testing.T) {
 
 func TestFig4aDeterministic(t *testing.T) {
 	qg := fig4a()
-	ie, err := InEdge{}.Rank(qg)
+	ie, err := InEdge{}.RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ie.Scores[0] != 2 {
 		t.Errorf("inedge = %v, want 2", ie.Scores[0])
 	}
-	pc, err := PathCount{}.Rank(qg)
+	pc, err := PathCount{}.RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestFig4bReliability(t *testing.T) {
 }
 
 func TestFig4bPropagation(t *testing.T) {
-	res, err := (&Propagation{}).Rank(fig4b())
+	res, err := (&Propagation{}).RankCtx(context.Background(), fig4b())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestFig4bDiffusion(t *testing.T) {
 	// The printed equations yield 1/6 on the bridge (the figure's 0.11
 	// appears to correspond to a different drawing); we pin the equation
 	// semantics.
-	res, err := (&Diffusion{}).Rank(fig4b())
+	res, err := (&Diffusion{}).RankCtx(context.Background(), fig4b())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,14 +108,14 @@ func TestFig4bDiffusion(t *testing.T) {
 
 func TestFig4bDeterministic(t *testing.T) {
 	qg := fig4b()
-	ie, err := InEdge{}.Rank(qg)
+	ie, err := InEdge{}.RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ie.Scores[0] != 2 {
 		t.Errorf("inedge = %v, want 2", ie.Scores[0])
 	}
-	pc, err := PathCount{}.Rank(qg)
+	pc, err := PathCount{}.RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestFig4PropagationExceedsReliability(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prop, err := (&Propagation{}).Rank(qg)
+		prop, err := (&Propagation{}).RankCtx(context.Background(), qg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +161,7 @@ func TestFig4MonteCarloMatchesExact(t *testing.T) {
 			qg = fig4b()
 		}
 		mc := &MonteCarlo{Trials: 200000, Seed: 1}
-		res, err := mc.Rank(qg)
+		res, err := mc.RankCtx(context.Background(), qg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -57,7 +58,7 @@ func refTraversalCounts(qg *graph.QueryGraph, trials int, rng *prob.RNG, ops *Op
 		}
 	}
 	if ops != nil {
-		ops.merge(OpStats{Trials: int64(trials), NodeVisits: visits, CoinFlips: flips})
+		ops.Add(OpStats{Trials: int64(trials), NodeVisits: visits, CoinFlips: flips})
 	}
 	return reach
 }
@@ -109,7 +110,7 @@ func refNaiveMC(qg *graph.QueryGraph, trials int, seed uint64, ops *OpStats) []f
 		}
 	}
 	if ops != nil {
-		ops.merge(OpStats{Trials: int64(trials), NodeVisits: visits, CoinFlips: flips})
+		ops.Add(OpStats{Trials: int64(trials), NodeVisits: visits, CoinFlips: flips})
 	}
 	scores := make([]float64, len(qg.Answers))
 	for i, a := range qg.Answers {
@@ -211,7 +212,7 @@ func TestKernelPropagationMatchesReference(t *testing.T) {
 			qg = randomCyclicGraph(rng)
 		}
 		p := &Propagation{}
-		res, err := p.Rank(qg)
+		res, err := p.RankCtx(context.Background(), qg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +234,7 @@ func TestKernelDiffusionMatchesReference(t *testing.T) {
 			qg = randomCyclicGraph(rng)
 		}
 		d := &Diffusion{}
-		res, err := d.Rank(qg)
+		res, err := d.RankCtx(context.Background(), qg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,11 +278,11 @@ func TestSharedPlanAcrossRankers(t *testing.T) {
 
 	mcShared := &MonteCarlo{Trials: 3000, Seed: 4, Plan: plan}
 	mcSolo := &MonteCarlo{Trials: 3000, Seed: 4}
-	a, err := mcShared.Rank(qg)
+	a, err := mcShared.RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := mcSolo.Rank(qg)
+	b, err := mcSolo.RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,11 +297,11 @@ func TestSharedPlanAcrossRankers(t *testing.T) {
 		{&Diffusion{Plan: plan}, &Diffusion{}},
 		{&AdaptiveMonteCarlo{Seed: 4, Plan: plan}, &AdaptiveMonteCarlo{Seed: 4}},
 	} {
-		ra, err := pair[0].Rank(qg)
+		ra, err := pair[0].RankCtx(context.Background(), qg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := pair[1].Rank(qg)
+		rb, err := pair[1].RankCtx(context.Background(), qg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,7 +326,7 @@ func TestPlanMemoInvalidatedByMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	mc := &MonteCarlo{Trials: 500, Seed: 1}
-	res, err := mc.Rank(qg)
+	res, err := mc.RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +334,7 @@ func TestPlanMemoInvalidatedByMutation(t *testing.T) {
 		t.Fatalf("certain edge should score 1, got %v", res.Scores[0])
 	}
 	g.SetEdgeQ(eid, 0)
-	res, err = mc.Rank(qg)
+	res, err = mc.RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}

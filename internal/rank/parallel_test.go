@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -13,7 +14,7 @@ func TestParallelMCMatchesExact(t *testing.T) {
 		qg := randomDAG(rng)
 		exact := bruteReliability(qg)
 		mc := &MonteCarlo{Trials: 60000, Seed: uint64(trial), Workers: 4}
-		res, err := mc.Rank(qg)
+		res, err := mc.RankCtx(context.Background(), qg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,11 +30,11 @@ func TestParallelMCMatchesExact(t *testing.T) {
 func TestParallelMCDeterministic(t *testing.T) {
 	qg := fig4b()
 	mc := &MonteCarlo{Trials: 20000, Seed: 11, Workers: 4}
-	a, err := mc.Rank(qg)
+	a, err := mc.RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := mc.Rank(qg)
+	b, err := mc.RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestParallelMCDeterministic(t *testing.T) {
 func TestParallelMCMoreWorkersThanTrials(t *testing.T) {
 	qg := fig4a()
 	mc := &MonteCarlo{Trials: 3, Seed: 1, Workers: 16}
-	res, err := mc.Rank(qg)
+	res, err := mc.RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestParallelMCWithReduction(t *testing.T) {
 	qg := randomDAG(rng)
 	exact := bruteReliability(qg)
 	mc := &MonteCarlo{Trials: 60000, Seed: 5, Workers: 3, Reduce: true}
-	res, err := mc.Rank(qg)
+	res, err := mc.RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func BenchmarkParallelMC4Workers(b *testing.B) {
 	mc := &MonteCarlo{Trials: 10000, Seed: 1, Workers: 4}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mc.Rank(qg); err != nil {
+		if _, err := mc.RankCtx(context.Background(), qg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // PlanMemo caches the last compiled kernel.Plan of a ranker (or of the
-// facade's Answers) so repeated Rank calls on the same (unmutated) query
+// facade's Answers) so repeated RankCtx calls on the same (unmutated) query
 // graph skip recompilation.
 // Identity is the graph pointer plus its mutation Version: mutating a
 // probability bumps the version and forces a fresh compile, while a
@@ -25,7 +25,7 @@ type planEntry struct {
 }
 
 // For returns a plan usable with qg: the explicit plan when it matches
-// (the caller-supplied shared plan of a RankAll pass or the engine's
+// (the caller-supplied shared plan of a RankAllCtx pass or the engine's
 // plan cache), otherwise the memoized or freshly compiled one.
 func (m *PlanMemo) For(qg *graph.QueryGraph, explicit *kernel.Plan) *kernel.Plan {
 	if explicit != nil && explicit.Matches(qg) {
@@ -37,9 +37,4 @@ func (m *PlanMemo) For(qg *graph.QueryGraph, explicit *kernel.Plan) *kernel.Plan
 	plan := kernel.Compile(qg)
 	m.p.Store(&planEntry{qg: qg, version: qg.Version(), plan: plan})
 	return plan
-}
-
-// opsFromSim converts kernel operation counters to OpStats.
-func opsFromSim(so kernel.SimOps) OpStats {
-	return OpStats{Trials: so.Trials, NodeVisits: so.NodeVisits, CoinFlips: so.CoinFlips}
 }

@@ -98,34 +98,19 @@ func (p *HybridPlanner) budget() int {
 	}
 }
 
-// Rank implements Ranker.
-func (p *HybridPlanner) Rank(qg *graph.QueryGraph) (Result, error) {
-	res, _, err := p.RankWithStats(qg)
-	return res, err
-}
-
-// RankCtx implements CtxRanker: the context is checked between
+// RankCtx implements Ranker: the context is checked between
 // per-answer exact probes and between racer rounds. On expiry the
 // remaining unprobed answers route to the race, which immediately
 // truncates — their intervals degrade to the vacuous [0,1] while
 // already-probed exact answers keep their zero-width bounds.
 func (p *HybridPlanner) RankCtx(ctx context.Context, qg *graph.QueryGraph) (Result, error) {
-	res, _, err := p.rankWithStats(ctx, qg)
+	res, _, err := p.RankWithStatsCtx(ctx, qg)
 	return res, err
 }
 
-// RankWithStats ranks and reports the planner telemetry.
-func (p *HybridPlanner) RankWithStats(qg *graph.QueryGraph) (Result, PlannerStats, error) {
-	return p.rankWithStats(context.Background(), qg)
-}
-
-// RankWithStatsCtx is RankWithStats under a context, with RankCtx's
-// truncation semantics (Result.Truncated, PlannerStats.RaceStats).
+// RankWithStatsCtx ranks like RankCtx and reports the planner
+// telemetry; truncation also marks PlannerStats.RaceStats.
 func (p *HybridPlanner) RankWithStatsCtx(ctx context.Context, qg *graph.QueryGraph) (Result, PlannerStats, error) {
-	return p.rankWithStats(ctx, qg)
-}
-
-func (p *HybridPlanner) rankWithStats(ctx context.Context, qg *graph.QueryGraph) (Result, PlannerStats, error) {
 	if err := validate(qg); err != nil {
 		return Result{}, PlannerStats{}, err
 	}

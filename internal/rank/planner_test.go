@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"context"
 	"errors"
 	"math"
 	"sync"
@@ -80,7 +81,7 @@ func TestPlannerExactMatchesExactReliability(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := &HybridPlanner{Seed: uint64(gi), MaxTrials: 20000}
-		res, ps, err := p.RankWithStats(gc.qg)
+		res, ps, err := p.RankWithStatsCtx(context.Background(), gc.qg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +128,7 @@ func TestPlannerBridgeRoutesByBudget(t *testing.T) {
 	// Default budget: the bridge factors in a handful of steps, so the
 	// planner solves it exactly and never simulates.
 	p := &HybridPlanner{Seed: 1}
-	res, ps, err := p.RankWithStats(qg)
+	res, ps, err := p.RankWithStatsCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestPlannerBridgeRoutesByBudget(t *testing.T) {
 	// A single-candidate race resolves after its first batch, so the
 	// batch size is the effective trial count here.
 	p = &HybridPlanner{ExactBudget: NoFactoring, Seed: 1, Batch: 20000, MaxTrials: 50000}
-	res, ps, err = p.RankWithStats(qg)
+	res, ps, err = p.RankWithStatsCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,11 +174,11 @@ func TestPlannerJeffreysIntervals(t *testing.T) {
 	qg := fig4b()
 	w := &HybridPlanner{ExactBudget: NoFactoring, Seed: 3, MaxTrials: 20000}
 	j := &HybridPlanner{ExactBudget: NoFactoring, Seed: 3, MaxTrials: 20000, Jeffreys: true}
-	rw, _, err := w.RankWithStats(qg)
+	rw, _, err := w.RankWithStatsCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rj, _, err := j.RankWithStats(qg)
+	rj, _, err := j.RankWithStatsCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestPlannerJeffreysIntervals(t *testing.T) {
 // option precedence, and its results flow through RankAll.
 func TestPlannerRankAllPrecedence(t *testing.T) {
 	qg := fig4b()
-	out, err := RankAll(qg, AllOptions{Planner: true, TopK: 1, Adaptive: true, Seed: 1, Methods: []string{"reliability"}})
+	out, err := RankAllCtx(context.Background(), qg, AllOptions{Planner: true, TopK: 1, Adaptive: true, Seed: 1, Methods: []string{"reliability"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"context"
 	"math"
 
 	"biorank/internal/graph"
@@ -19,7 +20,7 @@ import (
 // unfolds cycles into infinitely many "independent" paths, boosting
 // scores.
 //
-// Rank executes on the compiled CSC kernel (internal/kernel), which
+// RankCtx executes on the compiled CSC kernel (internal/kernel), which
 // walks in-edges in the same order as the reference loop — scores are
 // bit-identical to referenceScores, which tests pin.
 type Propagation struct {
@@ -32,7 +33,7 @@ type Propagation struct {
 	// DefaultTol.
 	Tol float64
 	// Plan optionally supplies a pre-compiled kernel plan for the query
-	// graph (shared across the methods of a RankAll pass).
+	// graph (shared across the methods of a RankAllCtx pass).
 	Plan *kernel.Plan
 
 	memo PlanMemo
@@ -47,8 +48,9 @@ const DefaultTol = 1e-12
 // Name implements Ranker.
 func (*Propagation) Name() string { return "propagation" }
 
-// Rank implements Ranker.
-func (p *Propagation) Rank(qg *graph.QueryGraph) (Result, error) {
+// RankCtx implements Ranker. The fixpoint finishes in microseconds, so
+// ctx is not consulted.
+func (p *Propagation) RankCtx(_ context.Context, qg *graph.QueryGraph) (Result, error) {
 	if err := validate(qg); err != nil {
 		return Result{}, err
 	}

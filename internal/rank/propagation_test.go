@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -24,7 +25,7 @@ func TestPropagationEqualsReliabilityOnTrees(t *testing.T) {
 		}
 		qg, _ := graph.NewQueryGraph(g, s, nodes[1:])
 		rel := bruteReliability(qg)
-		res, err := (&Propagation{}).Rank(qg)
+		res, err := (&Propagation{}).RankCtx(context.Background(), qg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +46,7 @@ func TestPropagationIterativeMatchesExactOnDAGs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := (&Propagation{}).Rank(qg)
+		res, err := (&Propagation{}).RankCtx(context.Background(), qg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,11 +81,11 @@ func TestPropagationCycleBoost(t *testing.T) {
 	cyc.AddEdge(a2, t2, "r", 0.5)
 	qc, _ := graph.NewQueryGraph(cyc, s2, []graph.NodeID{t2})
 
-	ra, err := (&Propagation{}).Rank(qa)
+	ra, err := (&Propagation{}).RankCtx(context.Background(), qa)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, err := (&Propagation{}).Rank(qc)
+	rc, err := (&Propagation{}).RankCtx(context.Background(), qc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,14 +106,14 @@ func TestPropagationFixedIterations(t *testing.T) {
 	// With too few iterations, relevance has not yet reached distant
 	// nodes; with enough, it matches the fixpoint.
 	qg := fig4a() // longest path 3
-	r1, err := (&Propagation{Iterations: 1}).Rank(qg)
+	r1, err := (&Propagation{Iterations: 1}).RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.Scores[0] != 0 {
 		t.Fatalf("1 iteration should not reach the target: %v", r1.Scores[0])
 	}
-	r3, err := (&Propagation{Iterations: 3}).Rank(qg)
+	r3, err := (&Propagation{Iterations: 3}).RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestPropagationNodeProbabilityApplied(t *testing.T) {
 	g.AddEdge(s, x, "r", 1)
 	g.AddEdge(x, tt, "r", 1)
 	qg, _ := graph.NewQueryGraph(g, s, []graph.NodeID{tt})
-	res, err := (&Propagation{}).Rank(qg)
+	res, err := (&Propagation{}).RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}

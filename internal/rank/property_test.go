@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -19,7 +20,7 @@ func TestPropertyPropagationDominatesReliability(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		qg := randomDAG(rng)
 		rel := bruteReliability(qg)
-		res, err := (&Propagation{}).Rank(qg)
+		res, err := (&Propagation{}).RankCtx(context.Background(), qg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,7 +38,7 @@ func TestPropertyScoresWithinUnitInterval(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		qg := randomDAG(rng)
 		for _, r := range []Ranker{Exact{}, &Propagation{}, &Diffusion{}} {
-			res, err := r.Rank(qg)
+			res, err := r.RankCtx(context.Background(), qg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,11 +112,11 @@ func TestPropertyDiffusionBelowPropagation(t *testing.T) {
 	rng := prob.NewRNG(113)
 	for trial := 0; trial < 50; trial++ {
 		qg := randomDAG(rng)
-		d, err := (&Diffusion{}).Rank(qg)
+		d, err := (&Diffusion{}).RankCtx(context.Background(), qg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := (&Propagation{}).Rank(qg)
+		p, err := (&Propagation{}).RankCtx(context.Background(), qg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -58,29 +58,13 @@ type Ranker interface {
 	// Name returns a short stable identifier ("reliability",
 	// "propagation", "diffusion", "inedge", "pathcount").
 	Name() string
-	// Rank scores every node in qg.Answers.
-	Rank(qg *graph.QueryGraph) (Result, error)
-}
-
-// CtxRanker is a Ranker that honors context cancellation: RankCtx
-// checks ctx at its batch boundaries (never inside kernel inner loops)
-// and, when the deadline expires mid-run, returns the partial result
-// computed so far with Result.Truncated set instead of an error. Every
-// Monte Carlo estimator in this package implements it; the
-// deterministic methods finish in microseconds and do not.
-type CtxRanker interface {
-	Ranker
+	// RankCtx scores every node in qg.Answers. The Monte Carlo
+	// estimators check ctx at their batch boundaries (never inside
+	// kernel inner loops) and, when it expires mid-run, return the
+	// partial result computed so far with Result.Truncated set instead
+	// of an error; an uncancellable ctx runs the one-call path. The
+	// deterministic methods finish in microseconds and ignore ctx.
 	RankCtx(ctx context.Context, qg *graph.QueryGraph) (Result, error)
-}
-
-// RankWithCtx runs r on qg under ctx: CtxRankers get the context,
-// plain Rankers run uninterruptibly (they are the fast deterministic
-// methods). A nil ctx means context.Background().
-func RankWithCtx(ctx context.Context, r Ranker, qg *graph.QueryGraph) (Result, error) {
-	if cr, ok := r.(CtxRanker); ok && ctx != nil && ctx.Done() != nil {
-		return cr.RankCtx(ctx, qg)
-	}
-	return r.Rank(qg)
 }
 
 // Methods returns the paper's five ranking methods with the default

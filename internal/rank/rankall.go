@@ -12,7 +12,7 @@ import (
 // order, as the stable identifiers returned by Ranker.Name.
 var MethodNames = []string{"reliability", "propagation", "diffusion", "inedge", "pathcount"}
 
-// AllOptions configures a RankAll pass: the estimator spec as flat
+// AllOptions configures a RankAllCtx pass: the estimator spec as flat
 // fields (MCWorkers is Estimator.Workers; see Estimator for their
 // meaning) plus the pass's method list, concurrency and shared plan.
 type AllOptions struct {
@@ -34,7 +34,7 @@ type AllOptions struct {
 	// means all five.
 	Methods []string
 	// Plan optionally supplies a pre-compiled kernel plan for the query
-	// graph. When nil, RankAll compiles one plan and shares it across
+	// graph. When nil, RankAllCtx compiles one plan and shares it across
 	// every method of the pass.
 	Plan *kernel.Plan
 }
@@ -52,39 +52,20 @@ func (o AllOptions) UsesPlan(name string) bool {
 	return err == nil && s.UsesPlan()
 }
 
-// RankAll scores the answer set under all five relevance semantics (or
-// the subset in o.Methods) in one pass over a single shared query graph.
-// The graph is never copied or rebuilt between methods: every ranker
-// reads the same pruned qg, and by default they run concurrently — the
-// rankers only read the graph, so the pass is race-free. The result maps
-// method name to its Result; scores are bit-identical to running each
-// method alone.
-func RankAll(qg *graph.QueryGraph, o AllOptions) (map[string]Result, error) {
-	return RankAllCtx(context.Background(), qg, o)
-}
-
-// RankAllCtx is RankAll under a context. The Monte Carlo reliability
-// estimators honor cancellation between batches and report truncated
-// partial results (Result.Truncated); the deterministic methods finish
-// in microseconds and run to completion regardless. A nil or
-// uncancellable ctx is free: every estimator takes its historical
-// single-call path.
+// RankAllCtx scores the answer set under all five relevance semantics
+// (or the subset in o.Methods) in one pass over a single shared query
+// graph. The graph is never copied or rebuilt between methods: every
+// ranker reads the same pruned qg, and by default they run concurrently
+// — the rankers only read the graph, so the pass is race-free. The
+// result maps method name to its Result; scores are bit-identical to
+// running each method alone. The Monte Carlo reliability estimators
+// honor cancellation between batches and report truncated partial
+// results (Result.Truncated); the deterministic methods finish in
+// microseconds and run to completion regardless.
 func RankAllCtx(ctx context.Context, qg *graph.QueryGraph, o AllOptions) (map[string]Result, error) {
-	if err := validate(qg); err != nil {
+	specs, err := o.Estimator().Specs(o.Methods)
+	if err != nil {
 		return nil, err
-	}
-	methods := o.Methods
-	if len(methods) == 0 {
-		methods = MethodNames
-	}
-	est := o.Estimator()
-	specs := make([]Spec, len(methods))
-	for i, name := range methods {
-		s, err := est.For(name)
-		if err != nil {
-			return nil, err
-		}
-		specs[i] = s
 	}
 	results, err := RankSpecs(ctx, qg, specs, o.Plan, o.Sequential)
 	if err != nil {
@@ -117,7 +98,7 @@ func RankSpecs(ctx context.Context, qg *graph.QueryGraph, specs []Spec, plan *ke
 	errs := make([]error, len(specs))
 	if sequential {
 		for i, s := range specs {
-			results[i], errs[i] = RankWithCtx(ctx, s.Ranker(plan), qg)
+			results[i], errs[i] = s.Ranker(plan).RankCtx(ctx, qg)
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -125,7 +106,7 @@ func RankSpecs(ctx context.Context, qg *graph.QueryGraph, specs []Spec, plan *ke
 			wg.Add(1)
 			go func(i int, r Ranker) {
 				defer wg.Done()
-				results[i], errs[i] = RankWithCtx(ctx, r, qg)
+				results[i], errs[i] = r.RankCtx(ctx, qg)
 			}(i, s.Ranker(plan))
 		}
 		wg.Wait()

@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"context"
 	"testing"
 
 	"biorank/internal/graph"
@@ -27,7 +28,7 @@ func TestRankAllMatchesPerMethod(t *testing.T) {
 		opts := AllOptions{Trials: 2000, Seed: uint64(ci + 1)}
 		want := map[string]Result{}
 		for _, r := range Methods(opts.Trials, opts.Seed) {
-			res, err := r.Rank(qg)
+			res, err := r.RankCtx(context.Background(), qg)
 			if err != nil {
 				t.Fatalf("case %d method %s: %v", ci, r.Name(), err)
 			}
@@ -35,7 +36,7 @@ func TestRankAllMatchesPerMethod(t *testing.T) {
 		}
 		for _, sequential := range []bool{false, true} {
 			opts.Sequential = sequential
-			got, err := RankAll(qg, opts)
+			got, err := RankAllCtx(context.Background(), qg, opts)
 			if err != nil {
 				t.Fatalf("case %d sequential=%v: %v", ci, sequential, err)
 			}
@@ -62,11 +63,11 @@ func TestRankAllMatchesPerMethod(t *testing.T) {
 // be configured with.
 func TestRankAllExactAndReduce(t *testing.T) {
 	qg := fig4b()
-	exact, err := RankAll(qg, AllOptions{Exact: true})
+	exact, err := RankAllCtx(context.Background(), qg, AllOptions{Exact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantExact, err := (Exact{}).Rank(qg)
+	wantExact, err := (Exact{}).RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +77,11 @@ func TestRankAllExactAndReduce(t *testing.T) {
 		}
 	}
 
-	reduced, err := RankAll(qg, AllOptions{Trials: 5000, Seed: 3, Reduce: true})
+	reduced, err := RankAllCtx(context.Background(), qg, AllOptions{Trials: 5000, Seed: 3, Reduce: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantMC, err := (&MonteCarlo{Trials: 5000, Seed: 3, Reduce: true}).Rank(qg)
+	wantMC, err := (&MonteCarlo{Trials: 5000, Seed: 3, Reduce: true}).RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +98,11 @@ func TestRankAllExactAndReduce(t *testing.T) {
 func TestRankAllParallelMCDeterministic(t *testing.T) {
 	qg := randomDAG(prob.NewRNG(31))
 	opts := AllOptions{Trials: 20000, Seed: 17, MCWorkers: 4, Methods: []string{"reliability"}}
-	first, err := RankAll(qg, opts)
+	first, err := RankAllCtx(context.Background(), qg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := (&MonteCarlo{Trials: 20000, Seed: 17, Workers: 4}).Rank(qg)
+	direct, err := (&MonteCarlo{Trials: 20000, Seed: 17, Workers: 4}).RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestRankAllParallelMCDeterministic(t *testing.T) {
 			t.Fatalf("answer %d: RankAll %v != direct sharded MC %v", i, first["reliability"].Scores[i], direct.Scores[i])
 		}
 	}
-	second, err := RankAll(qg, opts)
+	second, err := RankAllCtx(context.Background(), qg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestRankAllParallelMCDeterministic(t *testing.T) {
 // TestRankAllSubsetAndErrors covers method subsetting and failure modes.
 func TestRankAllSubsetAndErrors(t *testing.T) {
 	qg := fig4a()
-	got, err := RankAll(qg, AllOptions{Trials: 100, Methods: []string{"inedge", "pathcount"}})
+	got, err := RankAllCtx(context.Background(), qg, AllOptions{Trials: 100, Methods: []string{"inedge", "pathcount"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,10 +135,10 @@ func TestRankAllSubsetAndErrors(t *testing.T) {
 	if _, ok := got["reliability"]; ok {
 		t.Fatal("reliability should not have been computed")
 	}
-	if _, err := RankAll(qg, AllOptions{Methods: []string{"nope"}}); err == nil {
+	if _, err := RankAllCtx(context.Background(), qg, AllOptions{Methods: []string{"nope"}}); err == nil {
 		t.Fatal("unknown method should error")
 	}
-	if _, err := RankAll(nil, AllOptions{}); err == nil {
+	if _, err := RankAllCtx(context.Background(), nil, AllOptions{}); err == nil {
 		t.Fatal("nil graph should error")
 	}
 }

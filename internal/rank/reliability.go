@@ -59,7 +59,7 @@ type MonteCarlo struct {
 	// with Workers (words are sharded); ignored under Naive.
 	Worlds bool
 	// Plan, when non-nil and structurally matching the query graph,
-	// skips plan compilation — RankAll and the engine share one compiled
+	// skips plan compilation — RankAllCtx and the engine share one compiled
 	// plan across methods and requests this way. Ignored under Reduce
 	// (the reduced graph needs its own plan).
 	Plan *kernel.Plan
@@ -71,66 +71,41 @@ type MonteCarlo struct {
 // ε=0.02 and 95% confidence ("10,000 trials should be enough").
 const DefaultTrials = 10000
 
-// OpStats counts the work a Monte Carlo simulation performs, in
-// machine-independent units. Unlike wall-clock time, the counters are
-// fully determined by (graph, trials, seed, workers), which makes them
-// suitable for efficiency assertions in tests and for capacity planning.
-// For adaptive simulations Trials additionally reports how many trials
-// the stopping rule actually consumed.
-type OpStats struct {
-	Trials     int64 // simulation trials executed
-	NodeVisits int64 // nodes found present and expanded, summed over trials
-	CoinFlips  int64 // Bernoulli coin flips drawn, summed over trials
-}
-
-// Total returns the combined operation count, the deterministic analogue
-// of elapsed time for comparing simulation strategies.
-func (s OpStats) Total() int64 { return s.NodeVisits + s.CoinFlips }
-
-func (s *OpStats) merge(o OpStats) {
-	s.Trials += o.Trials
-	s.NodeVisits += o.NodeVisits
-	s.CoinFlips += o.CoinFlips
-}
+// OpStats counts the work a Monte Carlo simulation performs; it is the
+// kernels' own counter type (see kernel.SimOps).
+type OpStats = kernel.SimOps
 
 // Name implements Ranker.
 func (m *MonteCarlo) Name() string { return "reliability" }
 
-// Rank implements Ranker. Unlike RankWithStats it skips operation
-// counting entirely, which lets the kernel run its counter-free loop.
-func (m *MonteCarlo) Rank(qg *graph.QueryGraph) (Result, error) {
-	return m.rankCtx(context.Background(), qg, nil)
-}
-
-// RankCtx implements CtxRanker: simulation runs in plan-sized chunks
-// with a context check between chunks, and an expired deadline returns
-// the tallies accumulated so far — scores over the trials that DID run,
+// RankCtx implements Ranker: simulation runs in plan-sized chunks with
+// a context check between chunks, and an expired deadline returns the
+// tallies accumulated so far — scores over the trials that DID run,
 // Wilson intervals at 95%, Result.Truncated set — instead of an error.
-// A run that completes is bit-identical to Rank for the same seed: the
-// chunking consumes the kernels' RNG streams exactly like a one-shot
-// call.
+// An uncancellable ctx runs the budget as one kernel call. A run that
+// completes is bit-identical under either: the chunking consumes the
+// kernels' RNG streams exactly like a one-shot call. Unlike
+// RankWithStatsCtx it skips operation counting entirely, which lets the
+// kernel run its counter-free loop.
 func (m *MonteCarlo) RankCtx(ctx context.Context, qg *graph.QueryGraph) (Result, error) {
-	return m.rankCtx(ctx, qg, nil)
-}
-
-// RankWithStats ranks like Rank and additionally reports the operation
-// counts of the underlying simulation (after reductions, if enabled).
-func (m *MonteCarlo) RankWithStats(qg *graph.QueryGraph) (Result, OpStats, error) {
-	var ops OpStats
-	res, err := m.rankCtx(context.Background(), qg, &ops)
-	return res, ops, err
-}
-
-func (m *MonteCarlo) rankCtx(ctx context.Context, qg *graph.QueryGraph, ops *OpStats) (Result, error) {
 	if err := validate(qg); err != nil {
 		return Result{}, err
 	}
-	trials := m.Trials
-	if trials <= 0 {
-		trials = DefaultTrials
-	}
 	plan, mapping := samplePlan(&m.memo, qg, m.Plan, m.Reduce)
-	return m.simulate(ctx, plan, trials, ops).result(m.Name(), mapping), nil
+	return m.simulate(ctx, plan, nil).result(m.Name(), mapping), nil
+}
+
+// RankWithStatsCtx ranks like RankCtx and additionally reports the
+// operation counts of the underlying simulation (after reductions, if
+// enabled).
+func (m *MonteCarlo) RankWithStatsCtx(ctx context.Context, qg *graph.QueryGraph) (Result, OpStats, error) {
+	if err := validate(qg); err != nil {
+		return Result{}, OpStats{}, err
+	}
+	var ops OpStats
+	plan, mapping := samplePlan(&m.memo, qg, m.Plan, m.Reduce)
+	res := m.simulate(ctx, plan, &ops).result(m.Name(), mapping)
+	return res, ops, nil
 }
 
 // simOutcome is what one simulation pass produced: the scores, and —
@@ -166,11 +141,10 @@ func (o simOutcome) result(method string, mapping []int) Result {
 
 // simulate runs the configured estimator on a compiled plan. ops may be
 // nil, in which case the kernels skip counter bookkeeping.
-func (m *MonteCarlo) simulate(ctx context.Context, plan *kernel.Plan, trials int, ops *OpStats) simOutcome {
-	var so *kernel.SimOps
-	if ops != nil {
-		so = new(kernel.SimOps)
-		defer func() { ops.merge(opsFromSim(*so)) }()
+func (m *MonteCarlo) simulate(ctx context.Context, plan *kernel.Plan, ops *OpStats) simOutcome {
+	trials := m.Trials
+	if trials <= 0 {
+		trials = DefaultTrials
 	}
 	if m.Naive {
 		// The all-coins baseline is a paper artifact, not a serving
@@ -180,20 +154,20 @@ func (m *MonteCarlo) simulate(ctx context.Context, plan *kernel.Plan, trials int
 			return newOutcome(plan, nil, 0, true)
 		}
 		out := simOutcome{scores: make([]float64, plan.NumAnswers())}
-		plan.Naive(out.scores, trials, prob.NewRNG(m.Seed), so)
+		plan.Naive(out.scores, trials, prob.NewRNG(m.Seed), ops)
 		return out
 	}
 	counts := make([]int64, plan.NumNodes())
 	var executed int
 	var truncated bool
 	if m.Workers > 1 {
-		var sim kernel.SimOps
+		var sim OpStats
 		executed, truncated, sim = parallelShardedMC(ctx, plan, trials, m.Seed, m.Workers, m.Worlds, counts)
-		if so != nil {
-			*so = sim
+		if ops != nil {
+			ops.Add(sim)
 		}
 	} else {
-		executed, truncated = newSampler(plan, prob.NewRNG(m.Seed), m.Worlds, so).run(ctx, counts, trials)
+		executed, truncated = newSampler(plan, prob.NewRNG(m.Seed), m.Worlds, ops).run(ctx, counts, trials)
 	}
 	return newOutcome(plan, counts, executed, truncated)
 }
@@ -245,9 +219,7 @@ func parallelShardedMC(ctx context.Context, plan *kernel.Plan, trials int, seed 
 		}
 		executed += shardDone[w]
 		truncated = truncated || shardTrunc[w]
-		ops.Trials += shardOps[w].Trials
-		ops.NodeVisits += shardOps[w].NodeVisits
-		ops.CoinFlips += shardOps[w].CoinFlips
+		ops.Add(shardOps[w])
 	}
 	return executed, truncated, ops
 }

@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -42,11 +43,11 @@ func TestTrialBoundRejectsBadInputs(t *testing.T) {
 func TestMonteCarloDeterministicGivenSeed(t *testing.T) {
 	qg := fig4b()
 	mc := &MonteCarlo{Trials: 5000, Seed: 99}
-	r1, err := mc.Rank(qg)
+	r1, err := mc.RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := mc.Rank(qg)
+	r2, err := mc.RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestMonteCarloDeterministicGivenSeed(t *testing.T) {
 		t.Fatal("same seed must give identical estimates")
 	}
 	mc2 := &MonteCarlo{Trials: 5000, Seed: 100}
-	r3, _ := mc2.Rank(qg)
+	r3, _ := mc2.RankCtx(context.Background(), qg)
 	if r1.Scores[0] == r3.Scores[0] {
 		t.Log("different seeds gave identical estimate (possible but unlikely)")
 	}
@@ -67,11 +68,11 @@ func TestNaiveAndTraversalAgree(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		qg := randomDAG(rng)
 		exact := bruteReliability(qg)
-		trav, err := (&MonteCarlo{Trials: 60000, Seed: uint64(trial)}).Rank(qg)
+		trav, err := (&MonteCarlo{Trials: 60000, Seed: uint64(trial)}).RankCtx(context.Background(), qg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		naive, err := (&MonteCarlo{Trials: 60000, Seed: uint64(trial), Naive: true}).Rank(qg)
+		naive, err := (&MonteCarlo{Trials: 60000, Seed: uint64(trial), Naive: true}).RankCtx(context.Background(), qg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +92,7 @@ func TestMonteCarloWithReduction(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		qg := randomDAG(rng)
 		exact := bruteReliability(qg)
-		red, err := (&MonteCarlo{Trials: 60000, Seed: 5, Reduce: true}).Rank(qg)
+		red, err := (&MonteCarlo{Trials: 60000, Seed: 5, Reduce: true}).RankCtx(context.Background(), qg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +205,7 @@ func TestExactNodeFailuresMatter(t *testing.T) {
 	if math.Abs(got[0]-0.5) > 1e-12 {
 		t.Fatalf("reliability through failing node = %v, want 0.5", got[0])
 	}
-	mc, err := (&MonteCarlo{Trials: 100000, Seed: 3}).Rank(qg)
+	mc, err := (&MonteCarlo{Trials: 100000, Seed: 3}).RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +246,7 @@ func TestConditioningBudgetExhaustion(t *testing.T) {
 
 func TestRankRejectsNilGraph(t *testing.T) {
 	for _, r := range []Ranker{&MonteCarlo{}, Exact{}, &Propagation{}, &Diffusion{}, InEdge{}, PathCount{}} {
-		if _, err := r.Rank(nil); err == nil {
+		if _, err := r.RankCtx(context.Background(), nil); err == nil {
 			t.Errorf("%s accepted nil query graph", r.Name())
 		}
 	}

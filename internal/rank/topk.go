@@ -117,50 +117,32 @@ func (r *TopKRacer) params(numAnswers int) (k int, eps, delta float64, batch, ma
 	return k, eps, delta, batch, maxTrials
 }
 
-// Rank implements Ranker. Scores outside the certified top k are the
-// candidates' estimates at the round they were eliminated — honest but
-// coarser than the survivors'.
-func (r *TopKRacer) Rank(qg *graph.QueryGraph) (Result, error) {
-	res, _, err := r.RankWithRace(qg)
-	return res, err
-}
-
-// RankCtx implements CtxRanker: the context is checked between racer
+// RankCtx implements Ranker: the context is checked between racer
 // rounds, and an expired deadline ends the race early with the
-// interval state of the rounds that ran (Result.Truncated set).
+// interval state of the rounds that ran (Result.Truncated set). Scores
+// outside the certified top k are the candidates' estimates at the
+// round they were eliminated — honest but coarser than the survivors'.
 func (r *TopKRacer) RankCtx(ctx context.Context, qg *graph.QueryGraph) (Result, error) {
-	res, _, err := r.RankWithRaceCtx(ctx, qg)
+	res, _, err := r.RankWithStatsCtx(ctx, qg)
 	return res, err
 }
 
-// RankWithRace ranks and reports the race telemetry.
-func (r *TopKRacer) RankWithRace(qg *graph.QueryGraph) (Result, RaceStats, error) {
-	return r.RankWithRaceCtx(context.Background(), qg)
-}
-
-// RankWithRaceCtx is RankWithRace under a context: cancellation or
-// deadline expiry stops the race at the next round boundary, marking
-// RaceStats.Truncated and Result.Truncated while keeping every
-// reported interval valid.
-func (r *TopKRacer) RankWithRaceCtx(ctx context.Context, qg *graph.QueryGraph) (Result, RaceStats, error) {
+// RankWithStatsCtx ranks like RankCtx and reports the race telemetry
+// in the PlannerStats shape HybridPlanner shares (ExactAnswers stays
+// 0), so callers can run either race estimator through one method.
+// Truncation marks RaceStats.Truncated as well as Result.Truncated.
+func (r *TopKRacer) RankWithStatsCtx(ctx context.Context, qg *graph.QueryGraph) (Result, PlannerStats, error) {
 	if err := validate(qg); err != nil {
-		return Result{}, RaceStats{}, err
+		return Result{}, PlannerStats{}, err
 	}
 	plan, mapping := samplePlan(&r.memo, qg, r.Plan, r.Reduce)
-	var rs RaceStats
-	scores := r.race(ctx, plan, &rs)
+	var ps PlannerStats
+	rs := &ps.RaceStats
+	scores := r.raceWithPriors(ctx, plan, rs, nil)
 	rs.TrialsPerCandidate = remap(mapping, rs.TrialsPerCandidate)
 	rs.Lo, rs.Hi = remap(mapping, rs.Lo), remap(mapping, rs.Hi)
 	res := Result{Method: r.Name(), Scores: remap(mapping, scores), Lo: rs.Lo, Hi: rs.Hi, Truncated: rs.Truncated}
-	return res, rs, nil
-}
-
-// RankWithStatsCtx is RankWithRaceCtx reporting the PlannerStats shape
-// HybridPlanner shares (ExactAnswers stays 0), so callers can run either
-// race estimator through one method.
-func (r *TopKRacer) RankWithStatsCtx(ctx context.Context, qg *graph.QueryGraph) (Result, PlannerStats, error) {
-	res, rs, err := r.RankWithRaceCtx(ctx, qg)
-	return res, PlannerStats{RaceStats: rs}, err
+	return res, ps, nil
 }
 
 // exactPrior seeds a race with an answer whose reliability is already
@@ -173,16 +155,11 @@ type exactPrior struct {
 	score float64
 }
 
-// race runs the successive-elimination loop on a compiled plan and
-// returns the per-answer score estimates.
-func (r *TopKRacer) race(ctx context.Context, plan *kernel.Plan, rs *RaceStats) []float64 {
-	return r.raceWithPriors(ctx, plan, rs, nil)
-}
-
-// raceWithPriors is race with some candidates pre-resolved exactly.
-// Prior candidates keep TrialsPerCandidate 0 and Lo = Hi = score; they
-// are excluded from the simulation mask but participate in elimination
-// and in the top-k stopping rule.
+// raceWithPriors runs the successive-elimination loop on a compiled
+// plan and returns the per-answer score estimates. priors are
+// candidates pre-resolved exactly: they keep TrialsPerCandidate 0 and
+// Lo = Hi = score, are excluded from the simulation mask, but
+// participate in elimination and in the top-k stopping rule.
 func (r *TopKRacer) raceWithPriors(ctx context.Context, plan *kernel.Plan, rs *RaceStats, priors []exactPrior) []float64 {
 	nA := plan.NumAnswers()
 	scores := make([]float64, nA)
@@ -193,8 +170,7 @@ func (r *TopKRacer) raceWithPriors(ctx context.Context, plan *kernel.Plan, rs *R
 		return scores
 	}
 	k, eps, delta, batch, maxTrials := r.params(nA)
-	var so kernel.SimOps
-	smp := newSampler(plan, prob.NewRNG(r.Seed), r.Worlds, &so)
+	smp := newSampler(plan, prob.NewRNG(r.Seed), r.Worlds, &rs.OpStats)
 	maxTrials = smp.capTrials(maxTrials)
 	rounds := (maxTrials + batch - 1) / batch
 	// Union bound: every (candidate, round) interval must hold
@@ -288,7 +264,6 @@ func (r *TopKRacer) raceWithPriors(ctx context.Context, plan *kernel.Plan, rs *R
 			break
 		}
 	}
-	rs.merge(opsFromSim(so))
 	return scores
 }
 

@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -35,7 +36,7 @@ func TestWorldsRacerHonorsMaxTrials(t *testing.T) {
 		t.Fatal("test needs a non-word-multiple cap")
 	}
 	r := &TopKRacer{K: 2, Eps: 1e-9, Delta: 1e-6, Batch: 300, MaxTrials: cap, Seed: 5, Worlds: true}
-	_, rs, err := r.RankWithRace(qg)
+	_, rs, err := r.RankWithStatsCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestWorldsRacerHonorsMaxTrials(t *testing.T) {
 	}
 	// The scalar racer honors the cap exactly.
 	r = &TopKRacer{K: 2, Eps: 1e-9, Delta: 1e-6, Batch: 300, MaxTrials: cap, Seed: 5}
-	_, rs, err = r.RankWithRace(qg)
+	_, rs, err = r.RankWithStatsCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestWorldsRacerHonorsMaxTrials(t *testing.T) {
 func TestWorldsRacerTinyCapStillSimulates(t *testing.T) {
 	qg := nearTieGraph()
 	r := &TopKRacer{K: 2, Eps: 1e-9, Delta: 1e-6, MaxTrials: 10, Seed: 5, Worlds: true}
-	_, rs, err := r.RankWithRace(qg)
+	_, rs, err := r.RankWithStatsCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}

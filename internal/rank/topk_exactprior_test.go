@@ -109,11 +109,11 @@ func TestWorldsRacerSharedSampleDeterministic(t *testing.T) {
 	}
 	run := func() (Result, RaceStats) {
 		r := &TopKRacer{K: 2, Batch: 500, MaxTrials: 20000, Seed: 11, Worlds: true}
-		res, rs, err := r.RankWithRace(qg)
+		res, rs, err := r.RankWithStatsCtx(context.Background(), qg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, rs
+		return res, rs.RaceStats
 	}
 	res1, rs1 := run()
 	res2, rs2 := run()

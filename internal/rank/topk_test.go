@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -22,7 +23,7 @@ func TestTopKRacerMatchesOracleOnSmallGraphs(t *testing.T) {
 		qg := randomDAG(rng)
 		exact := bruteReliability(qg)
 		racer := &TopKRacer{K: k, Seed: uint64(1000 + trial)}
-		res, rs, err := racer.RankWithRace(qg)
+		res, rs, err := racer.RankWithStatsCtx(context.Background(), qg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +75,7 @@ func TestTopKRacerReduceMatchesDirect(t *testing.T) {
 		qg := randomDAG(rng)
 		exact := bruteReliability(qg)
 		racer := &TopKRacer{K: 3, Seed: 99, Reduce: true}
-		res, rs, err := racer.RankWithRace(qg)
+		res, rs, err := racer.RankWithStatsCtx(context.Background(), qg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,12 +102,12 @@ func TestTopKRacerPrunesAndSavesTrials(t *testing.T) {
 	)
 	qg := benchGraph(150, 50)
 	fixed := &MonteCarlo{Trials: DefaultTrials, Seed: seed}
-	fres, err := fixed.Rank(qg)
+	fres, err := fixed.RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	racer := &TopKRacer{K: k, Seed: seed}
-	res, rs, err := racer.RankWithRace(qg)
+	res, rs, err := racer.RankWithStatsCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestTopKRacerEdgeCases(t *testing.T) {
 	t.Run("single answer", func(t *testing.T) {
 		qg := fig4a() // one answer node
 		racer := &TopKRacer{K: 1, Seed: 1}
-		res, rs, err := racer.RankWithRace(qg)
+		res, rs, err := racer.RankWithStatsCtx(context.Background(), qg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +157,7 @@ func TestTopKRacerEdgeCases(t *testing.T) {
 		rng := prob.NewRNG(5)
 		qg := randomDAG(rng)
 		racer := &TopKRacer{K: len(qg.Answers) + 10, Seed: 1}
-		res, _, err := racer.RankWithRace(qg)
+		res, _, err := racer.RankWithStatsCtx(context.Background(), qg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +168,7 @@ func TestTopKRacerEdgeCases(t *testing.T) {
 	t.Run("k zero clamps to one", func(t *testing.T) {
 		qg := fig4b()
 		racer := &TopKRacer{Seed: 1} // K unset
-		if _, _, err := racer.RankWithRace(qg); err != nil {
+		if _, _, err := racer.RankWithStatsCtx(context.Background(), qg); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -179,7 +180,7 @@ func TestTopKRacerEdgeCases(t *testing.T) {
 			t.Fatal(err)
 		}
 		racer := &TopKRacer{K: 1, Seed: 1}
-		res, _, err := racer.RankWithRace(qg)
+		res, _, err := racer.RankWithStatsCtx(context.Background(), qg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,11 +196,11 @@ func TestTopKRacerDeterministic(t *testing.T) {
 	qg := benchGraph(80, 30)
 	run := func() (Result, RaceStats) {
 		racer := &TopKRacer{K: 5, Seed: 11}
-		res, rs, err := racer.RankWithRace(qg)
+		res, rs, err := racer.RankWithStatsCtx(context.Background(), qg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, rs
+		return res, rs.RaceStats
 	}
 	r1, s1 := run()
 	r2, s2 := run()

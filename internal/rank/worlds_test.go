@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -30,7 +31,7 @@ func TestWorldsMonteCarloMatchesFig4Exact(t *testing.T) {
 			qg = fig4b()
 		}
 		mc := &MonteCarlo{Trials: trials, Seed: 1, Worlds: true}
-		res, err := mc.Rank(qg)
+		res, err := mc.RankCtx(context.Background(), qg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,11 +50,11 @@ func TestWorldsParallelDeterministicAndAccurate(t *testing.T) {
 	const trials = 64000
 	qg := fig4b()
 	mc := &MonteCarlo{Trials: trials, Seed: 9, Worlds: true, Workers: 4}
-	res1, ops, err := mc.RankWithStats(qg)
+	res1, ops, err := mc.RankWithStatsCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := (&MonteCarlo{Trials: trials, Seed: 9, Worlds: true, Workers: 4}).Rank(qg)
+	res2, err := (&MonteCarlo{Trials: trials, Seed: 9, Worlds: true, Workers: 4}).RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestWorldsParallelDeterministicAndAccurate(t *testing.T) {
 // reported OpStats say so.
 func TestWorldsTrialsRoundUpToWords(t *testing.T) {
 	mc := &MonteCarlo{Trials: 1000, Seed: 3, Worlds: true}
-	_, ops, err := mc.RankWithStats(fig4a())
+	_, ops, err := mc.RankWithStatsCtx(context.Background(), fig4a())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestWorldsTrialsRoundUpToWords(t *testing.T) {
 func TestAdaptiveWorldsBatchesAreWordMultiples(t *testing.T) {
 	qg := benchGraph(150, 50)
 	worlds := &AdaptiveMonteCarlo{Seed: 5, Worlds: true}
-	scores, trials, err := worlds.RankWithTrials(qg)
+	scores, trials, err := adaptiveTrials(worlds, qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestAdaptiveWorldsBatchesAreWordMultiples(t *testing.T) {
 		t.Errorf("adaptive worlds consumed %d trials, want a positive multiple of %d", trials, kernel.WordSize)
 	}
 	scalar := &AdaptiveMonteCarlo{Seed: 5}
-	ref, _, err := scalar.RankWithTrials(qg)
+	ref, _, err := adaptiveTrials(scalar, qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,12 +123,12 @@ func TestAdaptiveWorldsBatchesAreWordMultiples(t *testing.T) {
 func TestTopKRacerWorldsAgreesWithFixedReference(t *testing.T) {
 	const k, eps = 5, 0.02
 	qg := benchGraph(150, 50)
-	ref, err := (&MonteCarlo{Trials: 4 * DefaultTrials, Seed: 2}).Rank(qg)
+	ref, err := (&MonteCarlo{Trials: 4 * DefaultTrials, Seed: 2}).RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	racer := &TopKRacer{K: k, Seed: 2, Worlds: true}
-	res, rs, err := racer.RankWithRace(qg)
+	res, rs, err := racer.RankWithStatsCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,16 +152,16 @@ func TestTopKRacerWorldsAgreesWithFixedReference(t *testing.T) {
 }
 
 // TestRankAllWorldsPlumbed checks the Worlds flag flows through a
-// RankAll pass: reliability runs bit-parallel (statistically close to
+// RankAllCtx pass: reliability runs bit-parallel (statistically close to
 // the scalar result, not bit-identical for the same seed) while the
 // other semantics are untouched.
 func TestRankAllWorldsPlumbed(t *testing.T) {
 	qg := benchGraph(150, 50)
-	scalar, err := RankAll(qg, AllOptions{Trials: 20000, Seed: 7})
+	scalar, err := RankAllCtx(context.Background(), qg, AllOptions{Trials: 20000, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	worlds, err := RankAll(qg, AllOptions{Trials: 20000, Seed: 7, Worlds: true})
+	worlds, err := RankAllCtx(context.Background(), qg, AllOptions{Trials: 20000, Seed: 7, Worlds: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestRankAllWorldsPlumbed(t *testing.T) {
 func TestWorldsReduceComposition(t *testing.T) {
 	const trials = 64000
 	mc := &MonteCarlo{Trials: trials, Seed: 11, Worlds: true, Reduce: true}
-	res, err := mc.Rank(fig4a())
+	res, err := mc.RankCtx(context.Background(), fig4a())
 	if err != nil {
 		t.Fatal(err)
 	}

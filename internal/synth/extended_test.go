@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"context"
 	"testing"
 
 	"biorank/internal/bio"
@@ -69,7 +70,7 @@ func TestExtendedWorldQueryAndRank(t *testing.T) {
 			}
 		}
 		// Golden functions must rank above random under reliability.
-		res, err := (&rank.MonteCarlo{Trials: 3000, Seed: 2}).Rank(qg)
+		res, err := (&rank.MonteCarlo{Trials: 3000, Seed: 2}).RankCtx(context.Background(), qg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -61,7 +62,7 @@ func TestRandomQueryGraphChainsCollapse(t *testing.T) {
 
 func TestRandomQueryGraphRankable(t *testing.T) {
 	qg := RandomQueryGraph(11, GraphSpec{Hits: 30, Answers: 10, AnnotationsPerGene: 2, ChainLen: 1})
-	mc, err := (&rank.MonteCarlo{Trials: 20000, Seed: 1}).Rank(qg)
+	mc, err := (&rank.MonteCarlo{Trials: 20000, Seed: 1}).RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}

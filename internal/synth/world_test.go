@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"context"
 	"testing"
 
 	"biorank/internal/bio"
@@ -132,7 +133,7 @@ func TestScenario1RankingBeatsRandom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := (&rank.MonteCarlo{Trials: 2000, Seed: 3}).Rank(qg)
+	res, err := (&rank.MonteCarlo{Trials: 2000, Seed: 3}).RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,11 +162,11 @@ func TestScenario2EmergingHasSingleStrongPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ie, err := (rank.InEdge{}).Rank(qg)
+	ie, err := (rank.InEdge{}).RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, err := (&rank.MonteCarlo{Trials: 4000, Seed: 9}).Rank(qg)
+	rel, err := (&rank.MonteCarlo{Trials: 4000, Seed: 9}).RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}

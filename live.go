@@ -165,19 +165,19 @@ func (ls *liveState) resolve(keyword string) (*graph.QueryGraph, error) {
 
 // EnableLive switches the system to live mode: the mediator integrates
 // the union neighborhood of every known protein once, the result becomes
-// a mutable graph.Store, and from then on Query and QueryBatch resolve
+// a mutable graph.Store, and from then on Query and QueryBatchCtx resolve
 // against live snapshots of that store instead of re-integrating from
 // the sources. Ingest then applies source deltas to the store with
 // scoped cache invalidation.
 //
 // Like ConfigureEngine, EnableLive must precede the engine's lazy start
-// (the first QueryBatch or stats call); flipping the resolver under a
+// (the first QueryBatchCtx or stats call); flipping the resolver under a
 // running engine would mix world states within one batch.
 func (s *System) EnableLive() error {
 	s.engMu.Lock()
 	defer s.engMu.Unlock()
 	if s.engStarted {
-		return fmt.Errorf("biorank: engine already started; EnableLive must precede the first QueryBatch")
+		return fmt.Errorf("biorank: engine already started; EnableLive must precede the first QueryBatchCtx")
 	}
 	if s.live.Load() != nil {
 		return fmt.Errorf("biorank: system is already live")

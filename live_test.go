@@ -1,6 +1,7 @@
 package biorank
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -28,7 +29,7 @@ func scoreMap(t *testing.T, s *System, protein string, m Method) map[string]floa
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranked, err := ans.Rank(m, Options{})
+	ranked, _, err := ans.RankCtx(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestIngestScopedInvalidation(t *testing.T) {
 		{Protein: pA, Methods: []Method{Reliability}, Options: opts},
 		{Protein: pB, Methods: []Method{Reliability}, Options: opts},
 	}
-	for _, r := range s.QueryBatch(reqs) {
+	for _, r := range s.QueryBatchCtx(context.Background(), reqs) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
@@ -120,7 +121,7 @@ func TestIngestScopedInvalidation(t *testing.T) {
 		t.Fatalf("epochs %v, want curation=1", res.Epochs)
 	}
 
-	out := s.QueryBatch(reqs)
+	out := s.QueryBatchCtx(context.Background(), reqs)
 	if out[0].Err != nil || out[1].Err != nil {
 		t.Fatal(out[0].Err, out[1].Err)
 	}
@@ -152,13 +153,13 @@ func TestIngestBitIdenticalToRebuild(t *testing.T) {
 	req := []BatchRequest{{Protein: protein, Methods: []Method{Reliability}, Options: opts}}
 
 	// Warm: compiles the plan and caches the pre-delta result.
-	if r := inc.QueryBatch(req); r[0].Err != nil {
+	if r := inc.QueryBatchCtx(context.Background(), req); r[0].Err != nil {
 		t.Fatal(r[0].Err)
 	}
 	if _, err := inc.Ingest(setProteinP(acc, 0.37)); err != nil {
 		t.Fatal(err)
 	}
-	got := inc.QueryBatch(req)
+	got := inc.QueryBatchCtx(context.Background(), req)
 	if got[0].Err != nil {
 		t.Fatal(got[0].Err)
 	}
@@ -173,7 +174,7 @@ func TestIngestBitIdenticalToRebuild(t *testing.T) {
 	if _, err := scratch.Ingest(setProteinP(acc, 0.37)); err != nil {
 		t.Fatal(err)
 	}
-	want := scratch.QueryBatch(req)
+	want := scratch.QueryBatchCtx(context.Background(), req)
 	if want[0].Err != nil {
 		t.Fatal(want[0].Err)
 	}
@@ -194,7 +195,7 @@ func TestIngestBitIdenticalToRebuild(t *testing.T) {
 }
 
 // TestIngestWhileQuerying races concurrent Ingest writers against
-// QueryBatch readers — the regression test the -race CI step leans on
+// QueryBatchCtx readers — the regression test the -race CI step leans on
 // for the live pipeline. Each writer owns one protein and revises its
 // record repeatedly; readers hammer every protein throughout. The final
 // state must equal a fresh system that applied only each writer's last
@@ -229,7 +230,7 @@ func TestIngestWhileQuerying(t *testing.T) {
 		go func(p string) {
 			defer wg.Done()
 			for k := 0; k < rounds; k++ {
-				r := s.QueryBatch([]BatchRequest{{Protein: p, Methods: []Method{Reliability}, Options: opts}})
+				r := s.QueryBatchCtx(context.Background(), []BatchRequest{{Protein: p, Methods: []Method{Reliability}, Options: opts}})
 				if r[0].Err != nil {
 					errs <- r[0].Err
 					return
@@ -264,7 +265,7 @@ func TestIngestWhileQuerying(t *testing.T) {
 	}
 	for _, p := range proteins {
 		req := []BatchRequest{{Protein: p, Methods: []Method{Reliability}, Options: opts}}
-		got, want := s.QueryBatch(req), scratch.QueryBatch(req)
+		got, want := s.QueryBatchCtx(context.Background(), req), scratch.QueryBatchCtx(context.Background(), req)
 		if got[0].Err != nil || want[0].Err != nil {
 			t.Fatal(got[0].Err, want[0].Err)
 		}
