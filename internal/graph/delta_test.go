@@ -85,6 +85,44 @@ func TestApplyDeltaUpsertSemantics(t *testing.T) {
 	}
 }
 
+// TestApplyDeltaCollidingRefs is the regression test for refs whose
+// "Kind/Label" concatenations coincide: an upsert of (a, b/c) must add
+// a node rather than revise (a/b, c), and a set-node-p must change the
+// record it names and no other.
+func TestApplyDeltaCollidingRefs(t *testing.T) {
+	g := New(4, 0)
+	ab := g.AddNode("a/b", "c", 0.5)
+	res, err := g.ApplyDelta(Delta{Source: "entrez", Ops: []Op{
+		{Kind: OpUpsertNode, Node: NodeRef{"a", "b/c"}, P: 0.3},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.NodesAdded != 1 || res.ProbChanges != 0 {
+		t.Fatalf("upsert of (a, b/c): counts = %+v, want one node added", res)
+	}
+	if g.NumNodes() != 2 || g.Node(ab).P != 0.5 {
+		t.Fatalf("upsert of (a, b/c) revised (a/b, c): nodes=%d p=%g", g.NumNodes(), g.Node(ab).P)
+	}
+	a, ok := g.Lookup("a", "b/c")
+	if !ok || g.Node(a).P != 0.3 {
+		t.Fatalf("(a, b/c) = %d, %t after upsert", a, ok)
+	}
+
+	res, err = g.ApplyDelta(Delta{Source: "entrez", Ops: []Op{
+		{Kind: OpSetNodeP, Node: NodeRef{"a/b", "c"}, P: 0.9},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Node(ab).P != 0.9 || g.Node(a).P != 0.3 {
+		t.Fatalf("set-node-p on (a/b, c): p(a/b, c)=%g p(a, b/c)=%g, want 0.9 and 0.3", g.Node(ab).P, g.Node(a).P)
+	}
+	if !reflect.DeepEqual(res.Affected, []NodeID{ab}) {
+		t.Fatalf("Affected = %v, want [%d]", res.Affected, ab)
+	}
+}
+
 func TestApplyDeltaAtomicOnError(t *testing.T) {
 	g := deltaTestGraph(t)
 	v0 := g.Version()

@@ -41,6 +41,11 @@ type Edge struct {
 	Q        float64 // probability that the link is correct/present
 }
 
+// labelKey is a node's identity in the label index. A struct key, unlike
+// a "Kind/Label" concatenation, cannot make ("a/b", "c") and ("a", "b/c")
+// collide, and building it allocates nothing.
+type labelKey struct{ kind, label string }
+
 // Graph is a probabilistic entity graph. The zero value is an empty graph
 // ready for use.
 type Graph struct {
@@ -49,16 +54,19 @@ type Graph struct {
 	out   [][]EdgeID // outgoing edge IDs per node
 	in    [][]EdgeID // incoming edge IDs per node
 
-	// byLabel maps "Kind/Label" -> id. Unlike the rest of the struct —
+	// byLabel maps (Kind, Label) -> id. Unlike the rest of the struct —
 	// which follows the usual contract of a single-goroutine build phase
 	// followed by read-only serving — this index is built lazily by the
 	// FIRST Lookup, which may happen on any of several concurrent server
-	// handlers, so every byLabel access goes through labelMu. AddNode
-	// also takes the lock to invalidate the index, but AddNode itself
+	// handlers, so every byLabel access goes through labelMu. Once built
+	// it is maintained in place: AddNode inserts the new node under the
+	// write lock, so a build phase that interleaves Lookup with AddNode
+	// (the mediator's dedup) stays linear. A graph that is never looked
+	// up (clones, pruned query graphs) never builds one. AddNode itself
 	// still belongs to the build phase: it mutates nodes/out/in without
 	// synchronization and must not run concurrently with readers.
 	labelMu sync.RWMutex
-	byLabel map[string]NodeID
+	byLabel map[labelKey]NodeID
 
 	// version counts structural and probability mutations. Caches keyed
 	// by (graph identity, version) are invalidated for free: a mutation
@@ -126,7 +134,9 @@ func (g *Graph) AddNode(kind, label string, p float64) NodeID {
 	g.out = append(g.out, nil)
 	g.in = append(g.in, nil)
 	g.labelMu.Lock()
-	g.byLabel = nil
+	if g.byLabel != nil {
+		g.byLabel[labelKey{kind, label}] = id
+	}
 	g.labelMu.Unlock()
 	g.version++
 	return id
@@ -194,27 +204,29 @@ func (g *Graph) OutDegree(n NodeID) int { return len(g.out[n]) }
 // InDegree returns the number of edges entering n.
 func (g *Graph) InDegree(n NodeID) int { return len(g.in[n]) }
 
-// Lookup returns the ID of the node with the given kind and label. It is
-// safe for concurrent use: the label index is built lazily under a lock
-// on first use (and rebuilt after AddNode invalidates it), and a built
-// index is never mutated, only replaced.
+// Lookup returns the ID of the node with the given kind and label (the
+// last one added, should several share both). It is safe for concurrent
+// use with other Lookups: the label index is built under the write lock
+// by the first call, and every read of it holds the read lock, because
+// AddNode inserts into a built index in place.
 func (g *Graph) Lookup(kind, label string) (NodeID, bool) {
+	k := labelKey{kind, label}
 	g.labelMu.RLock()
-	m := g.byLabel
-	g.labelMu.RUnlock()
-	if m == nil {
-		g.labelMu.Lock()
-		m = g.byLabel
-		if m == nil { // lost the build race: another goroutine already did it
-			m = make(map[string]NodeID, len(g.nodes))
-			for _, n := range g.nodes {
-				m[n.Kind+"/"+n.Label] = n.ID
-			}
-			g.byLabel = m
-		}
-		g.labelMu.Unlock()
+	if g.byLabel != nil {
+		id, ok := g.byLabel[k]
+		g.labelMu.RUnlock()
+		return id, ok
 	}
-	id, ok := m[kind+"/"+label]
+	g.labelMu.RUnlock()
+	g.labelMu.Lock()
+	defer g.labelMu.Unlock()
+	if g.byLabel == nil { // else lost the build race: another goroutine already did it
+		g.byLabel = make(map[labelKey]NodeID, len(g.nodes))
+		for _, n := range g.nodes {
+			g.byLabel[labelKey{n.Kind, n.Label}] = n.ID
+		}
+	}
+	id, ok := g.byLabel[k]
 	return id, ok
 }
 

@@ -389,9 +389,36 @@ func TestLookupSeesAddNode(t *testing.T) {
 	if _, ok := g.Lookup("K", "a"); !ok {
 		t.Fatal("a not found")
 	}
-	id := g.AddNode("K", "b", 1) // nils the index mid-flight
+	id := g.AddNode("K", "b", 1) // inserts into the built index
 	got, ok := g.Lookup("K", "b")
 	if !ok || got != id {
 		t.Fatalf("Lookup(b) = %v, %v after AddNode", got, ok)
+	}
+}
+
+// TestLookupKindLabelDoNotCollide is the regression test for the label
+// index's old "Kind/Label" string key, under which ("a/b", "c") and
+// ("a", "b/c") were one key and the later node shadowed the earlier one.
+// Both build orders are covered: the index built once over both nodes,
+// and built before the second node is added.
+func TestLookupKindLabelDoNotCollide(t *testing.T) {
+	for _, lookupFirst := range []bool{false, true} {
+		g := New(2, 0)
+		n0 := g.AddNode("a/b", "c", 1)
+		if lookupFirst {
+			if _, ok := g.Lookup("a", "b/c"); ok {
+				t.Fatalf("lookupFirst=%t: (a, b/c) found before it was added", lookupFirst)
+			}
+		}
+		n1 := g.AddNode("a", "b/c", 1)
+		if id, ok := g.Lookup("a/b", "c"); !ok || id != n0 {
+			t.Errorf("lookupFirst=%t: Lookup(a/b, c) = %d, %t; want %d", lookupFirst, id, ok, n0)
+		}
+		if id, ok := g.Lookup("a", "b/c"); !ok || id != n1 {
+			t.Errorf("lookupFirst=%t: Lookup(a, b/c) = %d, %t; want %d", lookupFirst, id, ok, n1)
+		}
+		if _, ok := g.Lookup("a/b/c", ""); ok {
+			t.Errorf("lookupFirst=%t: Lookup(a/b/c, \"\") found a node", lookupFirst)
+		}
 	}
 }

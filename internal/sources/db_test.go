@@ -1,6 +1,7 @@
 package sources
 
 import (
+	"reflect"
 	"testing"
 
 	"biorank/internal/bio"
@@ -34,6 +35,37 @@ func TestEntrezProteinCRUD(t *testing.T) {
 	}
 	if db.Len() != 1 || len(db.All()) != 1 {
 		t.Fatal("size accounting wrong")
+	}
+}
+
+// TestEntrezProteinByNameIndex pins ByName's contract over the
+// lowercase-key index: matches by gene or accession in either case, in
+// insertion order, and a record whose gene and accession both match
+// returned once.
+func TestEntrezProteinByNameIndex(t *testing.T) {
+	db := NewEntrezProtein()
+	for _, p := range []bio.Protein{
+		{Accession: "NP_2", Gene: "CFTR", Seq: "ACD"},
+		{Accession: "cftr", Gene: "CFTR", Seq: "ACD"}, // both gene and accession match
+		{Accession: "NP_3", Gene: "GALT", Seq: "ACD"},
+		{Accession: "NP_1", Gene: "cfTR", Seq: "ACD"},
+	} {
+		if err := db.Add(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []string
+	for _, p := range db.ByName("Cftr") {
+		got = append(got, p.Accession)
+	}
+	if want := []string{"NP_2", "cftr", "NP_1"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("ByName(Cftr) = %v, want %v", got, want)
+	}
+	if got := db.ByName("np_3"); len(got) != 1 || got[0].Gene != "GALT" {
+		t.Fatalf("ByName(np_3) = %v", got)
+	}
+	if got := db.ByName("ABCC8"); got != nil {
+		t.Fatalf("ByName(ABCC8) = %v, want nil", got)
 	}
 }
 

@@ -14,7 +14,10 @@ import (
 type EntrezProtein struct {
 	byAccession map[string]bio.Protein
 	byGene      map[string][]string // gene -> accessions
-	order       []string
+	// byName maps a lowercased gene name or accession to the accessions
+	// of the records it names, in insertion order, each once.
+	byName map[string][]string
+	order  []string
 }
 
 // NewEntrezProtein returns an empty database.
@@ -22,6 +25,7 @@ func NewEntrezProtein() *EntrezProtein {
 	return &EntrezProtein{
 		byAccession: make(map[string]bio.Protein),
 		byGene:      make(map[string][]string),
+		byName:      make(map[string][]string),
 	}
 }
 
@@ -35,6 +39,11 @@ func (db *EntrezProtein) Add(p bio.Protein) error {
 	}
 	db.byAccession[p.Accession] = p
 	db.byGene[p.Gene] = append(db.byGene[p.Gene], p.Accession)
+	gene, acc := strings.ToLower(p.Gene), strings.ToLower(p.Accession)
+	db.byName[gene] = append(db.byName[gene], p.Accession)
+	if acc != gene {
+		db.byName[acc] = append(db.byName[acc], p.Accession)
+	}
 	db.order = append(db.order, p.Accession)
 	return nil
 }
@@ -44,12 +53,8 @@ func (db *EntrezProtein) Add(p bio.Protein) error {
 // "P.attr = value" lookup of an exploratory query.
 func (db *EntrezProtein) ByName(keyword string) []bio.Protein {
 	var out []bio.Protein
-	kw := strings.ToLower(keyword)
-	for _, acc := range db.order {
-		p := db.byAccession[acc]
-		if strings.ToLower(p.Gene) == kw || strings.ToLower(p.Accession) == kw {
-			out = append(out, p)
-		}
+	for _, acc := range db.byName[strings.ToLower(keyword)] {
+		out = append(out, db.byAccession[acc])
 	}
 	return out
 }

@@ -20,10 +20,13 @@ type Profile struct {
 
 const profilePseudocount = 0.5
 
-// alphaIndex maps a residue to its index in bio.Alphabet, or -1.
-func alphaIndex(c byte) int {
-	return strings.IndexByte(bio.Alphabet, c)
-}
+// alphaIndex maps a residue byte to its index in bio.Alphabet, or -1.
+var alphaIndex = func() (t [256]int8) {
+	for c := range t {
+		t[c] = int8(strings.IndexByte(bio.Alphabet, byte(c)))
+	}
+	return t
+}()
 
 // BuildProfile estimates a PWM from member sequences (all of the family's
 // length; shorter members are padded conceptually by ignoring overflow).
@@ -48,7 +51,7 @@ func BuildProfile(name string, members []bio.Sequence, functions []bio.TermID) *
 			counts[i] = profilePseudocount
 		}
 		for _, m := range members {
-			if idx := alphaIndex(m[pos]); idx >= 0 {
+			if idx := alphaIndex[m[pos]]; idx >= 0 {
 				counts[idx]++
 				total++
 			}
@@ -78,7 +81,7 @@ func (p *Profile) Score(s bio.Sequence) float64 {
 	}
 	var sum float64
 	for i := 0; i < n; i++ {
-		if idx := alphaIndex(s[i]); idx >= 0 {
+		if idx := alphaIndex[s[i]]; idx >= 0 {
 			sum += p.weights[i][idx]
 		}
 	}

@@ -1,6 +1,8 @@
 package sources
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"biorank/internal/bio"
@@ -113,5 +115,27 @@ func TestProfileLength(t *testing.T) {
 	p := BuildProfile("x", []bio.Sequence{"ACDEF", "ACDE"}, nil)
 	if p.Length() != 4 {
 		t.Fatalf("profile length %d, want min member length 4", p.Length())
+	}
+}
+
+// TestProfileScoreResidueTable checks the 256-entry residue table
+// against the alphabet search it replaced, summing in the same order so
+// scores agree bit for bit, non-alphabet bytes (skipped) included.
+func TestProfileScoreResidueTable(t *testing.T) {
+	rng := prob.NewRNG(53)
+	db, fams := buildTestProfileDB(rng)
+	seqs := []bio.Sequence{fams[1].Member(rng, 0.2), bio.RandomSequence(rng, 200), "ACxDE*FG\x00\xffKL", ""}
+	for _, p := range db.profiles {
+		for _, s := range seqs {
+			var want float64
+			for i := 0; i < len(p.weights) && i < len(s); i++ {
+				if idx := strings.IndexByte(bio.Alphabet, s[i]); idx >= 0 {
+					want += p.weights[i][idx]
+				}
+			}
+			if got := p.Score(s); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s.Score(%q) = %v, want %v", p.Name, s, got, want)
+			}
+		}
 	}
 }
