@@ -15,12 +15,13 @@ import (
 	"biorank/internal/synth"
 )
 
-// refAligner is the scalar aligner that the one-pass pruned aligner
+// refAligner is the scalar aligner that the pruned integer aligner
 // replaced, kept verbatim as the test oracle: a per-subject seen map
 // while indexing, a map of seed counts per search, and a float64 score
 // of every seeded candidate on each of five diagonals, one range-checked
-// residue at a time. It copies its parameters from the aligner under
-// test.
+// residue at a time. It copies K, Lambda, KParam and MaxEValue from the
+// aligner under test and scores +4 per match and −2 per mismatch, the
+// only values the old NewAligner set.
 type refAligner struct {
 	K                           int
 	Lambda, KParam              float64
@@ -37,8 +38,8 @@ func newRefAligner(corpus []bio.Protein, al *sources.Aligner) *refAligner {
 		K:               al.K,
 		Lambda:          al.Lambda,
 		KParam:          al.KParam,
-		MatchScore:      float64(al.MatchScore),
-		MismatchPenalty: float64(al.MismatchPenalty),
+		MatchScore:      4,
+		MismatchPenalty: 2,
 		MaxEValue:       al.MaxEValue,
 		corpus:          append([]bio.Protein(nil), corpus...),
 	}
@@ -281,16 +282,16 @@ func TestAlignerMatchesOracleOnVariants(t *testing.T) {
 	}
 }
 
-// TestAlignScoreMatchesOracle compares the one-pass integer scorer with
-// the five scalar diagonal passes on every length pair up to 20 residues
-// in both orders, related and unrelated, and on long pairs.
+// TestAlignScoreMatchesOracle compares the integer scorer with the five
+// range-checked float64 diagonal passes on every length pair up to 20
+// residues in both orders, related and unrelated, and on long pairs.
 func TestAlignScoreMatchesOracle(t *testing.T) {
 	al := sources.NewAligner(nil)
 	ref := newRefAligner(nil, al)
 	rng := prob.NewRNG(43)
 	check := func(q, s bio.Sequence) bool {
 		for _, pair := range [2][2]bio.Sequence{{q, s}, {s, q}} {
-			got, want := al.AlignScore(pair[0], pair[1]), ref.alignScore(pair[0], pair[1])
+			got, want := sources.AlignScore(pair[0], pair[1]), ref.alignScore(pair[0], pair[1])
 			if math.Float64bits(float64(got)) != math.Float64bits(want) {
 				t.Errorf("alignScore(%q, %q) = %d, oracle %v", pair[0], pair[1], got, want)
 				return false
@@ -327,16 +328,10 @@ func TestAlignScoreMatchesOracle(t *testing.T) {
 }
 
 // TestScoreBoundNeverBelowExact is the property the pruning rests on:
-// for any pair, any non-negative match score and mismatch penalty, the
-// block bound is at least the exact score.
+// for any pair, the block bound is at least the exact score.
 func TestScoreBoundNeverBelowExact(t *testing.T) {
 	rng := prob.NewRNG(47)
-	al := sources.NewAligner(nil)
 	for i := 0; i < 20000; i++ {
-		al.MatchScore, al.MismatchPenalty = 4, 2
-		if i%4 == 3 {
-			al.MatchScore, al.MismatchPenalty = rng.Intn(7), rng.Intn(7)
-		}
 		q := bio.RandomSequence(rng, rng.Intn(120))
 		var s bio.Sequence
 		switch i % 3 {
@@ -347,10 +342,9 @@ func TestScoreBoundNeverBelowExact(t *testing.T) {
 		default: // a shifted, mutated copy: the off-zero diagonals score
 			s = bio.RandomSequence(rng, rng.Intn(3)) + bio.Mutate(rng, q, 0.3*rng.Float64())
 		}
-		exact, bound := al.AlignScore(q, s), al.ScoreBound(q, s)
+		exact, bound := sources.AlignScore(q, s), sources.ScoreBound(q, s)
 		if bound < exact {
-			t.Fatalf("match %d mismatch %d: bound %d < exact %d for\n q=%q\n s=%q",
-				al.MatchScore, al.MismatchPenalty, bound, exact, q, s)
+			t.Fatalf("bound %d < exact %d for\n q=%q\n s=%q", bound, exact, q, s)
 		}
 	}
 }
@@ -370,7 +364,7 @@ func TestScoreFloorMatchesEValueFilter(t *testing.T) {
 					t.Fatalf("maxE=%g qlen=%d: score %d passes below the floor %d", maxE, qlen, s, floor)
 				}
 			}
-			if floor <= al.MatchScore*qlen && ref.evalue(float64(floor), qlen) > maxE {
+			if floor <= int(ref.MatchScore)*qlen && ref.evalue(float64(floor), qlen) > maxE {
 				t.Fatalf("maxE=%g qlen=%d: floor %d fails the filter", maxE, qlen, floor)
 			}
 		}
@@ -397,7 +391,7 @@ func TestBoundPrunesDemoCandidates(t *testing.T) {
 				s := ref.corpus[idx].Seq
 				exact := ref.alignScore(p.Seq, s)
 				hit := exact > 0 && !(ref.evalue(exact, len(p.Seq)) > al.MaxEValue)
-				if al.ScoreBound(p.Seq, s) < floor {
+				if sources.ScoreBound(p.Seq, s) < floor {
 					pruned++
 					if hit {
 						t.Fatalf("%s: pruned subject %s is a hit", p.Accession, ref.corpus[idx].Accession)

@@ -39,74 +39,40 @@ type Aligner struct {
 	// Lambda and KParam are the Karlin-Altschul parameters; the defaults
 	// approximate ungapped protein search.
 	Lambda, KParam float64
-	// MatchScore and MismatchPenalty define the ungapped scoring.
-	MatchScore, MismatchPenalty int
 	// MaxEValue filters hits weaker than this threshold (default 10,
 	// BLAST's default reporting cutoff).
 	MaxEValue float64
 
 	corpus []bio.Protein
-	dbLen  int // total residues in the corpus
-
-	// The k-mer index is flat: kmers numbers each distinct k-mer, and
-	// k-mer id's posting list — the ascending indices of the subjects
-	// containing it, each once — is postings[offsets[id]:offsets[id+1]].
-	kmers    map[string]int32
-	offsets  []int32
-	postings []int32
+	index  map[string][]int32 // k-mer -> ascending corpus indices, each once
+	dbLen  int                // total residues in the corpus
 }
+
+// The ungapped scoring: an identical residue pair gains matchScore, any
+// other pair costs mismatchPenalty.
+const matchScore, mismatchPenalty = 4, 2
 
 // NewAligner indexes the corpus with default parameters.
 func NewAligner(corpus []bio.Protein) *Aligner {
 	a := &Aligner{
-		K:               3,
-		Lambda:          0.267,
-		KParam:          0.041,
-		MatchScore:      4,
-		MismatchPenalty: 2,
-		MaxEValue:       10,
-		corpus:          append([]bio.Protein(nil), corpus...),
-		kmers:           make(map[string]int32),
+		K:         3,
+		Lambda:    0.267,
+		KParam:    0.041,
+		MaxEValue: 10,
+		corpus:    append([]bio.Protein(nil), corpus...),
 	}
-	// First pass: number the k-mers and list, per subject, the ids of
-	// its distinct k-mers. Subjects are visited in order, so a k-mer
-	// repeats within subject i exactly when its last subject is i.
-	var ids, counts, last []int32
-	ends := make([]int, len(a.corpus))
+	a.index = make(map[string][]int32)
 	for i, p := range a.corpus {
 		a.dbLen += len(p.Seq)
 		for j := 0; j+a.K <= len(p.Seq); j++ {
 			kmer := string(p.Seq[j : j+a.K])
-			id, ok := a.kmers[kmer]
-			if !ok {
-				id = int32(len(counts))
-				a.kmers[kmer] = id
-				counts = append(counts, 0)
-				last = append(last, -1)
-			}
-			if last[id] == int32(i) {
+			// Subjects are indexed in order, so a k-mer repeats within
+			// subject i exactly when its posting list already ends in i.
+			if l := a.index[kmer]; len(l) > 0 && l[len(l)-1] == int32(i) {
 				continue
 			}
-			last[id] = int32(i)
-			counts[id]++
-			ids = append(ids, id)
+			a.index[kmer] = append(a.index[kmer], int32(i))
 		}
-		ends[i] = len(ids)
-	}
-	// Second pass: lay the posting lists out back to back.
-	a.offsets = make([]int32, len(counts)+1)
-	for id, c := range counts {
-		a.offsets[id+1] = a.offsets[id] + c
-	}
-	a.postings = make([]int32, len(ids))
-	next := append([]int32(nil), a.offsets[:len(counts)]...)
-	start := 0
-	for i, end := range ends {
-		for _, id := range ids[start:end] {
-			a.postings[next[id]] = int32(i)
-			next[id]++
-		}
-		start = end
 	}
 	return a
 }
@@ -124,17 +90,13 @@ func (a *Aligner) Search(q bio.Sequence, maxHits int) []Hit {
 	// Candidate generation: any subject sharing at least minSeeds k-mers.
 	counts := make([]int32, len(a.corpus))
 	for j := 0; j+a.K <= len(q); j++ {
-		if id, ok := a.kmers[string(q[j:j+a.K])]; ok {
-			for _, idx := range a.postings[a.offsets[id]:a.offsets[id+1]] {
-				counts[idx]++
-			}
+		for _, idx := range a.index[string(q[j:j+a.K])] {
+			counts[idx]++
 		}
 	}
 	const minSeeds = 2
 	// A candidate whose score bound is under the floor cannot pass the
-	// e-value filter, so it is skipped without an exact score. The
-	// bound assumes matches never cost and mismatches never pay.
-	prune := a.MatchScore >= 0 && a.MismatchPenalty >= 0
+	// e-value filter, so it is skipped without an exact score.
 	floor := a.scoreFloor(len(q))
 	var hits []Hit
 	for idx, c := range counts {
@@ -142,10 +104,10 @@ func (a *Aligner) Search(q bio.Sequence, maxHits int) []Hit {
 			continue
 		}
 		subj := a.corpus[idx]
-		if prune && a.scoreBound(q, subj.Seq) < floor {
+		if scoreBound(q, subj.Seq) < floor {
 			continue
 		}
-		score := float64(a.alignScore(q, subj.Seq))
+		score := float64(alignScore(q, subj.Seq))
 		if score <= 0 {
 			continue
 		}
@@ -172,55 +134,21 @@ func (a *Aligner) Search(q bio.Sequence, maxHits int) []Hit {
 // diagonal's best contiguous segment (Smith-Waterman restricted to one
 // diagonal); since our synthetic families diverge by point mutations
 // only, the zero offset dominates, but the nearby diagonals are scanned
-// for robustness. The five diagonals advance together in one pass over
-// q, and the positions where all five are inside s need no range check.
-func (a *Aligner) alignScore(q, s bio.Sequence) int {
-	m, p := a.MatchScore, a.MismatchPenalty
-	var run, best [5]int
-	// edge scores the positions [from, to) of q, skipping the diagonals
-	// that fall outside s.
-	edge := func(from, to int) {
-		for i := from; i < to; i++ {
-			for d := range run {
-				j := i + d - 2
-				if j < 0 || j >= len(s) {
-					continue
-				}
-				if q[i] == s[j] {
-					run[d] += m
-				} else {
-					run[d] -= p
-				}
-				run[d] = max(run[d], 0)
-				best[d] = max(best[d], run[d])
+// for robustness.
+func alignScore(q, s bio.Sequence) int {
+	best := 0
+	for off := -2; off <= 2; off++ {
+		run := 0
+		for i, hi := max(0, -off), min(len(q), len(s)-off); i < hi; i++ {
+			if q[i] == s[i+off] {
+				run += matchScore
+			} else {
+				run = max(run-mismatchPenalty, 0)
 			}
+			best = max(best, run)
 		}
 	}
-	// All five diagonals are inside s exactly for 2 ≤ i < len(s)−2.
-	lo := min(2, len(q))
-	hi := max(lo, min(len(q), len(s)-2))
-	edge(0, lo)
-	r0, r1, r2, r3, r4 := run[0], run[1], run[2], run[3], run[4]
-	b0, b1, b2, b3, b4 := best[0], best[1], best[2], best[3], best[4]
-	step := func(eq bool) int {
-		if eq {
-			return m
-		}
-		return -p
-	}
-	for i := lo; i < hi; i++ {
-		c, w := q[i], s[i-2:i+3]
-		r0 = max(r0+step(c == w[0]), 0)
-		r1 = max(r1+step(c == w[1]), 0)
-		r2 = max(r2+step(c == w[2]), 0)
-		r3 = max(r3+step(c == w[3]), 0)
-		r4 = max(r4+step(c == w[4]), 0)
-		b0, b1, b2, b3, b4 = max(b0, r0), max(b1, r1), max(b2, r2), max(b3, r3), max(b4, r4)
-	}
-	run = [5]int{r0, r1, r2, r3, r4}
-	best = [5]int{b0, b1, b2, b3, b4}
-	edge(hi, len(q))
-	return max(best[0], best[1], best[2], best[3], best[4])
+	return best
 }
 
 // boundBlock is the width, in residues, of the fixed blocks scoreBound
@@ -230,14 +158,13 @@ const boundBlock = 8
 // scoreBound returns an upper bound on alignScore(q, s) computed from
 // match counts alone. Each diagonal is cut into fixed blocks from its
 // first position, and a block's matches c are counted a word at a time.
-// A segment gains at most MatchScore·c on a block it only partly covers
-// (its first and last), and exactly MatchScore·c − MismatchPenalty·(len−c)
+// A segment gains at most matchScore·c on a block it only partly covers
+// (its first and last), and exactly matchScore·c − mismatchPenalty·(len−c)
 // on each block it fully spans, so the best such block sum — found by a
-// Kadane scan over the blocks — bounds the diagonal's best segment. It
-// requires MatchScore ≥ 0 and MismatchPenalty ≥ 0.
-func (a *Aligner) scoreBound(q, s bio.Sequence) int {
-	m, p := a.MatchScore, a.MismatchPenalty
-	gain, miss := m+p, p*boundBlock // a full block scores gain·c − miss
+// Kadane scan over the blocks — bounds the diagonal's best segment.
+func scoreBound(q, s bio.Sequence) int {
+	// A full block scores gain·c − miss.
+	const gain, miss = matchScore + mismatchPenalty, mismatchPenalty * boundBlock
 	bound := 0
 	for off := -2; off <= 2; off++ {
 		lo, hi := max(0, -off), min(len(q), len(s)-off)
@@ -250,8 +177,8 @@ func (a *Aligner) scoreBound(q, s bio.Sequence) int {
 		open, best := 0, 0
 		for len(qd) >= boundBlock && len(sd) >= boundBlock {
 			c := matches8(load64(qd) ^ load64(sd))
-			best = max(best, m*c+max(open, 0))
-			open = max(open+gain*c-miss, m*c)
+			best = max(best, matchScore*c+max(open, 0))
+			open = max(open+gain*c-miss, matchScore*c)
 			qd, sd = qd[boundBlock:], sd[boundBlock:]
 		}
 		c := 0 // the diagonal's last, partial block
@@ -260,7 +187,7 @@ func (a *Aligner) scoreBound(q, s bio.Sequence) int {
 				c++
 			}
 		}
-		bound = max(bound, best, m*c+max(open, 0))
+		bound = max(bound, best, matchScore*c+max(open, 0))
 	}
 	return bound
 }
@@ -288,10 +215,10 @@ func matches8(x uint64) int {
 // MaxEValue. It evaluates evalue at S = 1, 2, … rather than inverting
 // the formula, so it agrees with Search's filter bit for bit: every
 // positive score under the floor is one the filter rejects. No ungapped
-// score exceeds MatchScore·queryLen, so when none up to that passes the
+// score exceeds matchScore·queryLen, so when none up to that passes the
 // floor lies just above it.
 func (a *Aligner) scoreFloor(queryLen int) int {
-	top := a.MatchScore * queryLen
+	top := matchScore * queryLen
 	for s := 1; s <= top; s++ {
 		if !(a.evalue(float64(s), queryLen) > a.MaxEValue) {
 			return s

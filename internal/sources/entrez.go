@@ -13,7 +13,6 @@ import (
 // name). Schema: EntrezProtein(name, seq) with a gene cross-reference.
 type EntrezProtein struct {
 	byAccession map[string]bio.Protein
-	byGene      map[string][]string // gene -> accessions
 	// byName maps a lowercased gene name or accession to the accessions
 	// of the records it names, in insertion order, each once.
 	byName map[string][]string
@@ -24,7 +23,6 @@ type EntrezProtein struct {
 func NewEntrezProtein() *EntrezProtein {
 	return &EntrezProtein{
 		byAccession: make(map[string]bio.Protein),
-		byGene:      make(map[string][]string),
 		byName:      make(map[string][]string),
 	}
 }
@@ -38,7 +36,6 @@ func (db *EntrezProtein) Add(p bio.Protein) error {
 		return fmt.Errorf("sources: duplicate protein accession %s", p.Accession)
 	}
 	db.byAccession[p.Accession] = p
-	db.byGene[p.Gene] = append(db.byGene[p.Gene], p.Accession)
 	gene, acc := strings.ToLower(p.Gene), strings.ToLower(p.Accession)
 	db.byName[gene] = append(db.byName[gene], p.Accession)
 	if acc != gene {

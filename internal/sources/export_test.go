@@ -1,11 +1,12 @@
 package sources
 
-import "biorank/internal/bio"
-
 // These hooks expose the aligner's scoring internals to the external
 // oracle tests in aligner_oracle_test.go, which need the demo world
 // (internal/synth imports this package).
 
-func (a *Aligner) AlignScore(q, s bio.Sequence) int { return a.alignScore(q, s) }
-func (a *Aligner) ScoreBound(q, s bio.Sequence) int { return a.scoreBound(q, s) }
-func (a *Aligner) ScoreFloor(queryLen int) int      { return a.scoreFloor(queryLen) }
+var (
+	AlignScore = alignScore
+	ScoreBound = scoreBound
+)
+
+func (a *Aligner) ScoreFloor(queryLen int) int { return a.scoreFloor(queryLen) }
