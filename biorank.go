@@ -516,10 +516,15 @@ func (s *System) Query(protein string) (*Answers, error) {
 // path is active: the live store snapshot or a fresh mediator
 // integration.
 func (s *System) resolve(protein string) (*graph.QueryGraph, error) {
-	if ls := s.live.Load(); ls != nil {
-		return ls.resolve(protein)
+	ls := s.live.Load()
+	if ls == nil {
+		return s.med.Explore(protein)
 	}
-	return s.med.Explore(protein)
+	qg, err := ls.Carve(protein)
+	if errors.Is(err, mediator.ErrNoProtein) {
+		return nil, fmt.Errorf("biorank: no protein matches %q", protein)
+	}
+	return qg, err
 }
 
 // BatchRequest asks for one protein's answers ranked under one or more

@@ -9,28 +9,27 @@
 // maps benchmark name to ns/op, B/op, allocs/op and the number of
 // samples averaged.
 //
-// With -baseline FILE the output additionally carries a "delta" section
-// comparing the fresh run against the committed artifact: for every
-// benchmark present in both, the baseline ns/op (the FASTEST
-// measurement of that name anywhere in the baseline file — its sections
-// may record the same benchmark before and after an optimization), the
-// fresh ns/op, and the ratio fresh/baseline. Combined with -max-regress
-// this becomes a CI gate:
+// With -parent FILE the run on stdin is a change and FILE is the
+// benchmark output of its parent, measured alternately with it on the
+// same machine (.github/bench-pair.sh). The output then carries a
+// "delta" section: for every benchmark present on both sides, the
+// median ns/op and allocs/op of each side and the ratio
+// median(change)/median(parent). Combined with -max-regress this
+// becomes a CI gate:
 //
-//	go run ./cmd/bench2json -baseline BENCH_rank.json \
+//	go run ./cmd/bench2json -parent bench_parent.txt \
 //	    -max-regress 0.25 -gate '^Benchmark(Compiled|BitParallel)' \
-//	    < bench.txt > bench_delta.json
+//	    < bench_change.txt > bench_delta.json
 //
 // exits with status 3 when any benchmark matching -gate regressed by
 // more than the threshold; slower-but-within-threshold benchmarks only
-// produce a soft-fail comment on stderr. Benchmarks in only one of the
-// two runs are ignored by the gate.
+// produce a soft-fail comment on stderr. A benchmark present on only
+// one side is listed under "unpaired" and not gated, and a gate that
+// matches no benchmark present on both sides fails (exit 1).
 //
-// -max-allocs-regress gates allocs/op the same way (baseline = the
-// LOWEST allocs_per_op recorded for the name anywhere in the baseline
-// file). Benchmarks whose baseline allocation count is zero are skipped
-// by the allocs gate — any ratio against zero is meaningless — as are
-// baseline entries that never recorded allocs at all.
+// -max-allocs-regress gates allocs/op the same way. Benchmarks whose
+// parent median allocation count is zero are skipped by the allocs
+// gate: any ratio against zero is meaningless.
 package main
 
 import (
@@ -38,10 +37,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
+	"sort"
 	"strconv"
-	"strings"
 )
 
 // benchLine matches one result line, e.g.
@@ -58,216 +58,210 @@ type Result struct {
 	Samples     int     `json:"samples"`
 }
 
-// Delta is one benchmark's fresh-vs-baseline comparison.
+// Delta is one benchmark's change-vs-parent comparison of medians.
 type Delta struct {
-	BaselineNsPerOp float64 `json:"baseline_ns_per_op"`
-	NsPerOp         float64 `json:"ns_per_op"`
-	// Ratio is fresh/baseline: 1.0 unchanged, 2.0 twice as slow.
+	ParentNsPerOp float64 `json:"parent_ns_per_op"`
+	NsPerOp       float64 `json:"ns_per_op"`
+	// Ratio is change/parent: 1.0 unchanged, 2.0 twice as slow.
 	Ratio float64 `json:"ratio"`
-	// BaselineAllocsPerOp / AllocsPerOp / AllocsRatio mirror the ns/op
-	// triple for the allocation count. Omitted when the baseline never
-	// recorded allocs for this benchmark or recorded zero.
-	BaselineAllocsPerOp float64 `json:"baseline_allocs_per_op,omitempty"`
-	AllocsPerOp         float64 `json:"allocs_per_op,omitempty"`
-	AllocsRatio         float64 `json:"allocs_ratio,omitempty"`
+	// ParentAllocsPerOp / AllocsPerOp / AllocsRatio mirror the ns/op
+	// triple for the allocation count. Omitted when the parent's median
+	// is zero.
+	ParentAllocsPerOp float64 `json:"parent_allocs_per_op,omitempty"`
+	AllocsPerOp       float64 `json:"allocs_per_op,omitempty"`
+	AllocsRatio       float64 `json:"allocs_ratio,omitempty"`
 	// Gated records whether the benchmark matched the -gate pattern and
 	// therefore participates in the hard-fail decision.
 	Gated bool `json:"gated,omitempty"`
 }
 
+// sample is one result line.
+type sample struct{ ns, bytes, allocs float64 }
+
 func main() {
 	label := flag.String("label", "", "optional label recorded in the output (e.g. a commit or \"before\"/\"after\")")
-	baseline := flag.String("baseline", "", "committed BENCH_rank.json to diff the fresh run against (adds a \"delta\" section)")
-	maxRegress := flag.Float64("max-regress", -1, "fail (exit 3) when a -gate benchmark's ns/op grew by more than this fraction over the baseline (e.g. 0.25 = +25%); negative disables the gate")
-	maxAllocsRegress := flag.Float64("max-allocs-regress", -1, "fail (exit 3) when a -gate benchmark's allocs/op grew by more than this fraction over the baseline; negative disables the allocs gate, baseline-zero benchmarks are skipped")
-	gate := flag.String("gate", "^Benchmark(Compiled|BitParallel)", "regexp selecting the benchmarks the -max-regress gate applies to")
+	parentFile := flag.String("parent", "", "go test -bench output of the parent commit, run alternately with stdin's on the same machine (adds a \"delta\" section)")
+	maxRegress := flag.Float64("max-regress", -1, "fail (exit 3) when a -gate benchmark's median ns/op grew by more than this fraction over the parent's (e.g. 0.25 = +25%); negative disables the gate")
+	maxAllocsRegress := flag.Float64("max-allocs-regress", -1, "fail (exit 3) when a -gate benchmark's median allocs/op grew by more than this fraction over the parent's; negative disables the allocs gate, parent-zero benchmarks are skipped")
+	gate := flag.String("gate", "^Benchmark(Compiled|BitParallel)", "regexp selecting the benchmarks the regression gates apply to")
 	flag.Parse()
 
-	acc := map[string]*Result{}
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
-		if m == nil {
-			continue
-		}
-		ns, _ := strconv.ParseFloat(m[3], 64)
-		var bytes, allocs float64
-		if m[4] != "" {
-			bytes, _ = strconv.ParseFloat(m[4], 64)
-		}
-		if m[5] != "" {
-			allocs, _ = strconv.ParseFloat(m[5], 64)
-		}
-		r := acc[m[1]]
-		if r == nil {
-			r = &Result{}
-			acc[m[1]] = r
-		}
-		r.NsPerOp += ns
-		r.BytesPerOp += bytes
-		r.AllocsPerOp += allocs
-		r.Samples++
+	runs, err := parse(os.Stdin)
+	if err != nil {
+		fail(err)
 	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "bench2json:", err)
-		os.Exit(1)
-	}
-	if len(acc) == 0 {
-		fmt.Fprintln(os.Stderr, "bench2json: no benchmark lines on stdin")
-		os.Exit(1)
-	}
-	for _, r := range acc {
-		n := float64(r.Samples)
-		r.NsPerOp /= n
-		r.BytesPerOp /= n
-		r.AllocsPerOp /= n
-	}
-
 	// encoding/json emits map keys sorted, so the output is stable.
-	out := map[string]any{"benchmarks": acc}
+	out := map[string]any{"benchmarks": average(runs)}
 	if *label != "" {
 		out["label"] = *label
 	}
 
 	regressed := false
-	if *baseline != "" {
+	if *parentFile != "" {
 		gateRe, err := regexp.Compile(*gate)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench2json: bad -gate:", err)
-			os.Exit(1)
+			fail(fmt.Errorf("bad -gate: %w", err))
 		}
-		base, err := loadBaseline(*baseline)
+		f, err := os.Open(*parentFile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench2json:", err)
-			os.Exit(1)
+			fail(err)
 		}
-		deltas := map[string]*Delta{}
+		parent, err := parse(f)
+		f.Close()
+		if err != nil {
+			fail(fmt.Errorf("%s: %w", *parentFile, err))
+		}
+		deltas, unpaired := pair(runs, parent, gateRe)
 		gatedSeen := 0
-		for name, r := range acc {
-			b, ok := base[name]
-			if !ok || b.NsPerOp <= 0 {
-				continue
-			}
-			d := &Delta{
-				BaselineNsPerOp: b.NsPerOp,
-				NsPerOp:         r.NsPerOp,
-				Ratio:           r.NsPerOp / b.NsPerOp,
-				Gated:           gateRe.MatchString(name),
-			}
-			if b.AllocsPerOp > 0 {
-				d.BaselineAllocsPerOp = b.AllocsPerOp
-				d.AllocsPerOp = r.AllocsPerOp
-				d.AllocsRatio = r.AllocsPerOp / b.AllocsPerOp
-			}
-			deltas[name] = d
+		for name, d := range deltas {
 			if d.Gated {
 				gatedSeen++
 			}
 			if *maxRegress >= 0 && d.Ratio > 1+*maxRegress {
 				if d.Gated {
 					regressed = true
-					fmt.Fprintf(os.Stderr, "bench2json: REGRESSION %s: %.0f ns/op vs baseline %.0f (%.0f%% slower, threshold %.0f%%)\n",
-						name, d.NsPerOp, d.BaselineNsPerOp, 100*(d.Ratio-1), 100**maxRegress)
+					fmt.Fprintf(os.Stderr, "bench2json: REGRESSION %s: %.0f ns/op vs parent %.0f (%.0f%% slower, threshold %.0f%%)\n",
+						name, d.NsPerOp, d.ParentNsPerOp, 100*(d.Ratio-1), 100**maxRegress)
 				} else {
-					fmt.Fprintf(os.Stderr, "bench2json: note: ungated benchmark %s is %.0f%% slower than baseline\n",
+					fmt.Fprintf(os.Stderr, "bench2json: note: ungated benchmark %s is %.0f%% slower than the parent\n",
 						name, 100*(d.Ratio-1))
 				}
 			} else if *maxRegress >= 0 && d.Ratio > 1 {
 				// Soft-fail comment: slower, but inside the budget.
-				fmt.Fprintf(os.Stderr, "bench2json: note: %s is %.0f%% slower than baseline (within the %.0f%% budget)\n",
+				fmt.Fprintf(os.Stderr, "bench2json: note: %s is %.0f%% slower than the parent (within the %.0f%% budget)\n",
 					name, 100*(d.Ratio-1), 100**maxRegress)
 			}
-			if *maxAllocsRegress >= 0 && d.BaselineAllocsPerOp > 0 && d.AllocsRatio > 1+*maxAllocsRegress {
+			if *maxAllocsRegress >= 0 && d.ParentAllocsPerOp > 0 && d.AllocsRatio > 1+*maxAllocsRegress {
 				if d.Gated {
 					regressed = true
-					fmt.Fprintf(os.Stderr, "bench2json: REGRESSION %s: %.1f allocs/op vs baseline %.1f (%.0f%% more, threshold %.0f%%)\n",
-						name, d.AllocsPerOp, d.BaselineAllocsPerOp, 100*(d.AllocsRatio-1), 100**maxAllocsRegress)
+					fmt.Fprintf(os.Stderr, "bench2json: REGRESSION %s: %.1f allocs/op vs parent %.1f (%.0f%% more, threshold %.0f%%)\n",
+						name, d.AllocsPerOp, d.ParentAllocsPerOp, 100*(d.AllocsRatio-1), 100**maxAllocsRegress)
 				} else {
-					fmt.Fprintf(os.Stderr, "bench2json: note: ungated benchmark %s allocates %.0f%% more than baseline\n",
+					fmt.Fprintf(os.Stderr, "bench2json: note: ungated benchmark %s allocates %.0f%% more than the parent\n",
 						name, 100*(d.AllocsRatio-1))
 				}
 			}
 		}
+		for _, name := range unpaired {
+			fmt.Fprintf(os.Stderr, "bench2json: note: %s ran on one side only; not gated\n", name)
+		}
 		out["delta"] = deltas
-		out["baseline_file"] = *baseline
+		out["unpaired"] = unpaired
+		out["parent_file"] = *parentFile
 		// A gate that matches nothing is a disabled gate, not a passing
 		// one: renamed benchmarks or a garbled bench run must fail loudly.
 		if (*maxRegress >= 0 || *maxAllocsRegress >= 0) && gatedSeen == 0 {
-			fmt.Fprintf(os.Stderr, "bench2json: gate %q matched no benchmark present in both the fresh run and %s — the regression gate would be a no-op\n", *gate, *baseline)
-			os.Exit(1)
+			fail(fmt.Errorf("gate %q matched no benchmark present on both sides — the regression gate would be a no-op", *gate))
 		}
 	}
 
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(out); err != nil {
-		fmt.Fprintln(os.Stderr, "bench2json:", err)
-		os.Exit(1)
+		fail(err)
 	}
 	if regressed {
 		os.Exit(3)
 	}
 }
 
-// baseEntry is one benchmark's best baseline measurements: the fastest
-// ns/op and the lowest allocs/op recorded for the name anywhere in the
-// baseline file. AllocsPerOp is 0 when no section recorded allocations
-// (or the best was genuinely zero); either way the allocs gate skips
-// the benchmark.
-type baseEntry struct {
-	NsPerOp     float64
-	AllocsPerOp float64
-	hasAllocs   bool
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "bench2json:", err)
+	os.Exit(1)
 }
 
-// loadBaseline collects every benchmark measurement in a committed
-// artifact, walking the JSON tree so all sections (before/after,
-// topk_racer, bit_parallel, future ones) contribute. When a benchmark
-// name appears in several sections the FASTEST ns/op (and lowest
-// allocs/op) wins: the bar to clear is the best the repository has ever
-// recorded for that name.
-func loadBaseline(path string) (map[string]baseEntry, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
+// parse collects every result line of go test -bench output by
+// benchmark name.
+func parse(r io.Reader) (map[string][]sample, error) {
+	runs := map[string][]sample{}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		m := benchLine.FindStringSubmatch(sc.Text())
+		if m == nil {
+			continue
+		}
+		var s sample
+		s.ns, _ = strconv.ParseFloat(m[3], 64)
+		if m[4] != "" {
+			s.bytes, _ = strconv.ParseFloat(m[4], 64)
+		}
+		if m[5] != "" {
+			s.allocs, _ = strconv.ParseFloat(m[5], 64)
+		}
+		runs[m[1]] = append(runs[m[1]], s)
 	}
-	var root any
-	if err := json.Unmarshal(data, &root); err != nil {
-		return nil, fmt.Errorf("baseline %s: %w", path, err)
+	if err := sc.Err(); err != nil {
+		return nil, err
 	}
-	out := map[string]baseEntry{}
-	var walk func(v any)
-	walk = func(v any) {
-		m, ok := v.(map[string]any)
+	if len(runs) == 0 {
+		return nil, fmt.Errorf("no benchmark lines")
+	}
+	return runs, nil
+}
+
+// average folds each benchmark's samples into their mean.
+func average(runs map[string][]sample) map[string]*Result {
+	out := make(map[string]*Result, len(runs))
+	for name, ss := range runs {
+		r := &Result{Samples: len(ss)}
+		for _, s := range ss {
+			r.NsPerOp += s.ns
+			r.BytesPerOp += s.bytes
+			r.AllocsPerOp += s.allocs
+		}
+		n := float64(len(ss))
+		r.NsPerOp /= n
+		r.BytesPerOp /= n
+		r.AllocsPerOp /= n
+		out[name] = r
+	}
+	return out
+}
+
+// pair compares the medians of the benchmarks present on both sides and
+// lists, sorted, those present on one side only.
+func pair(change, parent map[string][]sample, gate *regexp.Regexp) (map[string]*Delta, []string) {
+	deltas := map[string]*Delta{}
+	unpaired := []string{}
+	for name, cs := range change {
+		ps, ok := parent[name]
 		if !ok {
-			return
+			unpaired = append(unpaired, name)
+			continue
 		}
-		for k, child := range m {
-			if strings.HasPrefix(k, "Benchmark") {
-				if entry, ok := child.(map[string]any); ok {
-					if ns, ok := entry["ns_per_op"].(float64); ok && ns > 0 {
-						e, seen := out[k]
-						if !seen || ns < e.NsPerOp {
-							e.NsPerOp = ns
-						}
-						if allocs, ok := entry["allocs_per_op"].(float64); ok && allocs >= 0 {
-							if !e.hasAllocs || allocs < e.AllocsPerOp {
-								e.AllocsPerOp = allocs
-							}
-							e.hasAllocs = true
-						}
-						out[k] = e
-						continue
-					}
-				}
-			}
-			walk(child)
+		d := &Delta{
+			ParentNsPerOp: median(ps, func(s sample) float64 { return s.ns }),
+			NsPerOp:       median(cs, func(s sample) float64 { return s.ns }),
+			Gated:         gate.MatchString(name),
+		}
+		d.Ratio = d.NsPerOp / d.ParentNsPerOp
+		if pa := median(ps, func(s sample) float64 { return s.allocs }); pa > 0 {
+			d.ParentAllocsPerOp = pa
+			d.AllocsPerOp = median(cs, func(s sample) float64 { return s.allocs })
+			d.AllocsRatio = d.AllocsPerOp / pa
+		}
+		deltas[name] = d
+	}
+	for name := range parent {
+		if _, ok := change[name]; !ok {
+			unpaired = append(unpaired, name)
 		}
 	}
-	walk(root)
-	if len(out) == 0 {
-		return nil, fmt.Errorf("baseline %s: no benchmark entries found", path)
+	sort.Strings(unpaired)
+	return deltas, unpaired
+}
+
+// median returns the median of field over the samples.
+func median(ss []sample, field func(sample) float64) float64 {
+	xs := make([]float64, len(ss))
+	for i, s := range ss {
+		xs[i] = field(s)
 	}
-	return out, nil
+	sort.Float64s(xs)
+	mid := len(xs) / 2
+	if len(xs)%2 == 1 {
+		return xs[mid]
+	}
+	return (xs[mid-1] + xs[mid]) / 2
 }

@@ -1,65 +1,108 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 )
 
-// TestLoadBaselineWalksAllSections checks the baseline loader finds
-// benchmark entries at any nesting depth and keeps the fastest
-// measurement when a name repeats across sections.
-func TestLoadBaselineWalksAllSections(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	blob := `{
-	  "note": "text",
-	  "before": {"benchmarks": {"BenchmarkX": {"ns_per_op": 200, "allocs_per_op": 5000, "samples": 3}}},
-	  "after": {"benchmarks": {
-	    "BenchmarkX": {"ns_per_op": 100, "allocs_per_op": 40, "samples": 3},
-	    "BenchmarkY": {"ns_per_op": 50, "samples": 3}
-	  }},
-	  "extra": {"deeper": {"BenchmarkZ": {"ns_per_op": 7}}},
-	  "not_a_bench": {"BenchmarkBroken": {"other": 1}}
-	}`
-	if err := os.WriteFile(path, []byte(blob), 0o644); err != nil {
-		t.Fatal(err)
+// TestMain lets the tests run the command itself: with
+// BENCH2JSON_MAIN=1 the test binary is bench2json.
+func TestMain(m *testing.M) {
+	if os.Getenv("BENCH2JSON_MAIN") == "1" {
+		main()
+		os.Exit(0)
 	}
-	base, err := loadBaseline(path)
+	os.Exit(m.Run())
+}
+
+// benchOutput renders go test -bench lines, one per (ns, allocs) pair.
+func benchOutput(name string, runs ...[2]float64) string {
+	var b strings.Builder
+	for _, r := range runs {
+		fmt.Fprintf(&b, "%s-2  \t 100\t %g ns/op\t 64 B/op\t %g allocs/op\n", name, r[0], r[1])
+	}
+	return b.String()
+}
+
+// TestPairComparesMedians checks the paired comparison: medians per
+// side (odd and even sample counts), the allocs ratio skipped against a
+// zero parent, the gate flag, and one-sided benchmarks listed apart.
+func TestPairComparesMedians(t *testing.T) {
+	change, err := parse(strings.NewReader(
+		benchOutput("BenchmarkA", [2]float64{300, 10}, [2]float64{100, 12}, [2]float64{200, 11}) +
+			benchOutput("BenchmarkB", [2]float64{50, 3}, [2]float64{70, 5}) +
+			benchOutput("BenchmarkNew", [2]float64{1, 0})))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := base["BenchmarkX"].NsPerOp; got != 100 {
-		t.Errorf("BenchmarkX baseline = %v, want the fastest section's 100", got)
+	parent, err := parse(strings.NewReader(
+		benchOutput("BenchmarkA", [2]float64{100, 10}, [2]float64{5000, 10}, [2]float64{80, 10}) +
+			benchOutput("BenchmarkB", [2]float64{40, 0}, [2]float64{80, 0}) +
+			benchOutput("BenchmarkGone", [2]float64{1, 0})))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := base["BenchmarkX"].AllocsPerOp; got != 40 {
-		t.Errorf("BenchmarkX allocs baseline = %v, want the lowest section's 40", got)
+	deltas, unpaired := pair(change, parent, regexp.MustCompile("^BenchmarkA$"))
+	a := deltas["BenchmarkA"]
+	if a == nil || a.NsPerOp != 200 || a.ParentNsPerOp != 100 || a.Ratio != 2 || !a.Gated {
+		t.Errorf("BenchmarkA = %+v, want medians 200/100, ratio 2, gated", a)
 	}
-	if got := base["BenchmarkY"]; got.NsPerOp != 50 || got.hasAllocs {
-		t.Errorf("BenchmarkY baseline = %+v, want ns 50 with no allocs recorded", got)
+	if a != nil && (a.AllocsPerOp != 11 || a.ParentAllocsPerOp != 10 || a.AllocsRatio != 1.1) {
+		t.Errorf("BenchmarkA allocs = %+v, want medians 11/10", a)
 	}
-	if got := base["BenchmarkZ"].NsPerOp; got != 7 {
-		t.Errorf("BenchmarkZ baseline = %v, want 7 (deeply nested)", got)
+	b := deltas["BenchmarkB"]
+	if b == nil || b.NsPerOp != 60 || b.ParentNsPerOp != 60 || b.Ratio != 1 || b.Gated || b.AllocsRatio != 0 {
+		t.Errorf("BenchmarkB = %+v, want even-count medians 60/60, ungated, no allocs ratio against a zero parent", b)
 	}
-	if _, ok := base["BenchmarkBroken"]; ok {
-		t.Error("entry without ns_per_op must be skipped")
+	if want := []string{"BenchmarkGone", "BenchmarkNew"}; !reflect.DeepEqual(unpaired, want) || len(deltas) != 2 {
+		t.Errorf("unpaired = %v with %d deltas, want %v and 2", unpaired, len(deltas), want)
 	}
 }
 
-// TestLoadBaselineErrors covers the failure modes the CI gate must
-// surface loudly rather than silently passing.
-func TestLoadBaselineErrors(t *testing.T) {
-	if _, err := loadBaseline(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Error("missing file must error")
+// TestPairedGateExitCodes runs the command as CI does and checks its
+// exit status: 0 within budget, 3 on a gated ns/op or allocs/op
+// regression, 1 when the gate matches no benchmark present on both
+// sides, and no gating of a benchmark the parent lacks.
+func TestPairedGateExitCodes(t *testing.T) {
+	parentFile := filepath.Join(t.TempDir(), "parent.txt")
+	if err := os.WriteFile(parentFile, []byte(benchOutput("BenchmarkGated", [2]float64{100, 10}, [2]float64{110, 10}, [2]float64{90, 10})), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	os.WriteFile(bad, []byte("not json"), 0o644)
-	if _, err := loadBaseline(bad); err == nil {
-		t.Error("malformed JSON must error")
-	}
-	empty := filepath.Join(t.TempDir(), "empty.json")
-	os.WriteFile(empty, []byte(`{"label": "x"}`), 0o644)
-	if _, err := loadBaseline(empty); err == nil {
-		t.Error("baseline without benchmarks must error")
+	for _, tc := range []struct {
+		name, change, gate string
+		want               int
+	}{
+		{"within budget", benchOutput("BenchmarkGated", [2]float64{120, 10}, [2]float64{115, 12}, [2]float64{500, 10}), "^BenchmarkGated$", 0},
+		{"ns regression", benchOutput("BenchmarkGated", [2]float64{130, 10}, [2]float64{126, 10}, [2]float64{90, 10}), "^BenchmarkGated$", 3},
+		{"allocs regression", benchOutput("BenchmarkGated", [2]float64{100, 13}, [2]float64{100, 13}, [2]float64{100, 10}), "^BenchmarkGated$", 3},
+		{"gate matches nothing", benchOutput("BenchmarkGated", [2]float64{100, 10}), "^BenchmarkRenamed$", 1},
+		{"one-sided benchmark not gated", benchOutput("BenchmarkGated", [2]float64{100, 10}) +
+			benchOutput("BenchmarkGatedNew", [2]float64{1e9, 1e9}), "^BenchmarkGated", 0},
+		{"only one-sided matches", benchOutput("BenchmarkGated", [2]float64{100, 10}) +
+			benchOutput("BenchmarkNew", [2]float64{1, 1}), "^BenchmarkNew$", 1},
+	} {
+		cmd := exec.Command(os.Args[0], "-parent", parentFile, "-max-regress", "0.25", "-max-allocs-regress", "0.25", "-gate", tc.gate)
+		cmd.Env = append(os.Environ(), "BENCH2JSON_MAIN=1")
+		cmd.Stdin = strings.NewReader(tc.change)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		got := 0
+		if ee, ok := err.(*exec.ExitError); ok {
+			got = ee.ExitCode()
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("%s: exit %d, want %d\n%s", tc.name, got, tc.want, stderr.String())
+		}
 	}
 }
 

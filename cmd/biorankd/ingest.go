@@ -149,27 +149,15 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusTooManyRequests, fmt.Errorf("ingest queue full"))
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusAccepted)
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(map[string]any{"accepted": len(deltas), "queued": len(s.ingest.queue)}); err != nil {
-			log.Printf("biorankd: encode: %v", err)
-		}
+		writeJSON(w, http.StatusAccepted, map[string]any{"accepted": len(deltas), "queued": len(s.ingest.queue)})
 		return
 	}
 	res, err := s.sys.Ingest(deltas...)
 	if err != nil {
 		// Batches before the failing one stayed applied; report both the
 		// error and the partial effect so the caller can reconcile.
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusUnprocessableEntity)
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(map[string]any{"error": err.Error(), "result": res}); err != nil {
-			log.Printf("biorankd: encode: %v", err)
-		}
+		writeJSON(w, http.StatusUnprocessableEntity, map[string]any{"error": err.Error(), "result": res})
 		return
 	}
-	writeJSON(w, res)
+	writeJSON(w, http.StatusOK, res)
 }

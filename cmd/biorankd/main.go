@@ -62,11 +62,11 @@
 // response carries "truncated": true.
 //
 // Overload: -max-inflight / -max-queue bound how much work may be
-// admitted at once (engine admission control for /query, an
-// equivalent server-side gate for /rank and /topk, which bypass the
-// engine). Requests beyond capacity fail fast with 429 Too Many
-// Requests and a Retry-After header estimating when capacity frees
-// up.
+// admitted at once: /query gets this budget in the engine, and /rank
+// plus /topk, which bypass the engine, get a second, separate budget
+// of the same size. Requests beyond capacity fail fast with 429 Too
+// Many Requests and a Retry-After header estimating when capacity
+// frees up.
 //
 // Shutdown: SIGINT/SIGTERM flip /readyz to 503, stop accepting new
 // connections, and drain in-flight requests (up to -drain) before the
@@ -110,6 +110,7 @@ import (
 	"time"
 
 	"biorank"
+	"biorank/internal/engine"
 )
 
 func main() {
@@ -119,8 +120,8 @@ func main() {
 		seed           = flag.Uint64("seed", 1, "world seed")
 		pprofAddr      = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 		defaultTimeout = flag.Duration("default-timeout", 0, "per-request ranking deadline (0 disables); requests may override with timeoutMs")
-		maxInFlight    = flag.Int("max-inflight", 0, "max concurrently executing ranking requests (0 = worker count when -max-queue is set, else unlimited)")
-		maxQueue       = flag.Int("max-queue", 0, "max admitted requests waiting beyond the in-flight set; beyond it requests are shed with 429 (0 with -max-inflight 0 = unlimited)")
+		maxInFlight    = flag.Int("max-inflight", 0, "max concurrently executing /query requests; /rank+/topk get a second, separate budget of the same size (0 = worker count when -max-queue is set, else unlimited)")
+		maxQueue       = flag.Int("max-queue", 0, "max admitted /query requests waiting beyond the in-flight set, and the same again for /rank+/topk; beyond it requests are shed with 429 (0 with -max-inflight 0 = unlimited)")
 		drain          = flag.Duration("drain", 15*time.Second, "max time to drain in-flight requests on SIGINT/SIGTERM")
 		live           = flag.Bool("live", false, "serve queries from a live mutable union graph and accept POST /ingest deltas")
 		ingestQueue    = flag.Int("ingest-queue", 64, "async ingest queue capacity (with -live); full queues shed with 429")
@@ -310,7 +311,7 @@ func newServer(sys *biorank.System, world string, defaultTimeout time.Duration, 
 		if capacity <= 0 {
 			capacity = 1
 		}
-		s.gate = &gate{capacity: capacity + maxQueue}
+		s.gate = &gate{engine.NewAdmission(capacity+maxQueue, 1)}
 	}
 	return s
 }
@@ -344,16 +345,12 @@ func (s *server) handleReady(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// gate is the server-side admission control for endpoints that rank on
-// the request goroutine instead of the engine pool: at most capacity
-// requests may be in the handler at once, the rest are shed with a
-// service-time-derived retry hint (mirroring the engine's policy).
-type gate struct {
-	capacity int
-	pending  atomic.Int64
-	shed     atomic.Uint64
-	avgNS    atomic.Int64
-}
+// gate is biorankd's instance of the engine's admission policy, for the
+// endpoints that rank on the request goroutine instead of the engine
+// pool: its budget bounds the requests inside those handlers, and the
+// service times it smooths are the handlers'. A nil gate admits
+// everything.
+type gate struct{ *engine.Admission }
 
 // acquire admits the caller (release must be called when done) or
 // sheds it with a suggested retry delay.
@@ -361,62 +358,28 @@ func (g *gate) acquire() (release func(), retry time.Duration, ok bool) {
 	if g == nil {
 		return func() {}, 0, true
 	}
-	for {
-		n := g.pending.Load()
-		if int(n) >= g.capacity {
-			g.shed.Add(1)
-			return nil, g.retryAfter(), false
-		}
-		if g.pending.CompareAndSwap(n, n+1) {
-			start := time.Now()
-			return func() {
-				g.observe(time.Since(start))
-				g.pending.Add(-1)
-			}, 0, true
-		}
+	if !g.Admit() {
+		return nil, g.RetryAfter(), false
 	}
-}
-
-// observe feeds the smoothed per-request service time (EWMA, α=1/8).
-func (g *gate) observe(d time.Duration) {
-	for {
-		old := g.avgNS.Load()
-		nw := int64(d)
-		if old != 0 {
-			nw = old + (int64(d)-old)/8
-		}
-		if g.avgNS.CompareAndSwap(old, nw) {
-			return
-		}
-	}
-}
-
-// retryAfter estimates when capacity frees up: the smoothed service
-// time times the backlog, clamped to [100ms, 30s].
-func (g *gate) retryAfter() time.Duration {
-	avg := time.Duration(g.avgNS.Load())
-	if avg <= 0 {
-		avg = 50 * time.Millisecond
-	}
-	d := avg * time.Duration(g.pending.Load()+1)
-	if d < 100*time.Millisecond {
-		d = 100 * time.Millisecond
-	}
-	if d > 30*time.Second {
-		d = 30 * time.Second
-	}
-	return d
+	start := time.Now()
+	return func() {
+		g.Observe(time.Since(start))
+		g.Done()
+	}, 0, true
 }
 
 // shedResponse writes the 429 of a load-shed request with its
-// Retry-After header (whole seconds, rounded up, minimum 1).
+// Retry-After header.
 func shedResponse(w http.ResponseWriter, retry time.Duration, err error) {
-	secs := int64((retry + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+	setRetryAfter(w, retry)
 	httpError(w, http.StatusTooManyRequests, err)
+}
+
+// setRetryAfter sets the Retry-After header to retry in whole seconds,
+// rounded up, minimum 1.
+func setRetryAfter(w http.ResponseWriter, retry time.Duration) {
+	secs := max(int64((retry+time.Second-1)/time.Second), 1)
+	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 }
 
 // requestTimeout resolves a request's ranking deadline: a positive
@@ -617,21 +580,11 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// A batch shed in its entirety becomes an HTTP-level 429 so plain
 	// clients back off; mixed batches stay 200 with per-result errors.
 	if allShed {
-		secs := int64((maxRetry + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusTooManyRequests)
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(map[string]any{"error": "overloaded", "results": out}); err != nil {
-			log.Printf("biorankd: encode: %v", err)
-		}
+		setRetryAfter(w, maxRetry)
+		writeJSON(w, http.StatusTooManyRequests, map[string]any{"error": "overloaded", "results": out})
 		return
 	}
-	writeJSON(w, map[string]any{"results": out})
+	writeJSON(w, http.StatusOK, map[string]any{"results": out})
 }
 
 // parseQueryRequests accepts GET query parameters, a single JSON
@@ -735,7 +688,7 @@ func (s *server) handleRank(w http.ResponseWriter, r *http.Request) {
 	if anyTruncated {
 		resp["truncated"] = true
 	}
-	writeJSON(w, resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // topkRequest is the wire form of /topk. Order "lower" re-sorts the
@@ -858,7 +811,7 @@ func (s *server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if res.Truncated {
 		resp["truncated"] = true
 	}
-	writeJSON(w, resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleStats reports engine result- and plan-cache counters and server
@@ -876,9 +829,9 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.gate != nil {
 		out["gate"] = map[string]any{
-			"pending":  s.gate.pending.Load(),
-			"capacity": s.gate.capacity,
-			"shed":     s.gate.shed.Load(),
+			"pending":  s.gate.Pending(),
+			"capacity": s.gate.Capacity(),
+			"shed":     s.gate.Shed(),
 		}
 	}
 	if ls, ok := s.sys.LiveStats(); ok {
@@ -890,11 +843,13 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if s.ingest != nil {
 		out["ingest"] = s.ingest.stats()
 	}
-	writeJSON(w, out)
+	writeJSON(w, http.StatusOK, out)
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+// writeJSON writes v as indented JSON with the given status code.
+func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {

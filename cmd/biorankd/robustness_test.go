@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"biorank/internal/engine"
 )
 
 func TestReadyzProbe(t *testing.T) {
@@ -41,7 +43,7 @@ func TestReadyzProbe(t *testing.T) {
 
 func TestGateShedsWith429(t *testing.T) {
 	s := testServer(t)
-	s.gate = &gate{capacity: 1}
+	s.gate = &gate{engine.NewAdmission(1, 1)}
 	defer func() { s.gate = nil }()
 
 	release, _, ok := s.gate.acquire()

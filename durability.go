@@ -91,85 +91,53 @@ func (s *System) EnableLiveDurable(cfg DurabilityConfig) (DurabilityStats, error
 		return DurabilityStats{}, err
 	}
 
-	s.engMu.Lock()
-	defer s.engMu.Unlock()
-	if s.engStarted {
-		return DurabilityStats{}, fmt.Errorf("biorank: engine already started; EnableLiveDurable must precede the first QueryBatchCtx")
-	}
-	if s.live.Load() != nil {
-		return DurabilityStats{}, fmt.Errorf("biorank: system is already live")
-	}
-
-	dur := &durable{
-		dir:             cfg.Dir,
-		fs:              cfg.FS,
-		checkpointEvery: uint64(cfg.CheckpointEvery),
-	}
-
-	rec, err := wal.Recover(cfg.Dir, cfg.FS)
-	if err != nil {
-		return DurabilityStats{}, fmt.Errorf("biorank: recover %s: %w", cfg.Dir, err)
-	}
-	var store *graph.Store
-	if rec != nil {
-		store = graph.NewStoreAt(rec.Graph, rec.Seq)
-		dur.recovery = rec.Stats
-		dur.recovered = true
-		dur.lastCheckpointSeq.Store(rec.Stats.CheckpointSeq)
-	} else {
-		g, err := s.med.IntegrateAll(s.Proteins())
+	ls, err := s.goLive("EnableLiveDurable", func() (*graph.Store, *durable, error) {
+		dur := &durable{
+			dir:             cfg.Dir,
+			fs:              cfg.FS,
+			checkpointEvery: uint64(cfg.CheckpointEvery),
+		}
+		rec, err := wal.Recover(cfg.Dir, cfg.FS)
 		if err != nil {
-			return DurabilityStats{}, err
+			return nil, nil, fmt.Errorf("biorank: recover %s: %w", cfg.Dir, err)
 		}
-		store = graph.NewStore(g)
-		cp, err := wal.CaptureCheckpoint(g, 0)
+		var store *graph.Store
+		if rec != nil {
+			store = graph.NewStoreAt(rec.Graph, rec.Seq)
+			dur.recovery = rec.Stats
+			dur.recovered = true
+			dur.lastCheckpointSeq.Store(rec.Stats.CheckpointSeq)
+		} else {
+			g, err := s.med.IntegrateAll(s.Proteins())
+			if err != nil {
+				return nil, nil, err
+			}
+			store = graph.NewStore(g)
+			cp, err := wal.CaptureCheckpoint(g, 0)
+			if err != nil {
+				return nil, nil, err
+			}
+			if _, err := wal.WriteCheckpoint(cfg.FS, cfg.Dir, cp); err != nil {
+				return nil, nil, fmt.Errorf("biorank: initial checkpoint: %w", err)
+			}
+			dur.checkpoints.Add(1)
+		}
+		dur.log, err = wal.OpenLog(cfg.Dir, wal.Options{
+			SegmentBytes: cfg.SegmentBytes,
+			Sync:         policy,
+			SyncEvery:    cfg.FsyncInterval,
+			FS:           cfg.FS,
+		})
 		if err != nil {
-			return DurabilityStats{}, err
+			return nil, nil, fmt.Errorf("biorank: open wal: %w", err)
 		}
-		if _, err := wal.WriteCheckpoint(cfg.FS, cfg.Dir, cp); err != nil {
-			return DurabilityStats{}, fmt.Errorf("biorank: initial checkpoint: %w", err)
-		}
-		dur.checkpoints.Add(1)
-	}
-
-	log, err := wal.OpenLog(cfg.Dir, wal.Options{
-		SegmentBytes: cfg.SegmentBytes,
-		Sync:         policy,
-		SyncEvery:    cfg.FsyncInterval,
-		FS:           cfg.FS,
+		store.SetDurability(dur.log)
+		return store, dur, nil
 	})
 	if err != nil {
-		return DurabilityStats{}, fmt.Errorf("biorank: open wal: %w", err)
+		return DurabilityStats{}, err
 	}
-	store.SetDurability(log)
-	dur.log = log
-
-	ls := &liveState{
-		store:             store,
-		keywordAccessions: make(map[string]map[string]bool),
-		accessionKeywords: make(map[string][]string),
-		dur:               dur,
-	}
-	s.indexKeywords(ls)
-	s.live.Store(ls)
 	return s.durabilityStats(ls), nil
-}
-
-// indexKeywords (re)builds the keyword↔accession index from the
-// mediator — the mapping scoped invalidation runs on.
-func (s *System) indexKeywords(ls *liveState) {
-	for _, kw := range s.Proteins() {
-		accs := s.med.Accessions(kw)
-		if len(accs) == 0 {
-			continue
-		}
-		set := make(map[string]bool, len(accs))
-		for _, a := range accs {
-			set[a] = true
-			ls.accessionKeywords[a] = append(ls.accessionKeywords[a], kw)
-		}
-		ls.keywordAccessions[kw] = set
-	}
 }
 
 // LiveDurable reports whether the system is live with a write-ahead log.
@@ -195,7 +163,7 @@ func (s *System) Checkpoint() (uint64, error) {
 		cp  *wal.Checkpoint
 		err error
 	)
-	ls.store.ViewAt(func(g *graph.Graph, seq uint64) {
+	ls.Store.ViewAt(func(g *graph.Graph, seq uint64) {
 		cp, err = wal.CaptureCheckpoint(g, seq)
 	})
 	if err != nil {
@@ -226,7 +194,7 @@ func (s *System) maybeCheckpoint(ls *liveState) {
 		return
 	}
 	var seq uint64
-	ls.store.ViewAt(func(_ *graph.Graph, n uint64) { seq = n })
+	ls.Store.ViewAt(func(_ *graph.Graph, n uint64) { seq = n })
 	if seq >= dur.lastCheckpointSeq.Load()+dur.checkpointEvery {
 		s.Checkpoint() //nolint:errcheck // counted in checkpointErrs
 	}

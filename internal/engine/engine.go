@@ -185,17 +185,12 @@ type Engine struct {
 	wg       sync.WaitGroup
 	workers  int
 
-	// Admission control. capacity is the admitted ceiling (0 =
-	// unlimited); pending counts admitted-but-unfinished requests,
-	// inFlight the subset currently executing, shed the rejections.
-	// avgNS is an EWMA of per-request service time feeding the
-	// RetryAfter suggestion. execSem, when non-nil, additionally caps
-	// execution concurrency at MaxInFlight.
-	capacity int
-	pending  atomic.Int64
+	// Admission control. adm admits up to the capacity and holds a
+	// token per admitted-but-unfinished request; inFlight counts the
+	// subset currently executing. execSem, when non-nil, additionally
+	// caps execution concurrency at MaxInFlight.
+	adm      *Admission
 	inFlight atomic.Int64
-	shed     atomic.Uint64
-	avgNS    atomic.Int64
 	execSem  chan struct{}
 
 	// mu orders submissions against Close: submitters hold the read
@@ -243,13 +238,15 @@ func New(resolver Resolver, cfg Config) *Engine {
 		// Buffered to the admission ceiling: an admitted send can then
 		// never block, so QueryBatchCtx's enqueue loop cannot stall behind
 		// a slow pool and admission "queued" matches channel occupancy.
-		jobs:     make(chan job, capacity),
-		workers:  workers,
-		capacity: capacity,
+		jobs:    make(chan job, capacity),
+		workers: workers,
 	}
+	servers := workers
 	if cfg.MaxInFlight > 0 && cfg.MaxInFlight < workers {
 		e.execSem = make(chan struct{}, cfg.MaxInFlight)
+		servers = cfg.MaxInFlight
 	}
+	e.adm = NewAdmission(capacity, servers)
 	e.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go e.worker()
@@ -295,7 +292,7 @@ func (e *Engine) PlanStats() PlanCacheStats { return e.plans.Stats() }
 
 // Stats snapshots the admission-control counters.
 func (e *Engine) Stats() Stats {
-	pending := e.pending.Load()
+	pending := e.adm.Pending()
 	inFlight := e.inFlight.Load()
 	queued := pending - inFlight
 	if queued < 0 {
@@ -304,8 +301,8 @@ func (e *Engine) Stats() Stats {
 	return Stats{
 		InFlight: int(inFlight),
 		Queued:   int(queued),
-		Capacity: e.capacity,
-		Shed:     e.shed.Load(),
+		Capacity: e.adm.Capacity(),
+		Shed:     e.adm.Shed(),
 	}
 }
 
@@ -321,7 +318,7 @@ func (e *Engine) worker() {
 // the MaxInFlight gate, and feeds the service-time EWMA.
 func (e *Engine) run(j job) {
 	defer j.done()
-	defer e.pending.Add(-1)
+	defer e.adm.Done()
 	if j.cancel != nil {
 		defer j.cancel()
 	}
@@ -342,65 +339,8 @@ func (e *Engine) run(j job) {
 	e.inFlight.Add(1)
 	start := time.Now()
 	e.execute(j.ctx, j.req, j.resp)
-	e.observe(time.Since(start))
+	e.adm.Observe(time.Since(start))
 	e.inFlight.Add(-1)
-}
-
-// observe folds one request's service time into the EWMA behind
-// RetryAfter suggestions (alpha 1/8).
-func (e *Engine) observe(d time.Duration) {
-	ns := d.Nanoseconds()
-	for {
-		old := e.avgNS.Load()
-		next := ns
-		if old > 0 {
-			next = old + (ns-old)/8
-		}
-		if e.avgNS.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// admit claims an admission token, failing when the engine is at
-// capacity.
-func (e *Engine) admit() bool {
-	if e.capacity <= 0 {
-		e.pending.Add(1)
-		return true
-	}
-	for {
-		cur := e.pending.Load()
-		if cur >= int64(e.capacity) {
-			return false
-		}
-		if e.pending.CompareAndSwap(cur, cur+1) {
-			return true
-		}
-	}
-}
-
-// retryAfter estimates when a shed client should try again: the queue
-// it would wait behind, served at the smoothed per-request rate across
-// the pool, clamped to [100ms, 30s].
-func (e *Engine) retryAfter() time.Duration {
-	avg := time.Duration(e.avgNS.Load())
-	if avg <= 0 {
-		avg = 50 * time.Millisecond
-	}
-	backlog := e.pending.Load()
-	workers := int64(e.workers)
-	if e.execSem != nil {
-		workers = int64(cap(e.execSem))
-	}
-	d := avg * time.Duration(backlog+1) / time.Duration(workers)
-	if d < 100*time.Millisecond {
-		d = 100 * time.Millisecond
-	}
-	if d > 30*time.Second {
-		d = 30 * time.Second
-	}
-	return d
 }
 
 // QueryBatchCtx executes all requests on the worker pool and returns
@@ -431,10 +371,9 @@ func (e *Engine) QueryBatchCtx(ctx context.Context, reqs []Request) []Response {
 		return out
 	}
 	for i := range reqs {
-		if !e.admit() {
-			e.shed.Add(1)
+		if !e.adm.Admit() {
 			out[i].Source = reqs[i].Source
-			out[i].Err = &OverloadError{RetryAfter: e.retryAfter()}
+			out[i].Err = &OverloadError{RetryAfter: e.adm.RetryAfter()}
 			continue
 		}
 		jctx, cancel := ctx, context.CancelFunc(nil)

@@ -10,7 +10,6 @@ import (
 	"biorank/internal/engine"
 	"biorank/internal/graph"
 	"biorank/internal/mediator"
-	"biorank/internal/query"
 )
 
 // This file measures what scoped cache invalidation buys under a live
@@ -133,38 +132,9 @@ func (s *Suite) churnMode(med *mediator.Mediator, keywords []string, ops []churn
 	if err != nil {
 		return ChurnModeResult{}, err
 	}
-	store := graph.NewStore(g)
-	// The keyword↔accession index scoped invalidation runs on — the same
-	// mapping the facade's live mode builds in EnableLive.
-	kwAccs := make(map[string]map[string]bool, len(keywords))
-	accKws := make(map[string][]string)
-	for _, kw := range keywords {
-		set := make(map[string]bool)
-		for _, a := range med.Accessions(kw) {
-			set[a] = true
-			accKws[a] = append(accKws[a], kw)
-		}
-		kwAccs[kw] = set
-	}
+	live := med.Live(graph.NewStore(g), keywords)
 	resolver := engine.ResolverFunc(func(_ context.Context, keyword string) (*graph.QueryGraph, error) {
-		accs := kwAccs[keyword]
-		if len(accs) == 0 {
-			return nil, fmt.Errorf("unknown keyword %q", keyword)
-		}
-		var (
-			qg  *graph.QueryGraph
-			err error
-		)
-		store.View(func(g *graph.Graph) {
-			q := query.Exploratory{
-				InputKind:   mediator.KindProtein,
-				Match:       func(n graph.Node) bool { return accs[n.Label] },
-				OutputKinds: []string{mediator.KindFunction},
-				Keyword:     keyword,
-			}
-			qg, err = q.Run(g)
-		})
-		return qg, err
+		return live.Carve(keyword)
 	})
 	eng := engine.New(resolver, engine.Config{Workers: 1})
 	defer eng.Close()
@@ -182,7 +152,7 @@ func (s *Suite) churnMode(med *mediator.Mediator, keywords []string, ops []churn
 			continue
 		}
 		res.Writes++
-		dr, err := store.Apply(graph.Delta{Source: "churn", Ops: []graph.Op{{
+		dr, err := live.Store.Apply(graph.Delta{Source: "churn", Ops: []graph.Op{{
 			Kind: graph.OpSetNodeP,
 			Node: graph.NodeRef{Kind: mediator.KindProtein, Label: op.acc},
 			P:    op.p,
@@ -192,21 +162,7 @@ func (s *Suite) churnMode(med *mediator.Mediator, keywords []string, ops []churn
 		}
 		if nuke {
 			eng.InvalidateSources(keywords)
-			continue
-		}
-		// Affected records → the keywords whose answers can reach them —
-		// the same scoping the facade's Ingest performs.
-		affected := map[string]bool{}
-		for _, acc := range store.SourcesReaching(mediator.KindProtein, dr.Affected) {
-			for _, kw := range accKws[acc] {
-				affected[kw] = true
-			}
-		}
-		if len(affected) > 0 {
-			kws := make([]string, 0, len(affected))
-			for kw := range affected {
-				kws = append(kws, kw)
-			}
+		} else if kws := live.Affected(dr.Affected); len(kws) > 0 {
 			eng.InvalidateSources(kws)
 		}
 	}

@@ -5,8 +5,8 @@ import (
 	"fmt"
 )
 
-// This file implements the structured mutation log that turns the graph
-// from a build-once artifact into an incrementally maintained database.
+// This file implements the structured deltas that turn the graph from a
+// build-once artifact into an incrementally maintained database.
 // Sources (Entrez, BLAST, annotation DBs) update continuously; a Delta is
 // one batch of updates from one source, and ApplyDelta folds it into the
 // graph while reporting exactly which nodes were touched so downstream
@@ -32,19 +32,31 @@ const (
 	OpSetEdgeQ
 )
 
+// opNames are the ops' wire spellings, indexed by OpKind.
+var opNames = [...]string{
+	OpUpsertNode: "upsert-node",
+	OpUpsertEdge: "upsert-edge",
+	OpSetNodeP:   "set-node-p",
+	OpSetEdgeQ:   "set-edge-q",
+}
+
+// String returns the op's wire spelling, the name /ingest accepts.
 func (k OpKind) String() string {
-	switch k {
-	case OpUpsertNode:
-		return "upsertNode"
-	case OpUpsertEdge:
-		return "upsertEdge"
-	case OpSetNodeP:
-		return "setNodeP"
-	case OpSetEdgeQ:
-		return "setEdgeQ"
-	default:
-		return fmt.Sprintf("OpKind(%d)", uint8(k))
+	if k >= OpUpsertNode && k <= OpSetEdgeQ {
+		return opNames[k]
 	}
+	return fmt.Sprintf("OpKind(%d)", uint8(k))
+}
+
+// ParseOpKind is String's inverse over the four ops. It reports false
+// for any other spelling.
+func ParseOpKind(s string) (OpKind, bool) {
+	for k := OpUpsertNode; k <= OpSetEdgeQ; k++ {
+		if opNames[k] == s {
+			return k, true
+		}
+	}
+	return 0, false
 }
 
 // NodeRef addresses a node by identity rather than NodeID, so deltas are
@@ -132,8 +144,8 @@ func (g *Graph) findEdge(from, to NodeID, rel string) (EdgeID, bool) {
 //
 // Validation resolves node references against the graph plus nodes added
 // earlier in the same delta, so a batch may add a node and then edges to
-// it. Probabilities outside [0,1] and dangling references are rejected
-// before anything is applied.
+// it. Probabilities outside [0,1] (NaN included) and dangling references
+// are rejected before anything is applied.
 func (g *Graph) ApplyDelta(d Delta) (DeltaResult, error) {
 	if err := g.ValidateDelta(d); err != nil {
 		return DeltaResult{}, err
@@ -170,7 +182,7 @@ func (g *Graph) ValidateDelta(d Delta) error {
 		return -1, false, fmt.Errorf("graph: delta references unknown node %s", r)
 	}
 	for i, op := range d.Ops {
-		if op.P < 0 || op.P > 1 {
+		if !(op.P >= 0 && op.P <= 1) { // NaN fails both comparisons
 			return fmt.Errorf("graph: delta op %d (%s): probability %g outside [0,1]", i, op.Kind, op.P)
 		}
 		switch op.Kind {

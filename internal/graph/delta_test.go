@@ -1,7 +1,7 @@
 package graph
 
 import (
-	"errors"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -24,6 +24,29 @@ func deltaTestGraph(t *testing.T) *Graph {
 	g.AddEdge(g1, f1, "ann", 0.4)
 	g.AddEdge(g2, f1, "ann", 0.4)
 	return g
+}
+
+// TestOpKindWireNames pins the ops' wire spellings and their parser.
+func TestOpKindWireNames(t *testing.T) {
+	for k, name := range map[OpKind]string{
+		OpUpsertNode: "upsert-node", OpUpsertEdge: "upsert-edge",
+		OpSetNodeP: "set-node-p", OpSetEdgeQ: "set-edge-q",
+	} {
+		if k.String() != name {
+			t.Errorf("OpKind(%d).String() = %q, want %q", uint8(k), k.String(), name)
+		}
+		if got, ok := ParseOpKind(name); !ok || got != k {
+			t.Errorf("ParseOpKind(%q) = %v, %v", name, got, ok)
+		}
+	}
+	for _, name := range []string{"", "setNodeP", "OpKind(0)", "upsert_node"} {
+		if k, ok := ParseOpKind(name); ok {
+			t.Errorf("ParseOpKind(%q) = %v, want rejection", name, k)
+		}
+	}
+	if got := OpKind(9).String(); got != "OpKind(9)" {
+		t.Errorf("OpKind(9).String() = %q", got)
+	}
 }
 
 func TestApplyDeltaProbOnly(t *testing.T) {
@@ -153,6 +176,26 @@ func TestApplyDeltaAtomicOnError(t *testing.T) {
 	}
 }
 
+// TestApplyDeltaRejectsNaNProbability: a NaN probability fails both
+// range comparisons, so it used to pass validation and land in the graph
+// (which the codec then cannot encode). Found by FuzzStoreApply.
+func TestApplyDeltaRejectsNaNProbability(t *testing.T) {
+	g := deltaTestGraph(t)
+	v0 := g.Version()
+	for _, op := range []Op{
+		{Kind: OpUpsertNode, Node: NodeRef{"X", "x"}, P: math.NaN()},
+		{Kind: OpSetNodeP, Node: NodeRef{"G", "g1"}, P: math.NaN()},
+		{Kind: OpSetEdgeQ, From: NodeRef{"G", "g1"}, To: NodeRef{"F", "f1"}, Rel: "ann", P: math.NaN()},
+	} {
+		if _, err := g.ApplyDelta(Delta{Source: "s", Ops: []Op{op}}); err == nil {
+			t.Errorf("%s with NaN probability accepted", op.Kind)
+		}
+	}
+	if g.Version() != v0 {
+		t.Errorf("graph mutated by rejected deltas: version %d->%d", v0, g.Version())
+	}
+}
+
 func TestApplyDeltaIntraBatchReference(t *testing.T) {
 	g := deltaTestGraph(t)
 	// An edge may target a node added earlier in the same delta, and a
@@ -226,17 +269,25 @@ func TestCloneCopiesEpochs(t *testing.T) {
 	}
 }
 
+// TestStoreApplyViewAndLog checks that an applied delta is visible to
+// View, counted by Stat and handed to the write-ahead hook first.
 func TestStoreApplyViewAndLog(t *testing.T) {
 	s := NewStore(deltaTestGraph(t))
+	hook := &recordingHook{}
+	s.SetDurability(hook)
 	v0 := s.Version()
-	res, err := s.Apply(Delta{Source: "amigo", Ops: []Op{
+	d := Delta{Source: "amigo", Ops: []Op{
 		{Kind: OpSetNodeP, Node: NodeRef{"G", "g1"}, P: 0.33},
-	}})
+	}}
+	res, err := s.Apply(d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Version != v0+1 {
 		t.Errorf("res.Version = %d, want %d", res.Version, v0+1)
+	}
+	if want := []hookRecord{{seq: 1, prevVersion: v0, d: d}}; !reflect.DeepEqual(hook.recs, want) {
+		t.Errorf("hook saw %+v, want %+v", hook.recs, want)
 	}
 	var p float64
 	s.View(func(g *Graph) {
@@ -246,46 +297,9 @@ func TestStoreApplyViewAndLog(t *testing.T) {
 	if p != 0.33 {
 		t.Errorf("view sees p = %g", p)
 	}
-	since, err := s.Since(v0)
-	if err != nil || len(since) != 1 || since[0].Version != v0+1 {
-		t.Errorf("Since(%d) = %v, %v", v0, since, err)
-	}
-	if _, err := s.Since(s.Version()); err != nil {
-		t.Errorf("Since(current) error: %v", err)
-	}
 	st := s.Stat()
 	if st.Deltas != 1 || st.ProbOnlyDeltas != 1 || st.ProbChanges != 1 || st.Epochs["amigo"] != 1 {
 		t.Errorf("Stat() = %+v", st)
-	}
-}
-
-func TestStoreLogBound(t *testing.T) {
-	s := NewStore(deltaTestGraph(t))
-	s.SetLogCap(3)
-	v0 := s.Version()
-	for i := 0; i < 6; i++ {
-		p := 0.1 + float64(i)*0.1
-		if _, err := s.Apply(Delta{Source: "amigo", Ops: []Op{
-			{Kind: OpSetNodeP, Node: NodeRef{"G", "g1"}, P: p},
-		}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := s.Stat(); st.LogLen != 3 || st.Deltas != 6 {
-		t.Errorf("Stat() = %+v", st)
-	}
-	// The early range has been dropped: the typed error names the oldest
-	// delta still retained so callers can decide between rebuild and WAL
-	// catch-up.
-	var trunc *ErrLogTruncated
-	if _, err := s.Since(v0); !errors.As(err, &trunc) {
-		t.Errorf("Since(v0) = %v, want *ErrLogTruncated", err)
-	} else if trunc.Requested != v0 || trunc.OldestRetained != s.Version()-2 {
-		t.Errorf("ErrLogTruncated = %+v, want Requested=%d OldestRetained=%d", trunc, v0, s.Version()-2)
-	}
-	// The recent range is still served.
-	if since, err := s.Since(s.Version() - 2); err != nil || len(since) != 2 {
-		t.Errorf("Since(recent) = %v, %v", since, err)
 	}
 }
 
@@ -340,7 +354,6 @@ func TestStoreConcurrency(t *testing.T) {
 					}
 					_ = g.Clone()
 				})
-				_, _ = s.Since(0)
 				_ = s.Stat()
 			}
 		}()

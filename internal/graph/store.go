@@ -8,9 +8,8 @@ import (
 
 // Store wraps a Graph as a live, concurrently mutable database: readers
 // take consistent snapshots under a read lock while ingestion applies
-// deltas under the write lock. It also keeps a bounded mutation log so
-// that coordinators which fell behind can catch up incrementally instead
-// of re-reading the whole graph.
+// deltas under the write lock. The write-ahead log behind the durability
+// hook is the only delta history.
 //
 // The locking granularity is deliberately coarse. Queries clone the
 // reachable subgraph out of the store (Exploratory.Run copies before it
@@ -20,9 +19,6 @@ import (
 type Store struct {
 	mu sync.RWMutex
 	g  *Graph
-
-	log    []DeltaResult // ring of the most recent deltas, oldest first
-	logCap int
 
 	deltas    uint64 // total deltas applied over the store's lifetime
 	probOnly  uint64 // deltas that changed probabilities only
@@ -44,29 +40,10 @@ type Durability interface {
 	Append(seq, prevVersion uint64, d Delta) error
 }
 
-// ErrLogTruncated reports that Store.Since was asked for a range the
-// bounded in-memory log has already evicted. OldestRetained is the graph
-// version of the oldest delta still logged (0 when the log is empty);
-// callers needing older history must fall back to a full rebuild or to
-// the write-ahead log.
-type ErrLogTruncated struct {
-	Requested      uint64
-	OldestRetained uint64
-}
-
-func (e *ErrLogTruncated) Error() string {
-	return fmt.Sprintf("graph: mutation log truncated: version %d requested, oldest retained delta is at version %d",
-		e.Requested, e.OldestRetained)
-}
-
-// DefaultStoreLogCap bounds the mutation log. 1024 deltas is hours of
-// realistic source churn; beyond that a catch-up reader should rebuild.
-const DefaultStoreLogCap = 1024
-
 // NewStore takes ownership of g and serves it as a live store. The caller
 // must not mutate g afterwards except through the store.
 func NewStore(g *Graph) *Store {
-	return &Store{g: g, logCap: DefaultStoreLogCap}
+	return &Store{g: g}
 }
 
 // NewStoreAt is NewStore for a graph recovered from a checkpoint: the
@@ -74,7 +51,7 @@ func NewStore(g *Graph) *Store {
 // sequence numbers handed to the durability hook stay contiguous with the
 // log that was replayed.
 func NewStoreAt(g *Graph, appliedDeltas uint64) *Store {
-	return &Store{g: g, logCap: DefaultStoreLogCap, deltas: appliedDeltas}
+	return &Store{g: g, deltas: appliedDeltas}
 }
 
 // SetDurability installs the write-ahead hook. Must be called before
@@ -85,49 +62,24 @@ func (s *Store) SetDurability(d Durability) {
 	s.durability = d
 }
 
-// SetLogCap adjusts the mutation-log bound (min 1). Only meaningful
-// before concurrent use.
-func (s *Store) SetLogCap(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.logCap = n
-	if len(s.log) > n {
-		s.log = append([]DeltaResult(nil), s.log[len(s.log)-n:]...)
-	}
-}
-
-// Apply validates and applies one delta under the write lock, records it
-// in the mutation log, and returns what changed. When a durability hook
-// is installed the delta is appended to it between validation and the
-// in-memory commit: a crash after the append replays the delta on
-// recovery (replay is idempotent), while an append failure rejects the
-// delta entirely — the in-memory state never runs ahead of the log.
+// Apply validates one delta, appends it to the durability hook if one is
+// installed, applies it and updates the counters, all under the write
+// lock, and returns what changed. A crash after the append replays the
+// delta on recovery (replay is idempotent), while an append failure
+// rejects the delta entirely — the in-memory state never runs ahead of
+// the log.
 func (s *Store) Apply(d Delta) (DeltaResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := s.g.ValidateDelta(d); err != nil {
+		return DeltaResult{}, err
+	}
 	if s.durability != nil {
-		if err := s.g.ValidateDelta(d); err != nil {
-			return DeltaResult{}, err
-		}
 		if err := s.durability.Append(s.deltas+1, s.g.Version(), d); err != nil {
 			return DeltaResult{}, fmt.Errorf("graph: durability append: %w", err)
 		}
-		res := s.g.applyDeltaUnchecked(d)
-		s.commitLocked(res)
-		return res, nil
 	}
-	res, err := s.g.ApplyDelta(d)
-	if err != nil {
-		return DeltaResult{}, err
-	}
-	s.commitLocked(res)
-	return res, nil
-}
-
-// commitLocked records an applied delta in the counters and the bounded
-// mutation log. Caller holds the write lock.
-func (s *Store) commitLocked(res DeltaResult) {
+	res := s.g.applyDeltaUnchecked(d)
 	s.deltas++
 	if res.ProbOnly {
 		s.probOnly++
@@ -135,12 +87,7 @@ func (s *Store) commitLocked(res DeltaResult) {
 	s.nodesAdd += uint64(res.NodesAdded)
 	s.edgesAdd += uint64(res.EdgesAdded)
 	s.probEdits += uint64(res.ProbChanges)
-	s.log = append(s.log, res)
-	if len(s.log) > s.logCap {
-		// Drop the oldest entries; copy so the backing array does not
-		// grow without bound.
-		s.log = append([]DeltaResult(nil), s.log[len(s.log)-s.logCap:]...)
-	}
+	return res, nil
 }
 
 // View runs fn with the live graph under the read lock. fn must not
@@ -167,47 +114,6 @@ func (s *Store) Version() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.g.Version()
-}
-
-// Since returns the logged deltas applied after the given graph version,
-// oldest first. When the bounded log has already evicted deltas from that
-// range it returns a *ErrLogTruncated carrying the oldest retained
-// version, and the caller must assume everything changed (full rebuild or
-// WAL catch-up).
-func (s *Store) Since(version uint64) ([]DeltaResult, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.g.Version() == version {
-		return nil, nil
-	}
-	// The log covers the requested range iff its oldest entry either is
-	// the first delta ever applied or starts at-or-before the requested
-	// version. A delta's recorded Version is the graph version after it
-	// applied, so coverage requires some entry with Version <= version or
-	// the log holding the store's entire history.
-	if uint64(len(s.log)) < s.deltas {
-		covered := false
-		for _, r := range s.log {
-			if r.Version <= version {
-				covered = true
-				break
-			}
-		}
-		if !covered {
-			var oldest uint64
-			if len(s.log) > 0 {
-				oldest = s.log[0].Version
-			}
-			return nil, &ErrLogTruncated{Requested: version, OldestRetained: oldest}
-		}
-	}
-	var results []DeltaResult
-	for _, r := range s.log {
-		if r.Version > version {
-			results = append(results, r)
-		}
-	}
-	return results, nil
 }
 
 // SourcesReaching returns, sorted, the labels of all nodes of the given
@@ -247,8 +153,8 @@ type StoreStats struct {
 	NodesAdded     uint64
 	EdgesAdded     uint64
 	ProbChanges    uint64
-	LogLen         int
-	Epochs         map[string]uint64
+	// Epochs maps each upstream source name to its ingestion epoch.
+	Epochs map[string]uint64
 }
 
 // Stat returns a snapshot of the store's counters.
@@ -264,7 +170,6 @@ func (s *Store) Stat() StoreStats {
 		NodesAdded:     s.nodesAdd,
 		EdgesAdded:     s.edgesAdd,
 		ProbChanges:    s.probEdits,
-		LogLen:         len(s.log),
 		Epochs:         s.g.SourceEpochs(),
 	}
 }

@@ -12,7 +12,9 @@
 package mediator
 
 import (
+	"errors"
 	"fmt"
+	"sort"
 
 	"biorank/internal/bio"
 	"biorank/internal/er"
@@ -230,6 +232,93 @@ func (m *Mediator) Accessions(keyword string) []string {
 	for i, p := range prots {
 		out[i] = p.Accession
 	}
+	return out
+}
+
+// ErrNoProtein is the error Live.Carve wraps for a keyword that selects
+// no protein record.
+var ErrNoProtein = errors.New("mediator: no protein matches")
+
+// Live is live mode's keyword core: a union graph built by IntegrateAll,
+// served from a mutable graph.Store, plus the keyword↔accession index
+// built once over it. It is the one place a keyword's query graph is
+// carved out of the live graph and a delta is mapped to the keywords it
+// can affect.
+type Live struct {
+	Store *graph.Store
+	// accessions maps a query keyword to the protein accession set its
+	// exploratory query selects in the union graph.
+	accessions map[string]map[string]bool
+	// keywords inverts it: the keywords whose answer sets depend on a
+	// protein accession.
+	keywords map[string][]string
+}
+
+// Live indexes the protein accessions of keywords over store, which must
+// hold IntegrateAll's union graph for the same keywords or a graph
+// recovered from its write-ahead log.
+func (m *Mediator) Live(store *graph.Store, keywords []string) *Live {
+	l := &Live{
+		Store:      store,
+		accessions: make(map[string]map[string]bool, len(keywords)),
+		keywords:   make(map[string][]string),
+	}
+	for _, kw := range keywords {
+		accs := m.Accessions(kw)
+		if len(accs) == 0 {
+			continue
+		}
+		set := make(map[string]bool, len(accs))
+		for _, a := range accs {
+			set[a] = true
+			l.keywords[a] = append(l.keywords[a], kw)
+		}
+		l.accessions[kw] = set
+	}
+	return l
+}
+
+// Carve returns the keyword's pruned query graph, carved out of a
+// snapshot of the live graph: under the store's read lock the
+// exploratory query clones the graph, selects the keyword's accessions
+// as input records and prunes to the answer-directed subgraph.
+func (l *Live) Carve(keyword string) (*graph.QueryGraph, error) {
+	accs := l.accessions[keyword]
+	if len(accs) == 0 {
+		return nil, fmt.Errorf("%w %q", ErrNoProtein, keyword)
+	}
+	var (
+		qg  *graph.QueryGraph
+		err error
+	)
+	l.Store.View(func(g *graph.Graph) {
+		qg, err = query.Exploratory{
+			InputKind:   KindProtein,
+			Match:       func(n graph.Node) bool { return accs[n.Label] },
+			OutputKinds: []string{KindFunction},
+			Keyword:     keyword,
+		}.Run(g)
+	})
+	return qg, err
+}
+
+// Affected returns, sorted, the keywords whose query graphs a delta that
+// touched the given nodes may have changed: those selecting a protein
+// record that can reach one of them. A record a delta added under an
+// existing protein is reachable from that protein, so new evidence
+// scopes exactly the keywords it can influence.
+func (l *Live) Affected(nodes []graph.NodeID) []string {
+	seen := make(map[string]bool)
+	var out []string
+	for _, acc := range l.Store.SourcesReaching(KindProtein, nodes) {
+		for _, kw := range l.keywords[acc] {
+			if !seen[kw] {
+				seen[kw] = true
+				out = append(out, kw)
+			}
+		}
+	}
+	sort.Strings(out)
 	return out
 }
 

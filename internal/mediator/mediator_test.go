@@ -2,7 +2,9 @@ package mediator
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"biorank/internal/bio"
@@ -280,5 +282,57 @@ func TestExploreClosedFormMatchesMonteCarlo(t *testing.T) {
 		if d < -0.02 || d > 0.02 {
 			t.Fatalf("answer %d: MC %v vs exact %v", i, mc.Scores[i], exact[i])
 		}
+	}
+}
+
+// TestLiveCarveAndAffected exercises live mode's keyword core over a
+// union graph: a carve selects the keyword's proteins and matches
+// Explore's answers, an unknown keyword fails with ErrNoProtein, and a
+// delta scopes to exactly the keywords whose proteins reach it.
+func TestLiveCarveAndAffected(t *testing.T) {
+	m, err := New(miniWorld(t), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	keywords := []string{"TESTG", "HOM0"}
+	g, err := m.IntegrateAll(keywords)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := m.Live(graph.NewStore(g), append(keywords, "NOSUCH"))
+	if _, err := live.Carve("NOSUCH"); !errors.Is(err, ErrNoProtein) {
+		t.Errorf("Carve(NOSUCH) = %v, want ErrNoProtein", err)
+	}
+	carved, err := live.Carve("TESTG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	explored, err := m.Explore("TESTG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers := func(qg *graph.QueryGraph) map[string]bool {
+		out := map[string]bool{}
+		for _, a := range qg.Answers {
+			out[qg.Node(a).Label] = true
+		}
+		return out
+	}
+	if got, want := answers(carved), answers(explored); !reflect.DeepEqual(got, want) {
+		t.Errorf("carved answers %v, explored %v", got, want)
+	}
+
+	affected := func(op graph.Op) []string {
+		res, err := live.Store.Apply(graph.Delta{Source: "test", Ops: []graph.Op{op}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return live.Affected(res.Affected)
+	}
+	if got := affected(graph.Op{Kind: graph.OpSetNodeP, Node: graph.NodeRef{Kind: KindProtein, Label: "NP_Q"}, P: 0.5}); !reflect.DeepEqual(got, []string{"TESTG"}) {
+		t.Errorf("delta on NP_Q affects %v, want [TESTG]", got)
+	}
+	if got := affected(graph.Op{Kind: graph.OpSetNodeP, Node: graph.NodeRef{Kind: KindFunction, Label: "GO:0000002"}, P: 0.5}); !reflect.DeepEqual(got, []string{"HOM0", "TESTG"}) {
+		t.Errorf("delta on GO:0000002 affects %v, want [HOM0 TESTG]", got)
 	}
 }

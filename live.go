@@ -6,7 +6,6 @@ import (
 
 	"biorank/internal/graph"
 	"biorank/internal/mediator"
-	"biorank/internal/query"
 )
 
 // This file implements the facade's live mode: instead of re-integrating
@@ -54,21 +53,12 @@ type IngestDelta struct {
 }
 
 // toGraphDelta translates the JSON-friendly representation into the
-// graph layer's mutation log entry.
+// graph layer's delta.
 func (d IngestDelta) toGraphDelta() (graph.Delta, error) {
 	out := graph.Delta{Source: d.Source, Ops: make([]graph.Op, len(d.Ops))}
 	for i, op := range d.Ops {
-		var kind graph.OpKind
-		switch op.Op {
-		case "upsert-node":
-			kind = graph.OpUpsertNode
-		case "upsert-edge":
-			kind = graph.OpUpsertEdge
-		case "set-node-p":
-			kind = graph.OpSetNodeP
-		case "set-edge-q":
-			kind = graph.OpSetEdgeQ
-		default:
+		kind, ok := graph.ParseOpKind(op.Op)
+		if !ok {
 			return graph.Delta{}, fmt.Errorf("biorank: unknown ingest op %q (want upsert-node, upsert-edge, set-node-p or set-edge-q)", op.Op)
 		}
 		out.Ops[i] = graph.Op{
@@ -107,60 +97,20 @@ type IngestResult struct {
 }
 
 // LiveStats reports the live store's state.
-type LiveStats struct {
-	Nodes, Edges   int
-	Version        uint64
-	Deltas         uint64
-	ProbOnlyDeltas uint64
-	NodesAdded     uint64
-	EdgesAdded     uint64
-	ProbChanges    uint64
-	// Epochs maps each upstream source name to its ingestion epoch.
-	Epochs map[string]uint64
-}
+type LiveStats = graph.StoreStats
 
 // ErrNotLive is returned by Ingest when EnableLive was never called.
 var ErrNotLive = fmt.Errorf("biorank: system is not live; call EnableLive first")
 
-// liveState is the immutable handle published by EnableLive: the mutable
-// store plus the keyword↔accession index scoped invalidation runs on.
-// The struct itself never changes after publication; all mutability lives
+// liveState is the immutable handle published by EnableLive: the
+// mediator's keyword core (the mutable store plus the keyword↔accession
+// index scoped invalidation runs on) and, in durable mode, the WAL. The
+// struct itself never changes after publication; all mutability lives
 // inside the store.
 type liveState struct {
-	store *graph.Store
-	// keywordAccessions maps a query keyword to the protein accession set
-	// its exploratory query selects in the union graph.
-	keywordAccessions map[string]map[string]bool
-	// accessionKeywords inverts it: the keywords whose answer sets depend
-	// on a protein accession.
-	accessionKeywords map[string][]string
+	*mediator.Live
 	// dur is non-nil when the store writes ahead to a WAL (durability.go).
 	dur *durable
-}
-
-// resolve carves the keyword's pruned query graph out of a live snapshot
-// of the union graph: under the store's read lock the exploratory query
-// clones the graph, selects the keyword's accessions as input records,
-// and prunes to the answer-directed subgraph.
-func (ls *liveState) resolve(keyword string) (*graph.QueryGraph, error) {
-	accs := ls.keywordAccessions[keyword]
-	if len(accs) == 0 {
-		return nil, fmt.Errorf("biorank: no protein matches %q", keyword)
-	}
-	var (
-		qg  *graph.QueryGraph
-		err error
-	)
-	ls.store.View(func(g *graph.Graph) {
-		q := query.Exploratory{
-			InputKind:   mediator.KindProtein,
-			Match:       func(n graph.Node) bool { return accs[n.Label] },
-			OutputKinds: []string{mediator.KindFunction},
-			Keyword:     keyword,
-		}
-		qg, err = q.Run(g)
-	})
-	return qg, err
 }
 
 // EnableLive switches the system to live mode: the mediator integrates
@@ -174,27 +124,36 @@ func (ls *liveState) resolve(keyword string) (*graph.QueryGraph, error) {
 // (the first QueryBatchCtx or stats call); flipping the resolver under a
 // running engine would mix world states within one batch.
 func (s *System) EnableLive() error {
+	_, err := s.goLive("EnableLive", func() (*graph.Store, *durable, error) {
+		g, err := s.med.IntegrateAll(s.Proteins())
+		if err != nil {
+			return nil, nil, err
+		}
+		return graph.NewStore(g), nil, nil
+	})
+	return err
+}
+
+// goLive is the one path into live mode, shared by EnableLive and
+// EnableLiveDurable: check that neither the engine nor live mode has
+// started, build the store, index its keywords and publish it. name is
+// the caller's, for the error message.
+func (s *System) goLive(name string, build func() (*graph.Store, *durable, error)) (*liveState, error) {
 	s.engMu.Lock()
 	defer s.engMu.Unlock()
 	if s.engStarted {
-		return fmt.Errorf("biorank: engine already started; EnableLive must precede the first QueryBatchCtx")
+		return nil, fmt.Errorf("biorank: engine already started; %s must precede the first QueryBatchCtx", name)
 	}
 	if s.live.Load() != nil {
-		return fmt.Errorf("biorank: system is already live")
+		return nil, fmt.Errorf("biorank: system is already live")
 	}
-	keywords := s.Proteins()
-	g, err := s.med.IntegrateAll(keywords)
+	store, dur, err := build()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	ls := &liveState{
-		store:             graph.NewStore(g),
-		keywordAccessions: make(map[string]map[string]bool, len(keywords)),
-		accessionKeywords: make(map[string][]string),
-	}
-	s.indexKeywords(ls)
+	ls := &liveState{Live: s.med.Live(store, s.Proteins()), dur: dur}
 	s.live.Store(ls)
-	return nil
+	return ls, nil
 }
 
 // Live reports whether the system is in live mode.
@@ -229,7 +188,7 @@ func (s *System) Ingest(deltas ...IngestDelta) (IngestResult, error) {
 		if err != nil {
 			return s.finishIngest(ls, out, affected), err
 		}
-		res, err := ls.store.Apply(gd)
+		res, err := ls.Store.Apply(gd)
 		if err != nil {
 			return s.finishIngest(ls, out, affected), fmt.Errorf("biorank: ingest %q: %w", d.Source, err)
 		}
@@ -239,14 +198,8 @@ func (s *System) Ingest(deltas ...IngestDelta) (IngestResult, error) {
 		out.ProbChanges += res.ProbChanges
 		out.ProbOnly = out.ProbOnly && res.ProbOnly
 		out.Version = res.Version
-		// Affected protein records → the keywords that select them. A
-		// record added by this very batch under an existing protein is
-		// co-reachable from that protein's accession node, so new evidence
-		// invalidates exactly the keywords it can influence.
-		for _, acc := range ls.store.SourcesReaching(mediator.KindProtein, res.Affected) {
-			for _, kw := range ls.accessionKeywords[acc] {
-				affected[kw] = true
-			}
+		for _, kw := range ls.Affected(res.Affected) {
+			affected[kw] = true
 		}
 	}
 	res := s.finishIngest(ls, out, affected)
@@ -270,7 +223,7 @@ func (s *System) finishIngest(ls *liveState, out IngestResult, affected map[stri
 	if started && len(out.AffectedSources) > 0 {
 		out.Invalidated = s.engineHandle().InvalidateSources(out.AffectedSources)
 	}
-	out.Epochs = ls.store.Stat().Epochs
+	out.Epochs = ls.Store.Stat().Epochs
 	return out
 }
 
@@ -281,16 +234,5 @@ func (s *System) LiveStats() (stats LiveStats, ok bool) {
 	if ls == nil {
 		return LiveStats{}, false
 	}
-	st := ls.store.Stat()
-	return LiveStats{
-		Nodes:          st.Nodes,
-		Edges:          st.Edges,
-		Version:        st.Version,
-		Deltas:         st.Deltas,
-		ProbOnlyDeltas: st.ProbOnlyDeltas,
-		NodesAdded:     st.NodesAdded,
-		EdgesAdded:     st.EdgesAdded,
-		ProbChanges:    st.ProbChanges,
-		Epochs:         st.Epochs,
-	}, true
+	return ls.Store.Stat(), true
 }
