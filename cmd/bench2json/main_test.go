@@ -69,26 +69,34 @@ func TestPairComparesMedians(t *testing.T) {
 // TestPairedGateExitCodes runs the command as CI does and checks its
 // exit status: 0 within budget, 3 on a gated ns/op or allocs/op
 // regression, 1 when the gate matches no benchmark present on both
-// sides, and no gating of a benchmark the parent lacks.
+// sides or the parent file is missing or holds no benchmark lines, and
+// no gating of a benchmark the parent lacks.
 func TestPairedGateExitCodes(t *testing.T) {
-	parentFile := filepath.Join(t.TempDir(), "parent.txt")
+	dir := t.TempDir()
+	parentFile := filepath.Join(dir, "parent.txt")
 	if err := os.WriteFile(parentFile, []byte(benchOutput("BenchmarkGated", [2]float64{100, 10}, [2]float64{110, 10}, [2]float64{90, 10})), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	emptyFile := filepath.Join(dir, "empty.txt")
+	if err := os.WriteFile(emptyFile, []byte("ok  \tbiorank/internal/kernel\t5.620s\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
-		name, change, gate string
-		want               int
+		name, parent, change, gate string
+		want                       int
 	}{
-		{"within budget", benchOutput("BenchmarkGated", [2]float64{120, 10}, [2]float64{115, 12}, [2]float64{500, 10}), "^BenchmarkGated$", 0},
-		{"ns regression", benchOutput("BenchmarkGated", [2]float64{130, 10}, [2]float64{126, 10}, [2]float64{90, 10}), "^BenchmarkGated$", 3},
-		{"allocs regression", benchOutput("BenchmarkGated", [2]float64{100, 13}, [2]float64{100, 13}, [2]float64{100, 10}), "^BenchmarkGated$", 3},
-		{"gate matches nothing", benchOutput("BenchmarkGated", [2]float64{100, 10}), "^BenchmarkRenamed$", 1},
-		{"one-sided benchmark not gated", benchOutput("BenchmarkGated", [2]float64{100, 10}) +
+		{"within budget", parentFile, benchOutput("BenchmarkGated", [2]float64{120, 10}, [2]float64{115, 12}, [2]float64{500, 10}), "^BenchmarkGated$", 0},
+		{"ns regression", parentFile, benchOutput("BenchmarkGated", [2]float64{130, 10}, [2]float64{126, 10}, [2]float64{90, 10}), "^BenchmarkGated$", 3},
+		{"allocs regression", parentFile, benchOutput("BenchmarkGated", [2]float64{100, 13}, [2]float64{100, 13}, [2]float64{100, 10}), "^BenchmarkGated$", 3},
+		{"gate matches nothing", parentFile, benchOutput("BenchmarkGated", [2]float64{100, 10}), "^BenchmarkRenamed$", 1},
+		{"one-sided benchmark not gated", parentFile, benchOutput("BenchmarkGated", [2]float64{100, 10}) +
 			benchOutput("BenchmarkGatedNew", [2]float64{1e9, 1e9}), "^BenchmarkGated", 0},
-		{"only one-sided matches", benchOutput("BenchmarkGated", [2]float64{100, 10}) +
+		{"only one-sided matches", parentFile, benchOutput("BenchmarkGated", [2]float64{100, 10}) +
 			benchOutput("BenchmarkNew", [2]float64{1, 1}), "^BenchmarkNew$", 1},
+		{"parent file missing", filepath.Join(dir, "missing.txt"), benchOutput("BenchmarkGated", [2]float64{100, 10}), "^BenchmarkGated$", 1},
+		{"parent file without benchmark lines", emptyFile, benchOutput("BenchmarkGated", [2]float64{100, 10}), "^BenchmarkGated$", 1},
 	} {
-		cmd := exec.Command(os.Args[0], "-parent", parentFile, "-max-regress", "0.25", "-max-allocs-regress", "0.25", "-gate", tc.gate)
+		cmd := exec.Command(os.Args[0], "-parent", tc.parent, "-max-regress", "0.25", "-max-allocs-regress", "0.25", "-gate", tc.gate)
 		cmd.Env = append(os.Environ(), "BENCH2JSON_MAIN=1")
 		cmd.Stdin = strings.NewReader(tc.change)
 		var stderr bytes.Buffer

@@ -14,7 +14,6 @@ package mediator
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"biorank/internal/bio"
 	"biorank/internal/er"
@@ -302,11 +301,12 @@ func (l *Live) Carve(keyword string) (*graph.QueryGraph, error) {
 	return qg, err
 }
 
-// Affected returns, sorted, the keywords whose query graphs a delta that
-// touched the given nodes may have changed: those selecting a protein
-// record that can reach one of them. A record a delta added under an
-// existing protein is reachable from that protein, so new evidence
-// scopes exactly the keywords it can influence.
+// Affected returns, each once and in no particular order, the keywords
+// whose query graphs a delta that touched the given nodes may have
+// changed: those selecting a protein record that can reach one of them.
+// A record a delta added under an existing protein is reachable from
+// that protein, so new evidence scopes exactly the keywords it can
+// influence.
 func (l *Live) Affected(nodes []graph.NodeID) []string {
 	seen := make(map[string]bool)
 	var out []string
@@ -318,7 +318,6 @@ func (l *Live) Affected(nodes []graph.NodeID) []string {
 			}
 		}
 	}
-	sort.Strings(out)
 	return out
 }
 

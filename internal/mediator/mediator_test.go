@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"biorank/internal/bio"
@@ -327,7 +328,9 @@ func TestLiveCarveAndAffected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return live.Affected(res.Affected)
+		kws := live.Affected(res.Affected)
+		sort.Strings(kws)
+		return kws
 	}
 	if got := affected(graph.Op{Kind: graph.OpSetNodeP, Node: graph.NodeRef{Kind: KindProtein, Label: "NP_Q"}, P: 0.5}); !reflect.DeepEqual(got, []string{"TESTG"}) {
 		t.Errorf("delta on NP_Q affects %v, want [TESTG]", got)
