@@ -29,15 +29,17 @@ trap 'rm -rf "$bin"' EXIT
 # scratch-pooled arenas make the hybrid planner's exact probe cheap;
 # PlanPatch, which keeps a patched plan cheaper than a fresh Compile;
 # WALAppendNever, the durable-ingest hot path's CPU cost (the
-# sync-bearing policies measure fsync latency and are not gated); and
+# sync-bearing policies measure fsync latency and are not gated);
 # AlignerSearch, AlignerIndex, ProfileMatch and the root package's
-# ExploratoryQuery, mediator integration (the root's other benchmarks
-# regenerate whole paper figures). Every gated benchmark is gated on
-# allocs/op too: the counts are deterministic, and a label index rebuilt
-# on every AddNode adds ~1,000 allocs/op (+67%) to ExploratoryQuery and
-# doubles its ns/op.
+# ExploratoryQuery, mediator integration; and the root's LiveCarve,
+# live mode's resolve, which copies only the pruned subgraph out of the
+# union graph (the root's other benchmarks regenerate whole paper
+# figures). Every gated benchmark is gated on allocs/op too: the counts
+# are deterministic, a label index rebuilt on every AddNode adds ~1,000
+# allocs/op (+67%) to ExploratoryQuery and doubles its ns/op, and a
+# carve that clones the union graph again multiplies LiveCarve's.
 pkgs=(internal/kernel internal/rank internal/wal internal/sources .)
-gate='^Benchmark(Compiled|BitParallel|WorldsBlock|ExactFactoring|PlanPatch|WALAppendNever|AlignerSearch|AlignerIndex|ProfileMatch|ExploratoryQuery)'
+gate='^Benchmark(Compiled|BitParallel|WorldsBlock|ExactFactoring|PlanPatch|WALAppendNever|AlignerSearch|AlignerIndex|ProfileMatch|ExploratoryQuery|LiveCarve)'
 
 tree() { if [ "$1" = parent ]; then echo "$parent_tree"; else echo "$change_tree"; fi; }
 binary() { echo "$bin/$1-${2//\//_}.test"; }

@@ -237,6 +237,21 @@ func BenchmarkExploratoryQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkLiveCarve times live mode's resolve: each op carves the demo
+// world's 20 keywords' query graphs out of the live union graph.
+func BenchmarkLiveCarve(b *testing.B) {
+	s := liveSystem(b, 1)
+	live := s.live.Load()
+	prots := s.Proteins()
+	for b.Loop() {
+		for _, p := range prots {
+			if _, err := live.Carve(p); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkEndToEndQuery measures the whole user journey through the
 // public facade: query plus reliability ranking.
 func BenchmarkEndToEndQuery(b *testing.B) {

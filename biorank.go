@@ -61,9 +61,11 @@ func Methods() []Method {
 }
 
 // Options tune ranking evaluation: the estimator spec (Trials, Seed,
-// Reduce, Exact, Workers, Adaptive, TopK, Worlds, Planner), documented
-// field by field on rank.Estimator. The zero value is the paper's
-// 10,000-trial Monte Carlo reliability estimate. DESIGN.md ("Estimator
+// Reduce, Exact, Workers, Adaptive, TopK, Planner), documented field by
+// field on rank.Estimator, whose deprecated Worlds field is ignored.
+// The zero value is the paper's 10,000-trial Monte Carlo reliability
+// estimate on the 256-world block kernel, which rounds the budget up to
+// whole 64-world words and so runs 10,048 worlds. DESIGN.md ("Estimator
 // spec") gives the precedence among the estimator flags and the fields
 // each estimator reads.
 type Options = rank.Estimator

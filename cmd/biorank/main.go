@@ -5,11 +5,11 @@
 //	biorank -protein ABCC8 -method reliability -trials 10000
 //
 // Flags select the query protein, the ranking method, the Monte Carlo
-// budget, the reliability estimator (-worlds for the bit-parallel
-// possible-worlds kernel, -planner for the hybrid exact/Monte-Carlo
-// planner, -topk N for the successive-elimination top-k race), and
-// whether to use the scenario-3 (hypothetical proteins) world instead
-// of the default well-studied-protein world.
+// budget, the reliability estimator (-planner for the hybrid
+// exact/Monte-Carlo planner, -topk N for the successive-elimination
+// top-k race; every sampled estimator runs on the 256-world block
+// kernel), and whether to use the scenario-3 (hypothetical proteins)
+// world instead of the default well-studied-protein world.
 package main
 
 import (
@@ -35,7 +35,6 @@ func main() {
 		list         = flag.Bool("list", false, "list available proteins and exit")
 		dotFile      = flag.String("dot", "", "write the query graph in Graphviz DOT format to this file")
 		jsonFile     = flag.String("json", "", "write the query graph as JSON to this file")
-		worlds       = flag.Bool("worlds", false, "use the bit-parallel possible-worlds kernel for reliability (256 worlds per block)")
 		planner      = flag.Bool("planner", false, "use the hybrid exact/Monte-Carlo planner for reliability (answers carry confidence bounds)")
 		topk         = flag.Int("topk", 0, "race only the top K functions by reliability with the successive-elimination ranker (0 = full ranking)")
 	)
@@ -81,7 +80,6 @@ func main() {
 		Seed:    *seed,
 		Reduce:  *reduce,
 		Exact:   *exact,
-		Worlds:  *worlds,
 		Planner: *planner,
 		TopK:    *topk,
 	})

@@ -75,7 +75,8 @@ func TestEngineBatchMatchesSequential(t *testing.T) {
 			var want rank.Result
 			switch m {
 			case "reliability":
-				want, err = (&rank.MonteCarlo{Trials: 500, Seed: 7, Reduce: true}).RankCtx(context.Background(), qg)
+				// The engine serves reliability on the block kernel.
+				want, err = (&rank.MonteCarlo{Trials: 500, Seed: 7, Reduce: true, Worlds: true}).RankCtx(context.Background(), qg)
 			case "propagation":
 				want, err = (&rank.Propagation{}).RankCtx(context.Background(), qg)
 			case "diffusion":
@@ -168,7 +169,8 @@ func TestEngineConcurrentHammer(t *testing.T) {
 // TestEngineParallelMCDeterministic checks that the engine's sharded
 // Monte Carlo reproduces the serial scores' determinism contract: a
 // fixed (seed, workers) pair gives identical scores on every run, and
-// the engine matches the rank package run directly.
+// the engine matches the rank package's block-kernel estimator run
+// directly.
 func TestEngineParallelMCDeterministic(t *testing.T) {
 	e := New(nil, Config{Workers: 2, CacheSize: -1}) // cache off: every run recomputes
 	defer e.Close()
@@ -184,7 +186,7 @@ func TestEngineParallelMCDeterministic(t *testing.T) {
 	if second.Err != nil {
 		t.Fatal(second.Err)
 	}
-	direct, err := (&rank.MonteCarlo{Trials: 20000, Seed: 5, Workers: 4}).RankCtx(context.Background(), qg)
+	direct, err := (&rank.MonteCarlo{Trials: 20000, Seed: 5, Workers: 4, Worlds: true}).RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,37 +113,34 @@ func TestPlanCacheEviction(t *testing.T) {
 	}
 }
 
-// TestWorldsOptionDistinctCacheKey pins that the bit-parallel flag
-// participates in the result cache key: the worlds estimator runs on a
-// different RNG stream, so a scalar entry served to a worlds request
-// (or vice versa) would silently break seed reproducibility.
-func TestWorldsOptionDistinctCacheKey(t *testing.T) {
+// TestWorldsOptionSharesCacheEntry pins that the deprecated Worlds flag
+// is not part of the result cache key: every sampled request runs on the
+// block kernel, so a request that sets it is served the entry a request
+// without it created, with the same scores.
+func TestWorldsOptionSharesCacheEntry(t *testing.T) {
 	e := New(ResolverFunc(func(context.Context, string) (*graph.QueryGraph, error) {
 		return planTestGraph(), nil
 	}), Config{})
 	defer e.Close()
-	scalar := Request{Source: "x", Methods: []string{"reliability"}, Options: Options{Trials: 20000, Seed: 3}}
-	worlds := scalar
+	plain := Request{Source: "x", Methods: []string{"reliability"}, Options: Options{Trials: 20000, Seed: 3}}
+	worlds := plain
 	worlds.Options.Worlds = true
-	r1 := e.RankCtx(context.Background(), scalar)
+	r1 := e.RankCtx(context.Background(), plain)
 	r2 := e.RankCtx(context.Background(), worlds)
 	if r1.Err != nil || r2.Err != nil {
 		t.Fatal(r1.Err, r2.Err)
 	}
-	if r2.Cached["reliability"] {
-		t.Fatal("worlds result served from scalar cache entry")
+	if r1.Cached["reliability"] || !r2.Cached["reliability"] {
+		t.Fatalf("cached flags %v then %v, want a miss then a hit", r1.Cached["reliability"], r2.Cached["reliability"])
 	}
-	// Both estimate the same reliabilities, so scores agree loosely.
-	ss := r1.Results["reliability"].Scores
-	ws := r2.Results["reliability"].Scores
-	for i := range ss {
-		if d := ss[i] - ws[i]; d > 0.05 || d < -0.05 {
-			t.Fatalf("answer %d: scalar %v vs worlds %v", i, ss[i], ws[i])
+	ps, ws := r1.Results["reliability"].Scores, r2.Results["reliability"].Scores
+	for i := range ps {
+		if ps[i] != ws[i] {
+			t.Fatalf("answer %d: %v without Worlds, %v with it", i, ps[i], ws[i])
 		}
 	}
-	// A repeat of the worlds request must hit its own entry.
-	if r := e.RankCtx(context.Background(), worlds); !r.Cached["reliability"] {
-		t.Fatal("identical worlds request missed the cache")
+	if s := e.CacheStats(); s.Misses != 1 || s.Hits != 1 || s.Entries != 1 {
+		t.Fatalf("cache stats %+v, want 1 miss, 1 hit, 1 entry", s)
 	}
 }
 

@@ -70,7 +70,7 @@ func TestRankStabilityPlanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range []StabilityRow{res.Fixed, res.Racer, res.Planner} {
+	for _, row := range []StabilityRow{res.Fixed, res.Racer, res.Planner, res.Block, res.BlockVsScalar} {
 		if row.Pairs == 0 {
 			t.Fatalf("%s: no tau pairs measured", row.Config)
 		}
@@ -86,8 +86,16 @@ func TestRankStabilityPlanner(t *testing.T) {
 		t.Errorf("planner mean tau %.4f materially below fixed MC %.4f",
 			res.Planner.MeanTau, res.Fixed.MeanTau)
 	}
-	t.Logf("mean tau: fixed %.4f, racer %.4f, planner %.4f",
-		res.Fixed.MeanTau, res.Racer.MeanTau, res.Planner.MeanTau)
+	// The served block kernel ranks like the scalar one: across its own
+	// seeds and against the scalar kernel at the same seed, tau stays
+	// near the scalar across-seed tau.
+	for _, row := range []StabilityRow{res.Block, res.BlockVsScalar} {
+		if row.MeanTau < res.Fixed.MeanTau-0.05 {
+			t.Errorf("%s mean tau %.4f materially below fixed MC %.4f", row.Config, row.MeanTau, res.Fixed.MeanTau)
+		}
+	}
+	t.Logf("mean tau: fixed %.4f, racer %.4f, planner %.4f, block %.4f, block vs scalar %.4f",
+		res.Fixed.MeanTau, res.Racer.MeanTau, res.Planner.MeanTau, res.Block.MeanTau, res.BlockVsScalar.MeanTau)
 
 	if _, err := s.RankStability(1, 400); err == nil {
 		t.Error("RankStability accepted a single seed")

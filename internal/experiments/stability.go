@@ -73,6 +73,14 @@ type StabilityResult struct {
 	Fixed   StabilityRow
 	Racer   StabilityRow
 	Planner StabilityRow
+	// Block is the fixed-budget estimator on the 256-world block kernel,
+	// the one served for every sampled request, across seeds.
+	Block StabilityRow
+	// BlockVsScalar compares the block and scalar fixed-budget rankings
+	// at the same seed index: the two kernels sample the same
+	// distribution on different RNG streams, so it should sit where the
+	// across-seed rows do.
+	BlockVsScalar StabilityRow
 }
 
 type tauAccum struct {
@@ -103,7 +111,9 @@ func (t *tauAccum) row(config string) StabilityRow {
 // RankStability reranks every scenario-1 graph under `seeds` different
 // RNG seeds at the given trial budget and reports the pairwise Kendall
 // tau of the resulting score vectors for the fixed-budget estimator,
-// the top-k racer (full ranking) and the hybrid planner.
+// the top-k racer (full ranking) and the hybrid planner, then for the
+// fixed-budget estimator on the block kernel, across seeds and against
+// the scalar one at the same seed.
 func (s *Suite) RankStability(seeds, trials int) (StabilityResult, error) {
 	if seeds < 2 {
 		return StabilityResult{}, fmt.Errorf("experiments: rank stability needs >= 2 seeds, got %d", seeds)
@@ -112,9 +122,9 @@ func (s *Suite) RankStability(seeds, trials int) (StabilityResult, error) {
 		trials = s.Opts.SensitivityTrials
 	}
 	out := StabilityResult{Seeds: seeds, Trials: trials, Graphs: len(s.Graphs12)}
-	var fixed, racer, planner tauAccum
+	var fixed, racer, planner, block, blockVsScalar tauAccum
 	for _, qg := range s.Graphs12 {
-		nSeeds := make([][3][]float64, seeds)
+		nSeeds := make([][4][]float64, seeds)
 		for i := 0; i < seeds; i++ {
 			seed := s.Opts.Seed + uint64(i)
 			f := &rank.MonteCarlo{Trials: trials, Seed: seed}
@@ -132,19 +142,28 @@ func (s *Suite) RankStability(seeds, trials int) (StabilityResult, error) {
 			if err != nil {
 				return StabilityResult{}, err
 			}
-			nSeeds[i] = [3][]float64{fres.Scores, rres.Scores, pres.Scores}
+			b := &rank.MonteCarlo{Trials: trials, Seed: seed, Worlds: true}
+			bres, err := b.RankCtx(context.Background(), qg)
+			if err != nil {
+				return StabilityResult{}, err
+			}
+			nSeeds[i] = [4][]float64{fres.Scores, rres.Scores, pres.Scores, bres.Scores}
+			blockVsScalar.add(KendallTau(bres.Scores, fres.Scores))
 		}
 		for i := 0; i < seeds; i++ {
 			for j := i + 1; j < seeds; j++ {
 				fixed.add(KendallTau(nSeeds[i][0], nSeeds[j][0]))
 				racer.add(KendallTau(nSeeds[i][1], nSeeds[j][1]))
 				planner.add(KendallTau(nSeeds[i][2], nSeeds[j][2]))
+				block.add(KendallTau(nSeeds[i][3], nSeeds[j][3]))
 			}
 		}
 	}
 	out.Fixed = fixed.row(fmt.Sprintf("fixed (MC %d)", trials))
 	out.Racer = racer.row("racer (full ranking)")
 	out.Planner = planner.row("planner")
+	out.Block = block.row(fmt.Sprintf("fixed (block MC %d)", trials))
+	out.BlockVsScalar = blockVsScalar.row("block vs scalar")
 	return out, nil
 }
 
@@ -154,7 +173,7 @@ func RenderStability(r StabilityResult) string {
 	fmt.Fprintf(&b, "Rank stability across %d seeds at %d trials (%d scenario-1 graphs, Kendall tau-b)\n",
 		r.Seeds, r.Trials, r.Graphs)
 	fmt.Fprintf(&b, "%-24s %10s %10s %8s\n", "config", "mean tau", "min tau", "pairs")
-	for _, row := range []StabilityRow{r.Fixed, r.Racer, r.Planner} {
+	for _, row := range []StabilityRow{r.Fixed, r.Racer, r.Planner, r.Block, r.BlockVsScalar} {
 		fmt.Fprintf(&b, "%-24s %10.4f %10.4f %8d\n", row.Config, row.MeanTau, row.MinTau, row.Pairs)
 	}
 	return b.String()

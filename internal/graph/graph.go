@@ -11,6 +11,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -254,46 +255,50 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// Reachable returns, for every node, whether it is reachable from src
-// following directed edges (ignoring probabilities). src itself is
-// reachable.
-func (g *Graph) Reachable(src NodeID) []bool {
-	seen := make([]bool, len(g.nodes))
-	stack := []NodeID{src}
-	seen[src] = true
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, eid := range g.out[n] {
-			to := g.edges[eid].To
-			if !seen[to] {
-				seen[to] = true
-				stack = append(stack, to)
-			}
-		}
-	}
-	return seen
+// Reachable returns, for every node, whether it is reachable from one
+// of srcs following directed edges (ignoring probabilities). The sources
+// themselves are reachable.
+func (g *Graph) Reachable(srcs ...NodeID) []bool {
+	return g.walk(srcs, nil, true)
 }
 
 // CoReachable returns, for every node, whether some node in targets is
 // reachable from it (i.e. reverse reachability from the target set).
-func (g *Graph) CoReachable(targets []NodeID) []bool {
+// within, when non-nil, confines the walk to the nodes it marks: only
+// those targets and only paths through them count. For a within closed
+// under successors, such as a Reachable result, that is exactly the
+// co-reachable set intersected with within, found without visiting the
+// rest of the graph.
+func (g *Graph) CoReachable(targets []NodeID, within []bool) []bool {
+	return g.walk(targets, within, false)
+}
+
+// walk marks every node reachable from seeds along out-edges (forward)
+// or in-edges, stepping only onto nodes within marks when it is non-nil.
+func (g *Graph) walk(seeds []NodeID, within []bool, forward bool) []bool {
 	seen := make([]bool, len(g.nodes))
-	stack := make([]NodeID, 0, len(targets))
-	for _, t := range targets {
-		if !seen[t] {
-			seen[t] = true
-			stack = append(stack, t)
+	stack := make([]NodeID, 0, len(seeds))
+	visit := func(n NodeID) {
+		if !seen[n] && (within == nil || within[n]) {
+			seen[n] = true
+			stack = append(stack, n)
 		}
+	}
+	for _, n := range seeds {
+		visit(n)
+	}
+	adj := g.in
+	if forward {
+		adj = g.out
 	}
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, eid := range g.in[n] {
-			from := g.edges[eid].From
-			if !seen[from] {
-				seen[from] = true
-				stack = append(stack, from)
+		for _, eid := range adj[n] {
+			if forward {
+				visit(g.edges[eid].To)
+			} else {
+				visit(g.edges[eid].From)
 			}
 		}
 	}
@@ -378,24 +383,42 @@ func (g *Graph) LongestPathFrom(src NodeID) (int, error) {
 
 // InducedSubgraph returns the subgraph induced by the nodes for which
 // keep is true, together with a mapping old→new node IDs (entries for
-// dropped nodes are -1). Edges are kept iff both endpoints are kept.
-func (g *Graph) InducedSubgraph(keep []bool) (*Graph, []NodeID) {
+// dropped nodes are -1). Edges are kept iff both endpoints are kept, in
+// edge-ID order. Only the kept nodes' out-edges are visited and the
+// subgraph is sized to what it keeps, plus room for spareNodes nodes and
+// spareEdges edges the caller adds afterwards, so carving a small
+// subgraph out of a large graph costs one pass over keep plus the kept
+// part.
+func (g *Graph) InducedSubgraph(keep []bool, spareNodes, spareEdges int) (*Graph, []NodeID) {
 	if len(keep) != len(g.nodes) {
 		panic("graph: keep mask length mismatch")
 	}
 	remap := make([]NodeID, len(g.nodes))
-	sub := New(len(g.nodes), len(g.edges))
-	for i, n := range g.nodes {
-		if keep[i] {
-			remap[i] = sub.AddNode(n.Kind, n.Label, n.P)
-		} else {
-			remap[i] = -1
+	var kept []EdgeID
+	nodes := 0
+	for i, k := range keep {
+		remap[i] = -1
+		if k {
+			remap[i] = NodeID(nodes)
+			nodes++
+			for _, eid := range g.out[i] {
+				if keep[g.edges[eid].To] {
+					kept = append(kept, eid)
+				}
+			}
 		}
 	}
-	for _, e := range g.edges {
-		if keep[e.From] && keep[e.To] {
-			sub.AddEdge(remap[e.From], remap[e.To], e.Kind, e.Q)
+	slices.Sort(kept)
+	sub := New(nodes+spareNodes, len(kept)+spareEdges)
+	for i, k := range keep {
+		if k {
+			n := g.nodes[i]
+			sub.AddNode(n.Kind, n.Label, n.P)
 		}
+	}
+	for _, eid := range kept {
+		e := g.edges[eid]
+		sub.AddEdge(remap[e.From], remap[e.To], e.Kind, e.Q)
 	}
 	return sub, remap
 }

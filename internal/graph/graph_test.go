@@ -2,6 +2,9 @@ package graph
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -106,7 +109,7 @@ func TestReachable(t *testing.T) {
 func TestCoReachable(t *testing.T) {
 	g, ids := chain(t)
 	d := g.AddNode("X", "island", 1)
-	cr := g.CoReachable([]NodeID{ids[3]})
+	cr := g.CoReachable([]NodeID{ids[3]}, nil)
 	for _, id := range ids {
 		if !cr[id] {
 			t.Fatalf("node %d should co-reach target", id)
@@ -182,7 +185,7 @@ func TestInducedSubgraph(t *testing.T) {
 	keep[ids[0]] = true
 	keep[ids[1]] = true
 	keep[ids[3]] = true // drop b: edges a->b, b->t disappear
-	sub, remap := g.InducedSubgraph(keep)
+	sub, remap := g.InducedSubgraph(keep, 0, 0)
 	if sub.NumNodes() != 3 {
 		t.Fatalf("want 3 nodes, got %d", sub.NumNodes())
 	}
@@ -194,6 +197,66 @@ func TestInducedSubgraph(t *testing.T) {
 	}
 	if sub.Node(remap[ids[1]]).Label != "a" {
 		t.Fatal("remap points at wrong node")
+	}
+}
+
+// TestInducedSubgraphMatchesFullScan checks InducedSubgraph, which only
+// visits the kept nodes' out-edges, against the full scan it replaced
+// (every node, then every edge, in ID order) on random multigraphs and
+// masks: same nodes, edges, adjacency order and Version(). It also
+// checks the walks' set forms: a multi-source Reachable is the union of
+// the single-source ones, and CoReachable within a Reachable result is
+// the plain CoReachable intersected with it.
+func TestInducedSubgraphMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for iter := 0; iter < 200; iter++ {
+		n := 1 + rng.Intn(30)
+		g := New(0, 0)
+		for i := 0; i < n; i++ {
+			g.AddNode("K", fmt.Sprint(i), rng.Float64())
+		}
+		for m := rng.Intn(3 * n); m > 0; m-- {
+			g.AddEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)), fmt.Sprint(m), rng.Float64())
+		}
+		keep := make([]bool, n)
+		for i := range keep {
+			keep[i] = rng.Intn(3) > 0
+		}
+		want, wantRemap := New(0, 0), make([]NodeID, n)
+		for i, k := range keep {
+			wantRemap[i] = -1
+			if k {
+				nd := g.Node(NodeID(i))
+				wantRemap[i] = want.AddNode(nd.Kind, nd.Label, nd.P)
+			}
+		}
+		for i := 0; i < g.NumEdges(); i++ {
+			e := g.Edge(EdgeID(i))
+			if keep[e.From] && keep[e.To] {
+				want.AddEdge(wantRemap[e.From], wantRemap[e.To], e.Kind, e.Q)
+			}
+		}
+		got, remap := g.InducedSubgraph(keep, rng.Intn(2), rng.Intn(2))
+		same := reflect.DeepEqual(remap, wantRemap) && got.Version() == want.Version() &&
+			reflect.DeepEqual(got.nodes, want.nodes) && reflect.DeepEqual(got.edges, want.edges)
+		for v := 0; same && v < want.NumNodes(); v++ {
+			same = slices.Equal(got.Out(NodeID(v)), want.Out(NodeID(v))) && slices.Equal(got.In(NodeID(v)), want.In(NodeID(v)))
+		}
+		if !same {
+			t.Fatalf("iteration %d: InducedSubgraph differs from the full scan", iter)
+		}
+
+		srcs := []NodeID{NodeID(rng.Intn(n)), NodeID(rng.Intn(n))}
+		reach := g.Reachable(srcs...)
+		r0, r1 := g.Reachable(srcs[0]), g.Reachable(srcs[1])
+		targets := []NodeID{NodeID(rng.Intn(n)), NodeID(rng.Intn(n))}
+		co, within := g.CoReachable(targets, nil), g.CoReachable(targets, reach)
+		for i := 0; i < n; i++ {
+			if reach[i] != (r0[i] || r1[i]) || within[i] != (co[i] && reach[i]) {
+				t.Fatalf("iteration %d node %d: reach %v (singles %v, %v), co %v, within %v",
+					iter, i, reach[i], r0[i], r1[i], co[i], within[i])
+			}
+		}
 	}
 }
 

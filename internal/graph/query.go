@@ -40,14 +40,9 @@ func NewQueryGraph(g *Graph, source NodeID, answers []NodeID) (*QueryGraph, erro
 // any of the five relevance semantics, so pruning is a safe preprocessing
 // step shared by all rankers.
 func (qg *QueryGraph) Prune() *QueryGraph {
-	fromS := qg.Reachable(qg.Source)
-	toA := qg.CoReachable(qg.Answers)
-	keep := make([]bool, qg.NumNodes())
-	for i := range keep {
-		keep[i] = fromS[i] && toA[i]
-	}
+	keep := qg.CoReachable(qg.Answers, qg.Reachable(qg.Source))
 	keep[qg.Source] = true
-	sub, remap := qg.InducedSubgraph(keep)
+	sub, remap := qg.InducedSubgraph(keep, 0, 0)
 	answers := make([]NodeID, 0, len(qg.Answers))
 	for _, a := range qg.Answers {
 		if remap[a] >= 0 {

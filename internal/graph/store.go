@@ -131,7 +131,7 @@ func (s *Store) SourcesReaching(kind string, affected []NodeID) []string {
 	if len(affected) == 0 {
 		return nil
 	}
-	co := s.g.CoReachable(affected)
+	co := s.g.CoReachable(affected, nil)
 	var labels []string
 	for i := 0; i < s.g.NumNodes(); i++ {
 		if co[i] {

@@ -21,8 +21,8 @@ import (
 // number of whole 64-bit words where the scalar coin consumes one
 // 53-bit draw, so scores differ from the scalar kernel's for the same
 // seed the way two scalar runs with different seeds differ. The
-// bit-parallel path is therefore an explicit estimator variant
-// (rank.Estimator.Worlds), statistically — not bitwise — equivalent,
+// bit-parallel path is therefore a different estimator stream,
+// statistically — not bitwise — equivalent to the scalar one,
 // and the equivalence is pinned by property tests (frequency bounds,
 // chi-square against the scalar kernel, and the exact evaluator on
 // small graphs) instead of golden scores. This single-word loop is

@@ -36,10 +36,10 @@ import (
 // chi-square agreement with the scalar kernel, and exact possible-world
 // enumeration on small graphs (worldsblock_test.go). The scalar and
 // 64-bit kernels remain in the tree as the reference implementations
-// those tests compare against; rank's Worlds option runs on this kernel
-// through WorldsBlockSession, falling back to the single-word loop only
-// for the remainder words of a call that is not a whole number of
-// blocks.
+// those tests compare against; every sampled estimator rank serves
+// runs on this kernel through WorldsBlockSession, falling back to the
+// single-word loop only for the remainder words of a call that is not a
+// whole number of blocks.
 //
 // SimOps semantics match worlds.go with the mask as the unit of coin
 // accounting: Trials counts WORLDS (BlockSize per block-trial),

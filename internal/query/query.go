@@ -37,6 +37,11 @@ type Exploratory struct {
 // Run executes the query against the entity graph g. The graph is not
 // modified; the result is a pruned copy containing the query node, the
 // matched input records, and everything on a path to a reachable answer.
+// Only that copy is built, so a query graph carved out of a large union
+// graph costs what it keeps. Its layout is fixed, because Monte Carlo
+// streams and cache fingerprints depend on it: the kept records in ID
+// order, then the query node; the kept edges in ID order, then the match
+// edges; and a Version() that counts one per node and edge added.
 func (q Exploratory) Run(g *graph.Graph) (*graph.QueryGraph, error) {
 	if q.InputKind == "" {
 		return nil, fmt.Errorf("query: input entity set required")
@@ -52,37 +57,38 @@ func (q Exploratory) Run(g *graph.Graph) (*graph.QueryGraph, error) {
 		out[k] = true
 	}
 
-	// Copy the entity graph and add the query node.
-	work := g.Clone()
-	src := work.AddNode(QueryKind, q.Keyword, 1)
-	matched := 0
+	var matched []graph.NodeID
 	for i := 0; i < g.NumNodes(); i++ {
 		n := g.Node(graph.NodeID(i))
-		if n.Kind != q.InputKind {
-			continue
-		}
-		if q.Match == nil || q.Match(n) {
-			// The keyword match itself is certain: q = 1.
-			work.AddEdge(src, n.ID, "match", 1)
-			matched++
+		if n.Kind == q.InputKind && (q.Match == nil || q.Match(n)) {
+			matched = append(matched, n.ID)
 		}
 	}
-	if matched == 0 {
+	if len(matched) == 0 {
 		return nil, fmt.Errorf("query: no %s record matches %q", q.InputKind, q.Keyword)
 	}
 
-	// Answer set: reachable records of the output sets.
-	reach := work.Reachable(src)
+	// Answer set: records of the output sets reachable from a match.
+	reach := g.Reachable(matched...)
 	var answers []graph.NodeID
-	for i := 0; i < work.NumNodes(); i++ {
-		id := graph.NodeID(i)
-		if reach[id] && out[work.Node(id).Kind] && id != src {
-			answers = append(answers, id)
+	for i, r := range reach {
+		if r && out[g.Node(graph.NodeID(i)).Kind] {
+			answers = append(answers, graph.NodeID(i))
 		}
 	}
-	qg, err := graph.NewQueryGraph(work, src, answers)
-	if err != nil {
-		return nil, err
+
+	// Keep the records on a path from a match to an answer, then add the
+	// query node and its match edges to the kept records.
+	sub, remap := g.InducedSubgraph(g.CoReachable(answers, reach), 1, len(matched))
+	src := sub.AddNode(QueryKind, q.Keyword, 1)
+	for _, m := range matched {
+		if remap[m] >= 0 {
+			// The keyword match itself is certain: q = 1.
+			sub.AddEdge(src, remap[m], "match", 1)
+		}
 	}
-	return qg.Prune(), nil
+	for i, a := range answers {
+		answers[i] = remap[a]
+	}
+	return graph.NewQueryGraph(sub, src, answers)
 }

@@ -27,8 +27,11 @@ type Estimator struct {
 	// TopK races the answers and certifies only the top K (TopKRacer),
 	// or sets the planner's K.
 	TopK int
-	// Worlds samples on the 256-world block kernel instead of the scalar
-	// one: statistically equivalent, a different RNG stream.
+	// Worlds is ignored: every sampled estimator For builds already runs
+	// on the 256-world block kernel.
+	//
+	// Deprecated: ignored. Nothing reads it; it is kept only so callers
+	// that still set it compile.
 	Worlds bool
 	// Planner solves reducible answers exactly and races the rest
 	// (HybridPlanner).
@@ -64,12 +67,14 @@ type Spec struct {
 // For resolves e for one ranking method. It is the only place the
 // reliability precedence Exact > Planner > TopK > Adaptive > fixed is
 // written, and the only place that decides which fields a method reads:
-// the deterministic methods read none.
+// the deterministic methods read none. Every sampled estimator it
+// resolves runs on the 256-world block kernel: the paper's estimator on
+// a faster RNG stream, with budgets in whole 64-world words.
 func (e Estimator) For(method string) (Spec, error) {
 	s := Spec{Method: method}
 	switch method {
 	case "reliability":
-		mc := Estimator{Trials: e.Trials, Seed: e.Seed, Worlds: e.Worlds}
+		mc := Estimator{Trials: e.Trials, Seed: e.Seed}
 		switch {
 		case e.Exact:
 			s.kind, s.Key = kindExact, Estimator{Exact: true}
@@ -134,18 +139,21 @@ func (s Spec) UsesPlan() bool {
 }
 
 // Ranker builds the spec's ranker. plan, when non-nil and matching the
-// query graph, skips compilation.
+// query graph, skips compilation. The sampled rankers run on the block
+// kernel; the scalar kernel is built only by callers that construct the
+// estimator structs themselves (the paper reproductions and the
+// reference tests).
 func (s Spec) Ranker(plan *kernel.Plan) Ranker {
 	k := s.Key
 	switch s.kind {
 	case kindFixed:
-		return &MonteCarlo{Trials: k.Trials, Seed: k.Seed, Reduce: k.Reduce, Workers: k.Workers, Worlds: k.Worlds, Plan: plan}
+		return &MonteCarlo{Trials: k.Trials, Seed: k.Seed, Reduce: k.Reduce, Workers: k.Workers, Worlds: true, Plan: plan}
 	case kindAdaptive:
-		return &AdaptiveMonteCarlo{MaxTrials: k.Trials, Seed: k.Seed, Reduce: k.Reduce, Worlds: k.Worlds, Plan: plan}
+		return &AdaptiveMonteCarlo{MaxTrials: k.Trials, Seed: k.Seed, Reduce: k.Reduce, Worlds: true, Plan: plan}
 	case kindRacer:
-		return &TopKRacer{K: k.TopK, MaxTrials: k.Trials, Seed: k.Seed, Reduce: k.Reduce, Worlds: k.Worlds, Plan: plan}
+		return &TopKRacer{K: k.TopK, MaxTrials: k.Trials, Seed: k.Seed, Reduce: k.Reduce, Worlds: true, Plan: plan}
 	case kindPlanner:
-		return &HybridPlanner{K: k.TopK, MaxTrials: k.Trials, Seed: k.Seed, Worlds: k.Worlds, Plan: plan}
+		return &HybridPlanner{K: k.TopK, MaxTrials: k.Trials, Seed: k.Seed, Worlds: true, Plan: plan}
 	case kindExact:
 		return Exact{}
 	case kindPropagation:

@@ -24,7 +24,8 @@ type AllOptions struct {
 	Adaptive  bool
 	TopK      int
 	Planner   bool
-	Worlds    bool
+	// Deprecated: ignored, as Estimator.Worlds is.
+	Worlds bool
 	// Sequential disables the per-method parallelism, evaluating the five
 	// semantics one after another. Scores are identical either way; the
 	// flag exists for benchmarking and for callers that are already
@@ -42,7 +43,7 @@ type AllOptions struct {
 // Estimator returns the pass's estimator spec.
 func (o AllOptions) Estimator() Estimator {
 	return Estimator{Trials: o.Trials, Seed: o.Seed, Reduce: o.Reduce, Exact: o.Exact, Workers: o.MCWorkers,
-		Adaptive: o.Adaptive, TopK: o.TopK, Worlds: o.Worlds, Planner: o.Planner}
+		Adaptive: o.Adaptive, TopK: o.TopK, Planner: o.Planner}
 }
 
 // UsesPlan reports whether the named method executes on a compiled

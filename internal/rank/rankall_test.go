@@ -23,11 +23,15 @@ func rankAllCases(t *testing.T) []*graph.QueryGraph {
 // TestRankAllMatchesPerMethod drives all five semantics through RankAll
 // and checks score equality with the sequential one-ranker-at-a-time
 // path, for both the concurrent and the Sequential execution modes.
+// RankAll serves reliability on the block kernel, so the reference is
+// the block-kernel MonteCarlo.
 func TestRankAllMatchesPerMethod(t *testing.T) {
 	for ci, qg := range rankAllCases(t) {
 		opts := AllOptions{Trials: 2000, Seed: uint64(ci + 1)}
 		want := map[string]Result{}
-		for _, r := range Methods(opts.Trials, opts.Seed) {
+		rankers := Methods(opts.Trials, opts.Seed)
+		rankers[0] = &MonteCarlo{Trials: opts.Trials, Seed: opts.Seed, Worlds: true}
+		for _, r := range rankers {
 			res, err := r.RankCtx(context.Background(), qg)
 			if err != nil {
 				t.Fatalf("case %d method %s: %v", ci, r.Name(), err)
@@ -81,7 +85,7 @@ func TestRankAllExactAndReduce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantMC, err := (&MonteCarlo{Trials: 5000, Seed: 3, Reduce: true}).RankCtx(context.Background(), qg)
+	wantMC, err := (&MonteCarlo{Trials: 5000, Seed: 3, Reduce: true, Worlds: true}).RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +97,8 @@ func TestRankAllExactAndReduce(t *testing.T) {
 }
 
 // TestRankAllParallelMCDeterministic checks that sharded Monte Carlo
-// inside RankAll reproduces the directly sharded scores for a fixed
-// (seed, workers) pair, run after run.
+// inside RankAll reproduces the directly sharded block-kernel scores for
+// a fixed (seed, workers) pair, run after run.
 func TestRankAllParallelMCDeterministic(t *testing.T) {
 	qg := randomDAG(prob.NewRNG(31))
 	opts := AllOptions{Trials: 20000, Seed: 17, MCWorkers: 4, Methods: []string{"reliability"}}
@@ -102,7 +106,7 @@ func TestRankAllParallelMCDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := (&MonteCarlo{Trials: 20000, Seed: 17, Workers: 4}).RankCtx(context.Background(), qg)
+	direct, err := (&MonteCarlo{Trials: 20000, Seed: 17, Workers: 4, Worlds: true}).RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}

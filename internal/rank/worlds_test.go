@@ -3,6 +3,7 @@ package rank
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"biorank/internal/kernel"
@@ -151,39 +152,66 @@ func TestTopKRacerWorldsAgreesWithFixedReference(t *testing.T) {
 	}
 }
 
-// TestRankAllWorldsPlumbed checks the Worlds flag flows through a
-// RankAllCtx pass: reliability runs bit-parallel (statistically close to
-// the scalar result, not bit-identical for the same seed) while the
-// other semantics are untouched.
-func TestRankAllWorldsPlumbed(t *testing.T) {
+// TestServedSamplersRunBlockKernel pins that every sampled estimator
+// Spec.Ranker serves runs on the block kernel whether or not the
+// deprecated Worlds field is set: its output equals the block-kernel
+// struct's bit for bit, and Worlds leaves Spec.Key (the result-cache
+// key) untouched.
+func TestServedSamplersRunBlockKernel(t *testing.T) {
 	qg := benchGraph(150, 50)
-	scalar, err := RankAllCtx(context.Background(), qg, AllOptions{Trials: 20000, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		est  Estimator
+		want Ranker
+	}{
+		{"fixed", Estimator{Trials: 3000, Seed: 7},
+			&MonteCarlo{Trials: 3000, Seed: 7, Worlds: true}},
+		{"fixed/workers", Estimator{Trials: 3000, Seed: 7, Workers: 4},
+			&MonteCarlo{Trials: 3000, Seed: 7, Workers: 4, Worlds: true}},
+		{"fixed/reduce", Estimator{Trials: 3000, Seed: 7, Reduce: true},
+			&MonteCarlo{Trials: 3000, Seed: 7, Reduce: true, Worlds: true}},
+		{"fixed/workers+reduce", Estimator{Trials: 3000, Seed: 7, Workers: 4, Reduce: true},
+			&MonteCarlo{Trials: 3000, Seed: 7, Workers: 4, Reduce: true, Worlds: true}},
+		{"adaptive", Estimator{Trials: 6000, Seed: 11, Adaptive: true},
+			&AdaptiveMonteCarlo{MaxTrials: 6000, Seed: 11, Worlds: true}},
+		{"racer", Estimator{Trials: 6000, Seed: 13, TopK: 3},
+			&TopKRacer{K: 3, MaxTrials: 6000, Seed: 13, Worlds: true}},
+		{"planner", Estimator{Trials: 6000, Seed: 17, Planner: true, TopK: 3},
+			&HybridPlanner{K: 3, MaxTrials: 6000, Seed: 17, Worlds: true}},
 	}
-	worlds, err := RankAllCtx(context.Background(), qg, AllOptions{Trials: 20000, Seed: 7, Worlds: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	identical := true
-	for i := range scalar["reliability"].Scores {
-		s, w := scalar["reliability"].Scores[i], worlds["reliability"].Scores[i]
-		if s != w {
-			identical = false
+	bits := func(xs []float64) []uint64 {
+		out := make([]uint64, len(xs))
+		for i, x := range xs {
+			out[i] = math.Float64bits(x)
 		}
-		v := s * (1 - s)
-		if bound := 5*math.Sqrt(2*v/20000) + 1e-9; math.Abs(s-w) > bound {
-			t.Errorf("reliability answer %d: scalar %v vs worlds %v differ beyond %v", i, s, w, bound)
+		return out
+	}
+	for _, c := range cases {
+		want, err := c.want.RankCtx(context.Background(), qg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
-	}
-	if identical {
-		t.Error("worlds pass reproduced the scalar stream bit for bit; the variant flag is not reaching the kernel")
-	}
-	for _, m := range []string{"propagation", "diffusion", "inedge", "pathcount"} {
-		for i := range scalar[m].Scores {
-			if scalar[m].Scores[i] != worlds[m].Scores[i] {
-				t.Errorf("%s answer %d changed under Worlds: %v != %v", m, i, scalar[m].Scores[i], worlds[m].Scores[i])
+		var keys []Estimator
+		for _, worlds := range []bool{false, true} {
+			est := c.est
+			est.Worlds = worlds
+			spec, err := est.For("reliability")
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
 			}
+			keys = append(keys, spec.Key)
+			got, err := spec.Ranker(nil).RankCtx(context.Background(), qg)
+			if err != nil {
+				t.Fatalf("%s worlds=%v: %v", c.name, worlds, err)
+			}
+			if !reflect.DeepEqual(bits(got.Scores), bits(want.Scores)) || !reflect.DeepEqual(bits(got.Lo), bits(want.Lo)) ||
+				!reflect.DeepEqual(bits(got.Hi), bits(want.Hi)) || !reflect.DeepEqual(got.Exact, want.Exact) ||
+				got.Truncated != want.Truncated {
+				t.Errorf("%s worlds=%v: served result differs from the block-kernel struct's", c.name, worlds)
+			}
+		}
+		if keys[0] != keys[1] {
+			t.Errorf("%s: Worlds changed Spec.Key: %+v vs %+v", c.name, keys[0], keys[1])
 		}
 	}
 }

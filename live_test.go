@@ -4,12 +4,15 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
+
+	"biorank/internal/graph"
 )
 
 // liveSystem builds a demo system switched to live mode.
-func liveSystem(t *testing.T, seed uint64) *System {
+func liveSystem(t testing.TB, seed uint64) *System {
 	t.Helper()
 	s, err := NewDemoSystem(seed)
 	if err != nil {
@@ -19,6 +22,50 @@ func liveSystem(t *testing.T, seed uint64) *System {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// allocSink keeps measured allocations observable to the compiler.
+var allocSink any
+
+// allocBytes returns the bytes f allocates per call, averaged over runs
+// after one warm-up call.
+func allocBytes(runs int, f func()) uint64 {
+	var before, after runtime.MemStats
+	f()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestLiveCarveAllocatesWhatItKeeps is the allocation regression test of
+// the live carve: it copies only the keyword's pruned subgraph out of
+// the union graph, so one carve must allocate less than a quarter of the
+// bytes a Clone of the whole union graph does. A carve that clones
+// allocates more than the clone itself.
+func TestLiveCarveAllocatesWhatItKeeps(t *testing.T) {
+	s := liveSystem(t, 1)
+	live := s.live.Load()
+	prots := s.Proteins()
+	carve := allocBytes(5, func() {
+		for _, p := range prots {
+			qg, err := live.Carve(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocSink = qg
+		}
+	}) / uint64(len(prots))
+	var clone uint64
+	live.Store.View(func(g *graph.Graph) {
+		clone = allocBytes(5, func() { allocSink = g.Clone() })
+	})
+	t.Logf("bytes per carve %d, per union-graph clone %d", carve, clone)
+	if 4*carve >= clone {
+		t.Errorf("a carve allocates %d B, not under a quarter of a union-graph clone's %d B", carve, clone)
+	}
 }
 
 // scoreMap ranks a protein with a deterministic method and returns
