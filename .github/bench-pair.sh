@@ -31,15 +31,20 @@ trap 'rm -rf "$bin"' EXIT
 # WALAppendNever, the durable-ingest hot path's CPU cost (the
 # sync-bearing policies measure fsync latency and are not gated);
 # AlignerSearch, AlignerIndex, ProfileMatch and the root package's
-# ExploratoryQuery, mediator integration; and the root's LiveCarve,
-# live mode's resolve, which copies only the pruned subgraph out of the
+# ExploratoryQuery, mediator integration; the root's LiveCarve, live
+# mode's resolve, which copies only the pruned subgraph out of the
 # union graph (the root's other benchmarks regenerate whole paper
-# figures). Every gated benchmark is gated on allocs/op too: the counts
+# figures); and internal/engine's EngineBatch, the engine's request path
+# (resolve, plan cache, all five methods, result cache off), which a
+# served request that reduces again, skips the plan cache or falls back
+# to the scalar kernel slows. The $ keeps EngineBatchCached, a cache
+# lookup, out of the gate (bench2json matches names without their -N
+# suffix). Every gated benchmark is gated on allocs/op too: the counts
 # are deterministic, a label index rebuilt on every AddNode adds ~1,000
 # allocs/op (+67%) to ExploratoryQuery and doubles its ns/op, and a
 # carve that clones the union graph again multiplies LiveCarve's.
-pkgs=(internal/kernel internal/rank internal/wal internal/sources .)
-gate='^Benchmark(Compiled|BitParallel|WorldsBlock|ExactFactoring|PlanPatch|WALAppendNever|AlignerSearch|AlignerIndex|ProfileMatch|ExploratoryQuery|LiveCarve)'
+pkgs=(internal/kernel internal/rank internal/wal internal/sources internal/engine .)
+gate='^Benchmark(Compiled|BitParallel|WorldsBlock|ExactFactoring|PlanPatch|WALAppendNever|AlignerSearch|AlignerIndex|ProfileMatch|ExploratoryQuery|LiveCarve|EngineBatch$)'
 
 tree() { if [ "$1" = parent ]; then echo "$parent_tree"; else echo "$change_tree"; fi; }
 binary() { echo "$bin/$1-${2//\//_}.test"; }

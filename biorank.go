@@ -61,11 +61,12 @@ func Methods() []Method {
 }
 
 // Options tune ranking evaluation: the estimator spec (Trials, Seed,
-// Reduce, Exact, Workers, Adaptive, TopK, Planner), documented field by
-// field on rank.Estimator, whose deprecated Worlds field is ignored.
-// The zero value is the paper's 10,000-trial Monte Carlo reliability
-// estimate on the 256-world block kernel, which rounds the budget up to
-// whole 64-world words and so runs 10,048 worlds. DESIGN.md ("Estimator
+// Exact, Workers, Adaptive, TopK, Planner), documented field by field
+// on rank.Estimator, whose deprecated Worlds and Reduce fields are
+// ignored. The zero value is the paper's 10,000-trial Monte Carlo
+// reliability estimate on the 256-world block kernel over the full
+// query graph, which rounds the budget up to whole 64-world words and
+// so runs 10,048 worlds. DESIGN.md ("Estimator
 // spec") gives the precedence among the estimator flags and the fields
 // each estimator reads.
 type Options = rank.Estimator

@@ -8,8 +8,9 @@
 // budget, the reliability estimator (-planner for the hybrid
 // exact/Monte-Carlo planner, -topk N for the successive-elimination
 // top-k race; every sampled estimator runs on the 256-world block
-// kernel), and whether to use the scenario-3 (hypothetical proteins)
-// world instead of the default well-studied-protein world.
+// kernel over the full query graph), and whether to use the scenario-3
+// (hypothetical proteins) world instead of the default
+// well-studied-protein world.
 package main
 
 import (
@@ -29,7 +30,6 @@ func main() {
 		trials       = flag.Int("trials", 10000, "Monte Carlo trials for reliability")
 		seed         = flag.Uint64("seed", 1, "world and simulation seed")
 		exact        = flag.Bool("exact", false, "compute reliability exactly (closed solution + factoring)")
-		reduce       = flag.Bool("reduce", true, "apply graph reductions before Monte Carlo")
 		hypothetical = flag.Bool("hypothetical", false, "query the scenario-3 world of hypothetical proteins")
 		top          = flag.Int("top", 15, "show the top N functions (0 = all)")
 		list         = flag.Bool("list", false, "list available proteins and exit")
@@ -78,7 +78,6 @@ func main() {
 	scored, _, err := ans.RankCtx(context.Background(), biorank.Method(*method), biorank.Options{
 		Trials:  *trials,
 		Seed:    *seed,
-		Reduce:  *reduce,
 		Exact:   *exact,
 		Planner: *planner,
 		TopK:    *topk,

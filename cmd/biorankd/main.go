@@ -8,14 +8,15 @@
 // Endpoints:
 //
 //	POST /query   {"requests":[{"protein":"ABCC8","methods":["reliability"],
-//	               "trials":1000,"seed":1,"reduce":true}]}
+//	               "trials":1000,"seed":1}]}
 //	              Ranks a batch of queries; a single object (no "requests"
 //	              wrapper) is also accepted, as is GET /query?protein=ABCC8.
-//	              Every Monte Carlo estimator samples on the bit-parallel
-//	              block kernel (256 worlds per [4]uint64 block, trials
-//	              rounded up to a multiple of 64; statistically equivalent
-//	              to the paper's scalar estimator but on a different RNG
-//	              stream), so "worlds" is accepted and ignored. "planner"
+//	              Every Monte Carlo estimator samples the full query graph
+//	              on the bit-parallel block kernel (256 worlds per [4]uint64
+//	              block, trials rounded up to a multiple of 64;
+//	              statistically equivalent to the paper's scalar estimator
+//	              but on a different RNG stream), so "worlds" and "reduce"
+//	              are accepted and ignored (on /rank and /topk too). "planner"
 //	              selects the hybrid exact/Monte-Carlo planner; ranked
 //	              answers then carry "lo"/"hi" confidence bounds and an
 //	              "exact" marker.
@@ -405,8 +406,8 @@ func (s *server) rankingContext(r *http.Request, timeoutMs int) (context.Context
 // /query, /rank and /topk request bodies. Its fields mirror the options
 // one for one, in order, so a conversion maps it (and a new option that
 // is not mirrored here fails to compile). Old clients' boolean fields
-// (worlds, adaptive, planner, reduce, exact) decode unchanged; worlds,
-// like the option it mirrors, is ignored.
+// (worlds, adaptive, planner, reduce, exact) decode unchanged; worlds and
+// reduce, like the options they mirror, are ignored.
 type estimatorWire struct {
 	Trials   int    `json:"trials,omitempty"`
 	Seed     uint64 `json:"seed,omitempty"`

@@ -25,8 +25,6 @@ import (
 var estimatorGolden = map[string]string{
 	"adaptive/reduce=false/topk=0":  "5bb70fa5f3b23deef2ca09c2676c41d229da765ae0be2f795a1393cec39161d0",
 	"adaptive/reduce=false/topk=3":  "50c62fcd7b6b50bb1442ec674f72aacd92fbaf7ebcd95968eab5dd26391873fe",
-	"adaptive/reduce=true/topk=0":   "4d554a2fcc3ba6ee45f212456bf4242139a88b8832779e943a66cd6ada3d9d70",
-	"adaptive/reduce=true/topk=3":   "5b63d3ec68eb69f5425ecf30fd0167cc648a1f3258ddcc65b295103c56c6e3f3",
 	"mc-ctx/workers=0/reduce=false": "927dd33c299128c76f5958d7460666bde079504e68d513c622b0dda8b8304cd6",
 	"mc-ctx/workers=0/reduce=true":  "f58c924c9c1fb55540f58026dd0fd6172af086444e4a35de31ffe38492d39c97",
 	"mc-ctx/workers=4/reduce=false": "f8e8e31fcec67fa92e1548247bbcaf7e5197e558b7c91042ffc367fd9784a3dd",
@@ -40,7 +38,6 @@ var estimatorGolden = map[string]string{
 	"planner/k=0":                   "553ef338e1a93113d4d82cb97357e4cc55fea230e2085e80f825125d4ecbbcd8",
 	"planner/k=3":                   "ad28dc75633b350834012eeb3a8d2d730d25df7ce49b54b46a8603b65cabf5dd",
 	"racer/reduce=false":            "474d6f777b1a1808b1a9dfbe886791054f16bf63e647bc09cb6ab26a91ebada6",
-	"racer/reduce=true":             "43d18c40f5cfe344aa00afc3e4efe958e6a248cb3e4dc1d6e7794f352c70a6ae",
 	"worlds/adaptive":               "498cff4d232946076dd8422e211ceb73176fc28ddb3efda415cc954988966a75",
 	"worlds/planner":                "f6b838a5a35a266b1a403b4c49b33409df89d7e791e9dc3f4d7c98a991ea7618",
 	"worlds/racer":                  "9591b7b7f3ea95d7d580bbfe5096d1e8d91091ab0bda95f2870d416b3d97fb80",
@@ -80,22 +77,19 @@ func goldenConfigs() []struct {
 				return res, "", err
 			}})
 	}
-	for _, reduce := range []bool{false, true} {
-		for _, k := range []int{0, 3} {
-			reduce, k := reduce, k
-			out = append(out, cfg{fmt.Sprintf("adaptive/reduce=%t/topk=%d", reduce, k),
-				func(ctx context.Context, qg *graph.QueryGraph) (rank.Result, string, error) {
-					res, ops, err := (&rank.AdaptiveMonteCarlo{MaxTrials: 6000, TopK: k, Seed: 11, Reduce: reduce}).RankWithStatsCtx(ctx, qg)
-					return res, fmt.Sprint(ops), err
-				}})
-		}
-		reduce := reduce
-		out = append(out, cfg{fmt.Sprintf("racer/reduce=%t", reduce),
+	for _, k := range []int{0, 3} {
+		k := k
+		out = append(out, cfg{fmt.Sprintf("adaptive/reduce=false/topk=%d", k),
 			func(ctx context.Context, qg *graph.QueryGraph) (rank.Result, string, error) {
-				res, rs, err := (&rank.TopKRacer{K: 3, MaxTrials: 6000, Seed: 13, Reduce: reduce}).RankWithStatsCtx(ctx, qg)
-				return res, fmt.Sprint(rs.RaceStats), err
+				res, ops, err := (&rank.AdaptiveMonteCarlo{MaxTrials: 6000, TopK: k, Seed: 11}).RankWithStatsCtx(ctx, qg)
+				return res, fmt.Sprint(ops), err
 			}})
 	}
+	out = append(out, cfg{"racer/reduce=false",
+		func(ctx context.Context, qg *graph.QueryGraph) (rank.Result, string, error) {
+			res, rs, err := (&rank.TopKRacer{K: 3, MaxTrials: 6000, Seed: 13}).RankWithStatsCtx(ctx, qg)
+			return res, fmt.Sprint(rs.RaceStats), err
+		}})
 	for _, k := range []int{0, 3} {
 		k := k
 		out = append(out, cfg{fmt.Sprintf("planner/k=%d", k),

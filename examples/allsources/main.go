@@ -36,7 +36,7 @@ func main() {
 		for _, f := range sys.GoldenFunctions(protein) {
 			golden[f] = true
 		}
-		ranked, _, err := answers.RankCtx(context.Background(), biorank.Reliability, biorank.Options{Trials: 5000, Seed: 1, Reduce: true})
+		ranked, _, err := answers.RankCtx(context.Background(), biorank.Reliability, biorank.Options{Trials: 5000, Seed: 1})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -40,7 +40,7 @@ func main() {
 			protein, answers.Len(), len(emerging))
 
 		for _, m := range []biorank.Method{biorank.Reliability, biorank.Diffusion, biorank.InEdge} {
-			scored, _, err := answers.RankCtx(context.Background(), m, biorank.Options{Trials: 10000, Seed: 3, Reduce: true})
+			scored, _, err := answers.RankCtx(context.Background(), m, biorank.Options{Trials: 10000, Seed: 3})
 			if err != nil {
 				log.Fatal(err)
 			}

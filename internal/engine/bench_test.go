@@ -7,8 +7,10 @@ import (
 	"biorank/internal/rank"
 )
 
-// benchOptions is the paper's benchmark configuration (reduction +
-// 1000-trial Monte Carlo) used by both competing implementations.
+// benchOptions is cold_query's request: 1000-trial Monte Carlo, with the
+// deprecated Reduce the served estimators ignore. Both competing
+// implementations use it, and its values stay fixed so a benchmark pair
+// of two commits sends the same request on both sides.
 var benchOptions = Options{Trials: 1000, Seed: 1, Reduce: true}
 
 // BenchmarkEngineBatch ranks every scenario-1 protein under all five

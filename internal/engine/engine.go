@@ -62,7 +62,7 @@ func (f ResolverFunc) ResolveCtx(ctx context.Context, source string) (*graph.Que
 
 // Options tune how a request's methods are evaluated: the estimator
 // spec, passed to the rankers unchanged. The zero value uses the paper's
-// defaults (10,000-trial serial Monte Carlo, no reductions).
+// defaults (10,000-trial serial Monte Carlo).
 type Options = rank.Estimator
 
 // Request is one unit of work in a batch: rank the answers of a query

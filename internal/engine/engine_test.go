@@ -75,8 +75,9 @@ func TestEngineBatchMatchesSequential(t *testing.T) {
 			var want rank.Result
 			switch m {
 			case "reliability":
-				// The engine serves reliability on the block kernel.
-				want, err = (&rank.MonteCarlo{Trials: 500, Seed: 7, Reduce: true, Worlds: true}).RankCtx(context.Background(), qg)
+				// The engine serves reliability on the block kernel over
+				// the full graph: the deprecated Reduce is ignored.
+				want, err = (&rank.MonteCarlo{Trials: 500, Seed: 7, Worlds: true}).RankCtx(context.Background(), qg)
 			case "propagation":
 				want, err = (&rank.Propagation{}).RankCtx(context.Background(), qg)
 			case "diffusion":

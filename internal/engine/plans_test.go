@@ -144,6 +144,56 @@ func TestWorldsOptionSharesCacheEntry(t *testing.T) {
 	}
 }
 
+// TestReduceOptionSharesCacheEntry pins that the deprecated Reduce flag
+// is not part of the result cache key: every sampled request simulates
+// the full query graph, so a request that sets it is served the entry a
+// request without it created, with the same scores.
+func TestReduceOptionSharesCacheEntry(t *testing.T) {
+	e := New(ResolverFunc(func(context.Context, string) (*graph.QueryGraph, error) {
+		return planTestGraph(), nil
+	}), Config{})
+	defer e.Close()
+	plain := Request{Source: "x", Methods: []string{"reliability"}, Options: Options{Trials: 20000, Seed: 3}}
+	reduce := plain
+	reduce.Options.Reduce = true
+	r1 := e.RankCtx(context.Background(), plain)
+	r2 := e.RankCtx(context.Background(), reduce)
+	if r1.Err != nil || r2.Err != nil {
+		t.Fatal(r1.Err, r2.Err)
+	}
+	if r1.Cached["reliability"] || !r2.Cached["reliability"] {
+		t.Fatalf("cached flags %v then %v, want a miss then a hit", r1.Cached["reliability"], r2.Cached["reliability"])
+	}
+	ps, rs := r1.Results["reliability"].Scores, r2.Results["reliability"].Scores
+	for i := range ps {
+		if ps[i] != rs[i] {
+			t.Fatalf("answer %d: %v without Reduce, %v with it", i, ps[i], rs[i])
+		}
+	}
+	if s := e.CacheStats(); s.Misses != 1 || s.Hits != 1 || s.Entries != 1 {
+		t.Fatalf("cache stats %+v, want 1 miss, 1 hit, 1 entry", s)
+	}
+}
+
+// TestPlanCacheServesReduceRequests pins that a fixed-budget request
+// setting the deprecated Reduce runs on the plan cache like any other
+// sampled request: two such requests for one protein with different
+// seeds (so both miss the result cache) compile one plan and reuse it.
+func TestPlanCacheServesReduceRequests(t *testing.T) {
+	resolver, proteins := testResolver(t)
+	e := New(resolver, Config{})
+	defer e.Close()
+	for seed := uint64(1); seed <= 2; seed++ {
+		req := Request{Source: proteins[0], Methods: []string{"reliability"}, Options: Options{Trials: 1000, Seed: seed, Reduce: true}}
+		if resp := e.RankCtx(context.Background(), req); resp.Err != nil {
+			t.Fatal(resp.Err)
+		}
+	}
+	if ps := e.PlanStats(); ps.Misses != 1 || ps.Hits != 1 {
+		t.Fatalf("plan stats %+v, want 1 miss, 1 hit", ps)
+	}
+}
+
 // TestTopKOptionDistinctCacheKey pins that K participates in the result
 // cache key: a top-k race only certifies the top K scores, so serving a
 // K=2 race from a K=5 (or fixed-budget) entry would hand out bounds

@@ -138,8 +138,8 @@ func (s *Suite) churnMode(med *mediator.Mediator, keywords []string, ops []churn
 	})
 	eng := engine.New(resolver, engine.Config{Workers: 1})
 	defer eng.Close()
-	// No Reduce: reductions bypass the compiled-plan path, and the plan
-	// cache's patch-vs-recompile behavior is half of what this measures.
+	// Every sampled request runs on the plan cache, whose
+	// patch-vs-recompile behavior is half of what this measures.
 	reqOpts := engine.Options{Trials: trials, Seed: s.Opts.Seed}
 	var res ChurnModeResult
 	for _, op := range ops {

@@ -1,13 +1,12 @@
 package kernel
 
-import "biorank/internal/prob"
-
-// This file holds the active-subset variant of the compiled traversal
-// kernel, built for top-k ranking with successive elimination
+// This file holds the active-subset mask of the compiled traversal
+// kernels, built for top-k ranking with successive elimination
 // (rank.TopKRacer): once a candidate answer is certifiably out of the
 // top k, the racer shrinks the simulated subgraph to the nodes that can
 // still influence a surviving candidate, so pruned candidates cost
-// nothing in later batches.
+// nothing in later batches. ReliabilityCounts and
+// WorldsBlockSession.Counts take the mask.
 //
 // Correctness of the restriction: the reliability of an answer a is the
 // probability that some source→a path is fully present. Every node on
@@ -52,103 +51,5 @@ func (p *Plan) ActiveMask(active []int, mask []bool) {
 				stack = append(stack, f)
 			}
 		}
-	}
-}
-
-// ReliabilityCountsMasked is ReliabilityCounts restricted to the live
-// subgraph: out-edges whose head is not in mask are skipped without
-// flipping their coin, so simulation work scales with the surviving
-// candidates' closure rather than the full plan. counts (length
-// NumNodes) is accumulated into, like ReliabilityCounts. When the
-// source itself is dead (it cannot reach any active answer) the trials
-// are accounted but no simulation runs — every active count stays 0,
-// which is the exact answer.
-func (p *Plan) ReliabilityCountsMasked(counts []int64, mask []bool, trials int, rng *prob.RNG, ops *SimOps) {
-	p.checkCounts(counts)
-	p.checkMask(mask)
-	if !mask[p.source] {
-		if ops != nil {
-			ops.Trials += int64(trials)
-		}
-		return
-	}
-	sc := p.getScratch()
-	sc.resetCounts()
-	p.traverseMasked(sc, mask, trials, rng, ops)
-	for i := 0; i < p.n; i++ {
-		counts[i] += sc.nodes[i].count
-	}
-	p.putScratch(sc)
-}
-
-// traverseMasked is traverse with a live-node filter: dead targets are
-// skipped before their edge coin is flipped. Within the live subgraph
-// the control flow, RNG consumption and counters are identical to the
-// unmasked kernel.
-func (p *Plan) traverseMasked(sc *Scratch, mask []bool, trials int, rng *prob.RNG, ops *SimOps) {
-	sc.nextEpoch(trials)
-	nodes := sc.nodes
-	stack := sc.stack
-	edges := p.edges
-	src := p.source
-	srcPB := nodes[src].pbits
-	epoch := sc.epoch
-	var flips, visits int64
-	xr := borrowRNG(rng)
-
-	for t := 0; t < trials; t++ {
-		epoch++
-		stamp := epoch
-		nodes[src].stamp = stamp
-		flips++
-		if srcPB != coinCertain {
-			if srcPB == 0 || xr.nextBits() >= srcPB {
-				continue
-			}
-		}
-		nodes[src].count++
-		visits++
-		stack[0] = src
-		top := 1
-		for top > 0 {
-			top--
-			x := stack[top]
-			for i, end := int(nodes[x].row), int(nodes[x].end); i < end; i++ {
-				e := &edges[i]
-				nc := &nodes[e.to]
-				if nc.stamp == stamp {
-					continue // already decided this trial
-				}
-				if !mask[e.to] {
-					continue // dead: cannot reach any active answer
-				}
-				flips++
-				if e.qbits != coinCertain {
-					if e.qbits == 0 || xr.nextBits() >= e.qbits {
-						continue // edge failed
-					}
-				}
-				nc.stamp = stamp
-				flips++
-				if nc.pbits != coinCertain {
-					if nc.pbits == 0 || xr.nextBits() >= nc.pbits {
-						continue // node failed
-					}
-				}
-				nc.count++
-				visits++
-				if nc.row != nc.end {
-					stack[top] = e.to
-					top++
-				}
-			}
-		}
-	}
-	xr.release(rng)
-	sc.epoch = epoch
-	if ops != nil {
-		ops.Trials += int64(trials)
-		ops.NodeVisits += visits
-		ops.CoinFlips += flips
 	}
 }

@@ -75,10 +75,10 @@ func TestMaskedFullMaskIsBitIdentical(t *testing.T) {
 	const trials = 4000
 	ref := make([]int64, n)
 	var refOps SimOps
-	plan.ReliabilityCounts(ref, trials, prob.NewRNG(9), &refOps)
+	plan.ReliabilityCounts(ref, nil, trials, prob.NewRNG(9), &refOps)
 	got := make([]int64, n)
 	var gotOps SimOps
-	plan.ReliabilityCountsMasked(got, mask, trials, prob.NewRNG(9), &gotOps)
+	plan.ReliabilityCounts(got, mask, trials, prob.NewRNG(9), &gotOps)
 	for i := range ref {
 		if ref[i] != got[i] {
 			t.Errorf("node %d: masked count %d != unmasked %d", i, got[i], ref[i])
@@ -101,10 +101,10 @@ func TestMaskedSkipsDeadBranch(t *testing.T) {
 
 	full := make([]int64, n)
 	var fullOps SimOps
-	plan.ReliabilityCounts(full, trials, prob.NewRNG(4), &fullOps)
+	plan.ReliabilityCounts(full, nil, trials, prob.NewRNG(4), &fullOps)
 	masked := make([]int64, n)
 	var maskedOps SimOps
-	plan.ReliabilityCountsMasked(masked, mask, trials, prob.NewRNG(4), &maskedOps)
+	plan.ReliabilityCounts(masked, mask, trials, prob.NewRNG(4), &maskedOps)
 
 	a2 := plan.AnswerNode(0)
 	b2 := plan.AnswerNode(1)
@@ -134,7 +134,7 @@ func TestMaskedDeadSource(t *testing.T) {
 	rng := prob.NewRNG(1)
 	s0 := rng.State()
 	var ops SimOps
-	plan.ReliabilityCountsMasked(counts, mask, 500, rng, &ops)
+	plan.ReliabilityCounts(counts, mask, 500, rng, &ops)
 	for i, c := range counts {
 		if c != 0 {
 			t.Errorf("node %d counted %d with dead source", i, c)

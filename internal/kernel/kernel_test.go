@@ -197,7 +197,7 @@ func TestReliabilityCountsAccumulates(t *testing.T) {
 	counts := make([]int64, plan.NumNodes())
 	rng := prob.NewRNG(13)
 	for batch := 0; batch < 4; batch++ {
-		plan.ReliabilityCounts(counts, 1000, rng, nil)
+		plan.ReliabilityCounts(counts, nil, 1000, rng, nil)
 	}
 	batched := make([]float64, plan.NumAnswers())
 	plan.ScoresFromCounts(counts, 4000, batched)

@@ -40,7 +40,7 @@ func (p *Plan) Reliability(scores []float64, trials int, rng *prob.RNG, ops *Sim
 	p.checkScores(scores)
 	sc := p.getScratch()
 	sc.resetCounts()
-	p.traverse(sc, trials, rng, ops)
+	p.traverse(sc, nil, trials, rng, ops)
 	for i, a := range p.answers {
 		scores[i] = float64(sc.nodes[a].count) / float64(trials)
 	}
@@ -51,11 +51,28 @@ func (p *Plan) Reliability(scores []float64, trials int, rng *prob.RNG, ops *Sim
 // reach counts into counts (length NumNodes). It exists for callers
 // that aggregate across batches (adaptive stopping) or shards (parallel
 // workers).
-func (p *Plan) ReliabilityCounts(counts []int64, trials int, rng *prob.RNG, ops *SimOps) {
+//
+// mask, when non-nil, is an ActiveMask (length NumNodes): out-edges
+// whose head is outside it are skipped without flipping their coin, so
+// simulation work scales with the surviving candidates' closure rather
+// than the full plan (the top-k racer's elimination feedback). When the
+// source itself is dead (it cannot reach any active answer) the trials
+// are accounted but no simulation runs — every active count stays 0,
+// which is the exact answer.
+func (p *Plan) ReliabilityCounts(counts []int64, mask []bool, trials int, rng *prob.RNG, ops *SimOps) {
 	p.checkCounts(counts)
+	if mask != nil {
+		p.checkMask(mask)
+		if !mask[p.source] {
+			if ops != nil {
+				ops.Trials += int64(trials)
+			}
+			return
+		}
+	}
 	sc := p.getScratch()
 	sc.resetCounts()
-	p.traverse(sc, trials, rng, ops)
+	p.traverse(sc, mask, trials, rng, ops)
 	for i := 0; i < p.n; i++ {
 		counts[i] += sc.nodes[i].count
 	}
@@ -65,11 +82,14 @@ func (p *Plan) ReliabilityCounts(counts []int64, trials int, rng *prob.RNG, ops 
 // traverse is the compiled inner loop of Algorithm 3.1. Coins are
 // flipped lazily, only for elements the search actually reaches;
 // elements with p<=0 or p>=1 branch without touching the RNG (the
-// certainty fast path), exactly like prob.RNG.Bernoulli. Counter
-// collection is specialized away when ops is nil — plain ranking does
-// not pay for bookkeeping it never reads.
-func (p *Plan) traverse(sc *Scratch, trials int, rng *prob.RNG, ops *SimOps) {
-	if ops == nil {
+// certainty fast path), exactly like prob.RNG.Bernoulli. live, when
+// non-nil, is a live-node filter: dead targets are skipped before their
+// edge coin is flipped, and within the live subgraph the control flow,
+// RNG consumption and counters are those of the unmasked loop. Counter
+// collection is specialized away when ops and live are both nil —
+// plain ranking does not pay for bookkeeping it never reads.
+func (p *Plan) traverse(sc *Scratch, live []bool, trials int, rng *prob.RNG, ops *SimOps) {
+	if ops == nil && live == nil {
 		p.traverseFast(sc, trials, rng)
 		return
 	}
@@ -109,6 +129,9 @@ func (p *Plan) traverse(sc *Scratch, trials int, rng *prob.RNG, ops *SimOps) {
 				if nc.stamp == stamp {
 					continue // already decided this trial
 				}
+				if live != nil && !live[e.to] {
+					continue // dead: cannot reach any active answer
+				}
 				flips++
 				if e.qbits != coinCertain {
 					if e.qbits == 0 || xr.nextBits() >= e.qbits {
@@ -133,9 +156,11 @@ func (p *Plan) traverse(sc *Scratch, trials int, rng *prob.RNG, ops *SimOps) {
 	}
 	xr.release(rng)
 	sc.epoch = epoch
-	ops.Trials += int64(trials)
-	ops.NodeVisits += visits
-	ops.CoinFlips += flips
+	if ops != nil {
+		ops.Trials += int64(trials)
+		ops.NodeVisits += visits
+		ops.CoinFlips += flips
+	}
 }
 
 // traverseFast is traverse without operation counters: the identical

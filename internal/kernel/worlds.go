@@ -147,7 +147,7 @@ func (ws *worldScratch) nextEpoch() int32 {
 // grow, so a node re-enters the worklist when (and only when) new
 // worlds reach it, and the stored per-word element masks make re-scans
 // see the same coins. live, when non-nil, restricts the traversal to
-// the active-subset closure exactly like traverseMasked.
+// the active-subset closure exactly like traverse.
 func (p *Plan) traverseWorlds(sc *Scratch, live []bool, words int, rng *prob.RNG, ops *SimOps) {
 	ws := sc.worlds(p)
 	wn := ws.node

@@ -304,7 +304,7 @@ func TestWorldsChiSquareAgainstScalar(t *testing.T) {
 		for i := range counts {
 			counts[i] = 0
 		}
-		plan.ReliabilityCounts(counts, WordSize, rng, nil)
+		plan.ReliabilityCounts(counts, nil, WordSize, rng, nil)
 		scalarCounts[b] = int(counts[answer])
 	}
 	// Worlds: one word-trial per batch.
@@ -560,10 +560,10 @@ func TestBufferLengthGuards(t *testing.T) {
 		{"Naive", func() { plan.Naive(shortScores, 10, rng, nil) }, "NumAnswers"},
 		{"Propagation", func() { plan.Propagation(shortScores, 3, 0, false) }, "NumAnswers"},
 		{"Diffusion", func() { plan.Diffusion(shortScores, 3, 0, false) }, "NumAnswers"},
-		{"ReliabilityCounts", func() { plan.ReliabilityCounts(shortCounts, 10, rng, nil) }, "NumNodes"},
+		{"ReliabilityCounts", func() { plan.ReliabilityCounts(shortCounts, nil, 10, rng, nil) }, "NumNodes"},
 		{"ReliabilityCountsWorlds", func() { plan.reliabilityCountsWorlds(shortCounts, 1, rng, nil) }, "NumNodes"},
-		{"ReliabilityCountsMasked", func() { plan.ReliabilityCountsMasked(shortCounts, goodMask, 10, rng, nil) }, "NumNodes"},
-		{"ReliabilityCountsMaskedShortMask", func() { plan.ReliabilityCountsMasked(goodCounts, shortMask, 10, rng, nil) }, "NumNodes"},
+		{"ReliabilityCounts/mask", func() { plan.ReliabilityCounts(shortCounts, goodMask, 10, rng, nil) }, "NumNodes"},
+		{"ReliabilityCounts/shortMask", func() { plan.ReliabilityCounts(goodCounts, shortMask, 10, rng, nil) }, "NumNodes"},
 		{"ReliabilityCountsMaskedWorlds", func() { plan.reliabilityCountsMaskedWorlds(goodCounts, shortMask, 1, rng, nil) }, "NumNodes"},
 		{"ScoresFromCounts", func() { plan.ScoresFromCounts(goodCounts, 10, shortScores) }, "NumAnswers"},
 	} {

@@ -251,7 +251,7 @@ func (s *WorldsBlockSession) Counts(counts []int64, mask []bool, words int, ops 
 // masks only ever grow, a node re-enters the worklist when new worlds
 // reach it, and the stored per-block element masks make re-scans see
 // the same coins. live, when non-nil, restricts the traversal to the
-// active-subset closure exactly like traverseMasked.
+// active-subset closure exactly like traverse.
 func (p *Plan) traverseBlocks(sc *Scratch, live []bool, nBlocks int, br *blockRNG, ops *SimOps) {
 	bs := sc.blocks(p)
 	wn := bs.node

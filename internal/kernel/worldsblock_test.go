@@ -210,7 +210,7 @@ func TestWorldsBlockChiSquareAgainstScalar(t *testing.T) {
 		for i := range counts {
 			counts[i] = 0
 		}
-		plan.ReliabilityCounts(counts, BlockSize, rng, nil)
+		plan.ReliabilityCounts(counts, nil, BlockSize, rng, nil)
 		scalarCounts[b] = int(counts[answer])
 	}
 	blockCounts := make([]int, batches)

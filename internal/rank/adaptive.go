@@ -41,8 +41,6 @@ type AdaptiveMonteCarlo struct {
 	TopK int
 	// Seed makes runs reproducible.
 	Seed uint64
-	// Reduce applies the Section 3.1.2 reductions first.
-	Reduce bool
 	// Worlds samples on the 256-world block kernel (see sampler):
 	// batches round UP to whole words and MaxTrials rounds DOWN to a
 	// word multiple (minimum one word), so the reported trial count is
@@ -50,7 +48,7 @@ type AdaptiveMonteCarlo struct {
 	// equivalent to the scalar batches; the RNG stream differs.
 	Worlds bool
 	// Plan optionally supplies a pre-compiled kernel plan for the query
-	// graph (ignored under Reduce).
+	// graph.
 	Plan *kernel.Plan
 
 	memo PlanMemo
@@ -80,8 +78,7 @@ func (a *AdaptiveMonteCarlo) RankWithStatsCtx(ctx context.Context, qg *graph.Que
 		return Result{}, OpStats{}, err
 	}
 	var ops OpStats
-	plan, mapping := samplePlan(&a.memo, qg, a.Plan, a.Reduce)
-	res := a.simulate(ctx, plan, &ops).result(a.Name(), mapping)
+	res := a.simulate(ctx, a.memo.For(qg, a.Plan), &ops).result(a.Name(), nil)
 	return res, ops, nil
 }
 

@@ -96,22 +96,6 @@ func TestAdaptiveDeterministic(t *testing.T) {
 	}
 }
 
-func TestAdaptiveWithReduction(t *testing.T) {
-	rng := prob.NewRNG(89)
-	qg := randomDAG(rng)
-	exact := bruteReliability(qg)
-	am := &AdaptiveMonteCarlo{Seed: 3, Reduce: true, MaxTrials: 200000}
-	scores, _, err := adaptiveTrials(am, qg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range exact {
-		if math.Abs(scores[i]-exact[i]) > 0.05 {
-			t.Errorf("answer %d: %v vs %v", i, scores[i], exact[i])
-		}
-	}
-}
-
 func TestAdaptiveHonorsMaxTrialsExactly(t *testing.T) {
 	// A graph the stopping rule can never certify (gap just above eps,
 	// below any reachable bound) with a cap that is not a multiple of

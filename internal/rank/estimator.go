@@ -14,7 +14,12 @@ type Estimator struct {
 	Trials int
 	// Seed makes the simulation reproducible.
 	Seed uint64
-	// Reduce applies the Section 3.1.2 reductions before simulating.
+	// Reduce is ignored: every sampled estimator For builds simulates the
+	// full query graph on its one compiled plan. The paper's R&M
+	// configuration (reductions, then simulation) is MonteCarlo.Reduce.
+	//
+	// Deprecated: ignored. Nothing reads it; it is kept only so callers
+	// that still set it compile.
 	Reduce bool
 	// Exact computes reliability exactly instead of by simulation.
 	Exact bool
@@ -68,8 +73,9 @@ type Spec struct {
 // reliability precedence Exact > Planner > TopK > Adaptive > fixed is
 // written, and the only place that decides which fields a method reads:
 // the deterministic methods read none. Every sampled estimator it
-// resolves runs on the 256-world block kernel: the paper's estimator on
-// a faster RNG stream, with budgets in whole 64-world words.
+// resolves runs on the 256-world block kernel over the full query
+// graph's compiled plan: the paper's estimator on a faster RNG stream,
+// with budgets in whole 64-world words.
 func (e Estimator) For(method string) (Spec, error) {
 	s := Spec{Method: method}
 	switch method {
@@ -79,17 +85,16 @@ func (e Estimator) For(method string) (Spec, error) {
 		case e.Exact:
 			s.kind, s.Key = kindExact, Estimator{Exact: true}
 		case e.Planner:
-			// The probe already reduces each answer's subgraph.
 			mc.Planner, mc.TopK = true, e.TopK
 			s.kind, s.Key = kindPlanner, mc
 		case e.TopK > 0:
-			mc.TopK, mc.Reduce = e.TopK, e.Reduce
+			mc.TopK = e.TopK
 			s.kind, s.Key = kindRacer, mc
 		case e.Adaptive:
-			mc.Adaptive, mc.Reduce = true, e.Reduce
+			mc.Adaptive = true
 			s.kind, s.Key = kindAdaptive, mc
 		default:
-			mc.Reduce, mc.Workers = e.Reduce, e.Workers
+			mc.Workers = e.Workers
 			s.kind, s.Key = kindFixed, mc
 		}
 	case "propagation":
@@ -124,17 +129,14 @@ func (e Estimator) Specs(methods []string) ([]Spec, error) {
 }
 
 // UsesPlan reports whether the spec's ranker runs on a compiled kernel
-// plan of the full query graph. Under Reduce the sampled estimators
-// simulate the reduced graph with its own plan, so a shared plan would
-// go unused.
+// plan of the full query graph: every method but exact, inedge and
+// pathcount does, so one plan serves every sampled request.
 func (s Spec) UsesPlan() bool {
 	switch s.kind {
-	case kindPlanner, kindPropagation, kindDiffusion:
-		return true
-	case kindFixed, kindAdaptive, kindRacer:
-		return !s.Key.Reduce
-	default:
+	case kindExact, kindInEdge, kindPathCount:
 		return false
+	default:
+		return true
 	}
 }
 
@@ -147,11 +149,11 @@ func (s Spec) Ranker(plan *kernel.Plan) Ranker {
 	k := s.Key
 	switch s.kind {
 	case kindFixed:
-		return &MonteCarlo{Trials: k.Trials, Seed: k.Seed, Reduce: k.Reduce, Workers: k.Workers, Worlds: true, Plan: plan}
+		return &MonteCarlo{Trials: k.Trials, Seed: k.Seed, Workers: k.Workers, Worlds: true, Plan: plan}
 	case kindAdaptive:
-		return &AdaptiveMonteCarlo{MaxTrials: k.Trials, Seed: k.Seed, Reduce: k.Reduce, Worlds: true, Plan: plan}
+		return &AdaptiveMonteCarlo{MaxTrials: k.Trials, Seed: k.Seed, Worlds: true, Plan: plan}
 	case kindRacer:
-		return &TopKRacer{K: k.TopK, MaxTrials: k.Trials, Seed: k.Seed, Reduce: k.Reduce, Worlds: true, Plan: plan}
+		return &TopKRacer{K: k.TopK, MaxTrials: k.Trials, Seed: k.Seed, Worlds: true, Plan: plan}
 	case kindPlanner:
 		return &HybridPlanner{K: k.TopK, MaxTrials: k.Trials, Seed: k.Seed, Worlds: true, Plan: plan}
 	case kindExact:

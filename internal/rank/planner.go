@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 
-	"biorank/internal/er"
 	"biorank/internal/graph"
 	"biorank/internal/kernel"
 )
@@ -186,20 +185,4 @@ func (p *HybridPlanner) RankWithStatsCtx(ctx context.Context, qg *graph.QueryGra
 	}
 	res.Lo, res.Hi = lo, hi
 	return res, ps, nil
-}
-
-// PlannerBudgetForSchema picks an exact-probe budget from schema-level
-// knowledge: when Theorem 3.2 certifies the schema reducible under the
-// composition rules, every instance query graph reduces without
-// factoring, so the probe needs no conditioning budget at all
-// (NoFactoring). Otherwise it returns DefaultPlannerBudget. compose may
-// be nil for er.ConservativeCompose.
-func PlannerBudgetForSchema(s *er.Schema, compose er.ComposeFunc) int {
-	if s == nil {
-		return DefaultPlannerBudget
-	}
-	if ok, _ := s.Reducible(compose); ok {
-		return NoFactoring
-	}
-	return DefaultPlannerBudget
 }

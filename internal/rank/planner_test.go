@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"biorank/internal/er"
 	"biorank/internal/graph"
 	"biorank/internal/prob"
 )
@@ -266,28 +265,5 @@ func TestExactEvaluatorPoolSafety(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Fatal(err)
-	}
-}
-
-func TestPlannerBudgetForSchema(t *testing.T) {
-	if got := PlannerBudgetForSchema(nil, nil); got != DefaultPlannerBudget {
-		t.Fatalf("nil schema budget = %d, want default", got)
-	}
-	// A linear 1:n chain is reducible by Theorem 3.2.
-	s := er.NewSchema()
-	if err := s.AddEntity(er.EntitySet{Name: "A", Source: "src", PS: 1, KeyAttr: "id"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddEntity(er.EntitySet{Name: "B", Source: "src", PS: 1, KeyAttr: "id"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddRelationship(er.Relationship{Name: "ab", From: "A", To: "B", Card: er.OneToMany, QS: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if ok, _ := s.Reducible(nil); !ok {
-		t.Skip("fixture schema unexpectedly irreducible; adjust test")
-	}
-	if got := PlannerBudgetForSchema(s, nil); got != NoFactoring {
-		t.Fatalf("reducible schema budget = %d, want NoFactoring", got)
 	}
 }

@@ -18,12 +18,13 @@ var MethodNames = []string{"reliability", "propagation", "diffusion", "inedge", 
 type AllOptions struct {
 	Trials    int
 	Seed      uint64
-	Reduce    bool
 	Exact     bool
 	MCWorkers int
 	Adaptive  bool
 	TopK      int
 	Planner   bool
+	// Deprecated: ignored, as Estimator.Reduce is.
+	Reduce bool
 	// Deprecated: ignored, as Estimator.Worlds is.
 	Worlds bool
 	// Sequential disables the per-method parallelism, evaluating the five
@@ -42,7 +43,7 @@ type AllOptions struct {
 
 // Estimator returns the pass's estimator spec.
 func (o AllOptions) Estimator() Estimator {
-	return Estimator{Trials: o.Trials, Seed: o.Seed, Reduce: o.Reduce, Exact: o.Exact, Workers: o.MCWorkers,
+	return Estimator{Trials: o.Trials, Seed: o.Seed, Exact: o.Exact, Workers: o.MCWorkers,
 		Adaptive: o.Adaptive, TopK: o.TopK, Planner: o.Planner}
 }
 

@@ -64,7 +64,8 @@ func TestRankAllMatchesPerMethod(t *testing.T) {
 }
 
 // TestRankAllExactAndReduce covers the reliability variants RankAll can
-// be configured with.
+// be configured with; the deprecated Reduce is ignored, so the pass
+// simulates the full graph on the block kernel.
 func TestRankAllExactAndReduce(t *testing.T) {
 	qg := fig4b()
 	exact, err := RankAllCtx(context.Background(), qg, AllOptions{Exact: true})
@@ -81,17 +82,17 @@ func TestRankAllExactAndReduce(t *testing.T) {
 		}
 	}
 
-	reduced, err := RankAllCtx(context.Background(), qg, AllOptions{Trials: 5000, Seed: 3, Reduce: true})
+	flagged, err := RankAllCtx(context.Background(), qg, AllOptions{Trials: 5000, Seed: 3, Reduce: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantMC, err := (&MonteCarlo{Trials: 5000, Seed: 3, Reduce: true, Worlds: true}).RankCtx(context.Background(), qg)
+	wantMC, err := (&MonteCarlo{Trials: 5000, Seed: 3, Worlds: true}).RankCtx(context.Background(), qg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range wantMC.Scores {
-		if reduced["reliability"].Scores[i] != wantMC.Scores[i] {
-			t.Errorf("reduced reliability answer %d: %v != %v", i, reduced["reliability"].Scores[i], wantMC.Scores[i])
+		if flagged["reliability"].Scores[i] != wantMC.Scores[i] {
+			t.Errorf("reduce-flagged reliability answer %d: %v != %v", i, flagged["reliability"].Scores[i], wantMC.Scores[i])
 		}
 	}
 }

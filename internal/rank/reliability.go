@@ -91,7 +91,7 @@ func (m *MonteCarlo) RankCtx(ctx context.Context, qg *graph.QueryGraph) (Result,
 	if err := validate(qg); err != nil {
 		return Result{}, err
 	}
-	plan, mapping := samplePlan(&m.memo, qg, m.Plan, m.Reduce)
+	plan, mapping := m.samplePlan(qg)
 	return m.simulate(ctx, plan, nil).result(m.Name(), mapping), nil
 }
 
@@ -103,9 +103,22 @@ func (m *MonteCarlo) RankWithStatsCtx(ctx context.Context, qg *graph.QueryGraph)
 		return Result{}, OpStats{}, err
 	}
 	var ops OpStats
-	plan, mapping := samplePlan(&m.memo, qg, m.Plan, m.Reduce)
+	plan, mapping := m.samplePlan(qg)
 	res := m.simulate(ctx, plan, &ops).result(m.Name(), mapping)
 	return res, ops, nil
+}
+
+// samplePlan returns the plan m samples and the mapping of its answers
+// back onto qg's. Under Reduce that is the Section 3.1.2 reduced graph's
+// own plan, with mapping[i] the reduced index of answer i (-1 if the
+// reductions dropped it); otherwise the explicit or memoized full-graph
+// plan and a nil mapping.
+func (m *MonteCarlo) samplePlan(qg *graph.QueryGraph) (*kernel.Plan, []int) {
+	if m.Reduce {
+		red, _, mapping := ReduceAll(qg)
+		return kernel.Compile(red), mapping
+	}
+	return m.memo.For(qg, m.Plan), nil
 }
 
 // simOutcome is what one simulation pass produced: the scores, and —
@@ -130,13 +143,32 @@ func newOutcome(plan *kernel.Plan, counts []int64, executed int, truncated bool)
 	return out
 }
 
-// result maps the outcome onto qg's answers (mapping from samplePlan).
+// result maps the outcome onto qg's answers (mapping from
+// MonteCarlo.samplePlan; nil for an outcome on qg's own plan).
 func (o simOutcome) result(method string, mapping []int) Result {
 	res := Result{Method: method, Scores: remap(mapping, o.scores), Truncated: o.truncated}
 	if o.truncated {
 		res.Lo, res.Hi = remap(mapping, o.lo), remap(mapping, o.hi)
 	}
 	return res
+}
+
+// remap carries per-answer values computed on a reduced graph back onto
+// the original answer set (see MonteCarlo.samplePlan). Answers the
+// reductions dropped are certainly unreachable, so their zero value is
+// exact: score 0, the zero-width interval [0,0]. A nil mapping or a nil
+// xs passes xs through.
+func remap(mapping []int, xs []float64) []float64 {
+	if mapping == nil || xs == nil {
+		return xs
+	}
+	out := make([]float64, len(mapping))
+	for i, j := range mapping {
+		if j >= 0 {
+			out[i] = xs[j]
+		}
+	}
+	return out
 }
 
 // simulate runs the configured estimator on a compiled plan. ops may be

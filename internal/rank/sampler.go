@@ -3,7 +3,6 @@ package rank
 import (
 	"context"
 
-	"biorank/internal/graph"
 	"biorank/internal/kernel"
 	"biorank/internal/prob"
 )
@@ -72,11 +71,7 @@ func (s *sampler) sample(counts []int64, mask []bool, n int) int {
 		s.sess.Counts(counts, mask, words, s.ops)
 		return words * kernel.WordSize
 	}
-	if mask != nil {
-		s.plan.ReliabilityCountsMasked(counts, mask, n, s.rng, s.ops)
-	} else {
-		s.plan.ReliabilityCounts(counts, n, s.rng, s.ops)
-	}
+	s.plan.ReliabilityCounts(counts, mask, n, s.rng, s.ops)
 	return n
 }
 
@@ -101,37 +96,6 @@ func (s *sampler) run(ctx context.Context, counts []int64, trials int) (int, boo
 		done += s.sample(counts, nil, min(chunk, total-done))
 	}
 	return done, false
-}
-
-// samplePlan returns the plan an estimator samples and the mapping of
-// its answers back onto qg's. Under reduce that is the Section 3.1.2
-// reduced graph's own plan, with mapping[i] the reduced index of answer
-// i (-1 if the reductions dropped it); otherwise the explicit or
-// memoized full-graph plan and a nil mapping.
-func samplePlan(memo *PlanMemo, qg *graph.QueryGraph, explicit *kernel.Plan, reduce bool) (*kernel.Plan, []int) {
-	if reduce {
-		red, _, mapping := ReduceAll(qg)
-		return kernel.Compile(red), mapping
-	}
-	return memo.For(qg, explicit), nil
-}
-
-// remap carries per-answer values computed on a reduced graph back onto
-// the original answer set (see samplePlan). Answers the reductions
-// dropped are certainly unreachable, so their zero value is exact: score
-// 0, zero trials, the zero-width interval [0,0]. A nil mapping or a nil
-// xs passes xs through.
-func remap[T any](mapping []int, xs []T) []T {
-	if mapping == nil || xs == nil {
-		return xs
-	}
-	out := make([]T, len(mapping))
-	for i, j := range mapping {
-		if j >= 0 {
-			out[i] = xs[j]
-		}
-	}
-	return out
 }
 
 // seqDefaults fills the defaults shared by the sequential estimators

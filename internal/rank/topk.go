@@ -23,9 +23,9 @@ import (
 // the top k and is dropped from the race. Elimination feeds back into
 // the simulation itself: the compiled kernel then restricts its
 // traversal to the subgraph that can still reach a surviving candidate
-// (Plan.ReliabilityCountsMasked), so pruned candidates cost nothing —
-// the win over AdaptiveMonteCarlo, which simulates the whole query graph
-// until its global stopping rule fires.
+// (Plan.ReliabilityCounts with an ActiveMask), so pruned candidates
+// cost nothing — the win over AdaptiveMonteCarlo, which simulates the
+// whole query graph until its global stopping rule fires.
 //
 // The race stops once the top-k identity and internal order are
 // resolved: every adjacent pair among the observed top k (plus the
@@ -51,9 +51,6 @@ type TopKRacer struct {
 	// Seed makes runs reproducible: the elimination schedule is a
 	// deterministic function of (graph, seed, parameters).
 	Seed uint64
-	// Reduce applies the Section 3.1.2 reductions first and races on the
-	// reduced graph.
-	Reduce bool
 	// Worlds samples on the 256-world block kernel (see sampler). Its
 	// rounds are shared-sample: one masked block traversal feeds EVERY
 	// surviving candidate's counter, so all active candidates are judged
@@ -65,7 +62,7 @@ type TopKRacer struct {
 	// racer's (different RNG stream).
 	Worlds bool
 	// Plan optionally supplies a pre-compiled kernel plan for the query
-	// graph (ignored under Reduce).
+	// graph.
 	Plan *kernel.Plan
 
 	memo PlanMemo
@@ -135,13 +132,10 @@ func (r *TopKRacer) RankWithStatsCtx(ctx context.Context, qg *graph.QueryGraph) 
 	if err := validate(qg); err != nil {
 		return Result{}, PlannerStats{}, err
 	}
-	plan, mapping := samplePlan(&r.memo, qg, r.Plan, r.Reduce)
 	var ps PlannerStats
 	rs := &ps.RaceStats
-	scores := r.raceWithPriors(ctx, plan, rs, nil)
-	rs.TrialsPerCandidate = remap(mapping, rs.TrialsPerCandidate)
-	rs.Lo, rs.Hi = remap(mapping, rs.Lo), remap(mapping, rs.Hi)
-	res := Result{Method: r.Name(), Scores: remap(mapping, scores), Lo: rs.Lo, Hi: rs.Hi, Truncated: rs.Truncated}
+	scores := r.raceWithPriors(ctx, r.memo.For(qg, r.Plan), rs, nil)
+	res := Result{Method: r.Name(), Scores: scores, Lo: rs.Lo, Hi: rs.Hi, Truncated: rs.Truncated}
 	return res, ps, nil
 }
 

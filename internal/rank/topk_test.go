@@ -67,29 +67,6 @@ func TestTopKRacerMatchesOracleOnSmallGraphs(t *testing.T) {
 	}
 }
 
-// TestTopKRacerReduceMatchesDirect checks the Reduce path maps scores,
-// bounds and trial counts back onto the original answer indexing.
-func TestTopKRacerReduceMatchesDirect(t *testing.T) {
-	rng := prob.NewRNG(7)
-	for trial := 0; trial < 10; trial++ {
-		qg := randomDAG(rng)
-		exact := bruteReliability(qg)
-		racer := &TopKRacer{K: 3, Seed: 99, Reduce: true}
-		res, rs, err := racer.RankWithStatsCtx(context.Background(), qg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Scores) != len(qg.Answers) || len(rs.Lo) != len(qg.Answers) || len(rs.TrialsPerCandidate) != len(qg.Answers) {
-			t.Fatalf("trial %d: reduce path returned mismatched lengths", trial)
-		}
-		for i := range exact {
-			if math.Abs(res.Scores[i]-exact[i]) > 0.08 {
-				t.Errorf("trial %d answer %d: reduced racer score %.4f vs exact %.4f", trial, i, res.Scores[i], exact[i])
-			}
-		}
-	}
-}
-
 // TestTopKRacerPrunesAndSavesTrials pins the economics on the benchmark
 // graph: the racer must eliminate candidates, spend strictly fewer
 // candidate-trials than simulating every candidate to the same round

@@ -153,10 +153,10 @@ func TestTopKRacerWorldsAgreesWithFixedReference(t *testing.T) {
 }
 
 // TestServedSamplersRunBlockKernel pins that every sampled estimator
-// Spec.Ranker serves runs on the block kernel whether or not the
-// deprecated Worlds field is set: its output equals the block-kernel
-// struct's bit for bit, and Worlds leaves Spec.Key (the result-cache
-// key) untouched.
+// Spec.Ranker serves runs on the block kernel over the full query graph
+// whether or not the deprecated Worlds and Reduce fields are set: its
+// output equals the non-reducing block-kernel struct's bit for bit, and
+// neither field touches Spec.Key (the result-cache key).
 func TestServedSamplersRunBlockKernel(t *testing.T) {
 	qg := benchGraph(150, 50)
 	cases := []struct {
@@ -168,10 +168,6 @@ func TestServedSamplersRunBlockKernel(t *testing.T) {
 			&MonteCarlo{Trials: 3000, Seed: 7, Worlds: true}},
 		{"fixed/workers", Estimator{Trials: 3000, Seed: 7, Workers: 4},
 			&MonteCarlo{Trials: 3000, Seed: 7, Workers: 4, Worlds: true}},
-		{"fixed/reduce", Estimator{Trials: 3000, Seed: 7, Reduce: true},
-			&MonteCarlo{Trials: 3000, Seed: 7, Reduce: true, Worlds: true}},
-		{"fixed/workers+reduce", Estimator{Trials: 3000, Seed: 7, Workers: 4, Reduce: true},
-			&MonteCarlo{Trials: 3000, Seed: 7, Workers: 4, Reduce: true, Worlds: true}},
 		{"adaptive", Estimator{Trials: 6000, Seed: 11, Adaptive: true},
 			&AdaptiveMonteCarlo{MaxTrials: 6000, Seed: 11, Worlds: true}},
 		{"racer", Estimator{Trials: 6000, Seed: 13, TopK: 3},
@@ -191,27 +187,28 @@ func TestServedSamplersRunBlockKernel(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		var keys []Estimator
-		for _, worlds := range []bool{false, true} {
+		var key Estimator
+		for i, d := range []struct{ worlds, reduce bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
 			est := c.est
-			est.Worlds = worlds
+			est.Worlds, est.Reduce = d.worlds, d.reduce
 			spec, err := est.For("reliability")
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
-			keys = append(keys, spec.Key)
+			if i == 0 {
+				key = spec.Key
+			} else if spec.Key != key {
+				t.Errorf("%s worlds=%v reduce=%v: Spec.Key %+v, want %+v", c.name, est.Worlds, est.Reduce, spec.Key, key)
+			}
 			got, err := spec.Ranker(nil).RankCtx(context.Background(), qg)
 			if err != nil {
-				t.Fatalf("%s worlds=%v: %v", c.name, worlds, err)
+				t.Fatalf("%s worlds=%v reduce=%v: %v", c.name, est.Worlds, est.Reduce, err)
 			}
 			if !reflect.DeepEqual(bits(got.Scores), bits(want.Scores)) || !reflect.DeepEqual(bits(got.Lo), bits(want.Lo)) ||
 				!reflect.DeepEqual(bits(got.Hi), bits(want.Hi)) || !reflect.DeepEqual(got.Exact, want.Exact) ||
 				got.Truncated != want.Truncated {
-				t.Errorf("%s worlds=%v: served result differs from the block-kernel struct's", c.name, worlds)
+				t.Errorf("%s worlds=%v reduce=%v: served result differs from the block-kernel struct's", c.name, est.Worlds, est.Reduce)
 			}
-		}
-		if keys[0] != keys[1] {
-			t.Errorf("%s: Worlds changed Spec.Key: %+v vs %+v", c.name, keys[0], keys[1])
 		}
 	}
 }
