@@ -413,9 +413,10 @@ func RandomAP(k, n int) float64 { return metrics.RandomAP(k, n) }
 
 // System is a fully populated BioRank instance: eleven integrated
 // sources behind a mediator, queried by protein name. Batched queries
-// (QueryBatchCtx) run on an internal/engine worker pool with an LRU
-// result cache; the pool is started lazily on first use and released by
-// Close.
+// (QueryBatchCtx) run on an internal/engine worker pool, which resolves
+// every request through the system (integration, or a carve in live
+// mode) and keeps LRU caches of results and compiled plans; the pool is
+// started lazily on first use and released by Close.
 type System struct {
 	world *synth.World
 	med   *mediator.Mediator
@@ -564,8 +565,8 @@ type BatchResult struct {
 }
 
 // EngineConfig tunes the lazily started batch engine. The zero value
-// keeps the historical defaults: GOMAXPROCS workers, the default LRU
-// sizes, and no admission control.
+// keeps the historical defaults: GOMAXPROCS workers, the default result
+// LRU size, and no admission control.
 type EngineConfig struct {
 	// Workers is the worker-pool size; 0 means runtime.GOMAXPROCS(0).
 	Workers int
@@ -573,7 +574,7 @@ type EngineConfig struct {
 	// negative disables caching.
 	CacheSize int
 	// MaxInFlight caps concurrently executing requests; 0 means the
-	// worker count.
+	// worker count. Below Workers it sets the pool size.
 	MaxInFlight int
 	// MaxQueue caps admitted requests waiting beyond the in-flight set.
 	// When either MaxInFlight or MaxQueue is positive, requests beyond
@@ -616,10 +617,10 @@ func (s *System) engineHandle() *engine.Engine {
 }
 
 // QueryBatchCtx answers a batch of ranking requests on the system's
-// worker pool: each query graph is integrated once and shared by all
-// requested methods, and results are memoized in an LRU keyed by query,
-// graph fingerprint, method and options. Results arrive in request
-// order. Cancelling ctx abandons queued requests (their Err is the
+// worker pool: each request resolves its query graph once (Query's
+// path) and shares it among all requested methods, and results are
+// memoized in an LRU keyed by query, graph fingerprint, method and
+// options. Results arrive in request order. Cancelling ctx abandons queued requests (their Err is the
 // context error), while a deadline — from ctx or a per-request Timeout
 // — truncates in-progress Monte Carlo rankings into partial results
 // (BatchResult.Truncated) rather than failing them. Requests shed by

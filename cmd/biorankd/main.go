@@ -66,9 +66,10 @@
 // Overload: -max-inflight / -max-queue bound how much work may be
 // admitted at once: /query gets this budget in the engine, and /rank
 // plus /topk, which bypass the engine, get a second, separate budget
-// of the same size. Requests beyond capacity fail fast with 429 Too
-// Many Requests and a Retry-After header estimating when capacity
-// frees up.
+// of the same size, derived by the same rule (engine.AdmissionFor):
+// -max-inflight (the worker count when 0) plus -max-queue. Requests
+// beyond capacity fail fast with 429 Too Many Requests and a
+// Retry-After header estimating when capacity frees up.
 //
 // Shutdown: SIGINT/SIGTERM flip /readyz to 503, stop accepting new
 // connections, and drain in-flight requests (up to -drain) before the
@@ -168,11 +169,9 @@ func main() {
 		}
 	}
 
-	if *maxInFlight > 0 || *maxQueue > 0 {
-		if err := sys.ConfigureEngine(biorank.EngineConfig{MaxInFlight: *maxInFlight, MaxQueue: *maxQueue}); err != nil {
-			fmt.Fprintln(os.Stderr, "biorankd:", err)
-			os.Exit(1)
-		}
+	if err := sys.ConfigureEngine(biorank.EngineConfig{MaxInFlight: *maxInFlight, MaxQueue: *maxQueue}); err != nil {
+		fmt.Fprintln(os.Stderr, "biorankd:", err)
+		os.Exit(1)
 	}
 
 	srv := newServer(sys, *world, *defaultTimeout, *maxInFlight, *maxQueue)
@@ -304,16 +303,13 @@ type server struct {
 }
 
 // newServer wires a handler set over a built system. maxInFlight and
-// maxQueue mirror the engine's admission limits onto the server-side
-// gate guarding the engine-bypassing endpoints.
+// maxQueue are the engine's admission flags: engine.AdmissionFor turns
+// them into the budget of the gate guarding the engine-bypassing
+// endpoints, by the rule that sizes the engine's own.
 func newServer(sys *biorank.System, world string, defaultTimeout time.Duration, maxInFlight, maxQueue int) *server {
 	s := &server{sys: sys, world: world, started: time.Now(), defaultTimeout: defaultTimeout}
-	if maxInFlight > 0 || maxQueue > 0 {
-		capacity := maxInFlight
-		if capacity <= 0 {
-			capacity = 1
-		}
-		s.gate = &gate{engine.NewAdmission(capacity+maxQueue, 1)}
+	if adm := engine.AdmissionFor(engine.Config{MaxInFlight: maxInFlight, MaxQueue: maxQueue}); adm.Capacity() > 0 {
+		s.gate = &gate{adm}
 	}
 	return s
 }

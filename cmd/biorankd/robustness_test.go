@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"biorank"
 	"biorank/internal/engine"
 )
 
@@ -43,7 +44,7 @@ func TestReadyzProbe(t *testing.T) {
 
 func TestGateShedsWith429(t *testing.T) {
 	s := testServer(t)
-	s.gate = &gate{engine.NewAdmission(1, 1)}
+	s.gate = &gate{engine.AdmissionFor(engine.Config{MaxInFlight: 1})}
 	defer func() { s.gate = nil }()
 
 	release, _, ok := s.gate.acquire()
@@ -76,6 +77,28 @@ func TestGateShedsWith429(t *testing.T) {
 		}
 		if secs, err := strconv.Atoi(ra); err != nil || secs < 1 {
 			t.Fatalf("%s: Retry-After %q is not a positive whole-second count", ep.name, ra)
+		}
+	}
+}
+
+// TestGateBudgetMatchesEngine pins the one budget rule: for the same
+// -max-inflight and -max-queue flags, the gate guarding /rank and /topk
+// admits exactly as many requests as the engine behind /query.
+func TestGateBudgetMatchesEngine(t *testing.T) {
+	for _, f := range []struct{ inFlight, queue int }{{0, 3}, {1, 0}, {2, 5}} {
+		sys, err := biorank.NewDemoSystem(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.ConfigureEngine(biorank.EngineConfig{MaxInFlight: f.inFlight, MaxQueue: f.queue}); err != nil {
+			t.Fatal(err)
+		}
+		gate := newServer(sys, "demo", 0, f.inFlight, f.queue).gate.Capacity()
+		eng := sys.EngineStats().Capacity
+		sys.Close()
+		if gate != eng {
+			t.Errorf("-max-inflight %d -max-queue %d: gate capacity %d, engine capacity %d",
+				f.inFlight, f.queue, gate, eng)
 		}
 	}
 }

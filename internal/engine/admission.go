@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"sync/atomic"
 	"time"
 )
@@ -11,22 +12,36 @@ import (
 // behind, served at the smoothed per-request service time across
 // servers concurrent servers, clamped to [100ms, 30s]. The engine runs
 // one in front of its worker pool, and biorankd a second, separate one
-// in front of the endpoints that rank on the request goroutine.
+// of the same size in front of the endpoints that rank on the request
+// goroutine.
 type Admission struct {
 	capacity int
-	servers  int64
+	servers  int
 	pending  atomic.Int64  // tokens held: admitted, not yet done
 	shed     atomic.Uint64 // requests refused since start
 	avgNS    atomic.Int64  // EWMA of service time (alpha 1/8)
 }
 
-// NewAdmission returns a policy admitting up to capacity requests, of
-// which servers (at least 1) are served at once.
-func NewAdmission(capacity, servers int) *Admission {
-	if servers < 1 {
-		servers = 1
+// AdmissionFor is the one rule that turns a Config into an admission
+// budget. Its servers are Workers (runtime.GOMAXPROCS(0) when 0), capped
+// by a positive MaxInFlight. Admission control is on when MaxInFlight or
+// MaxQueue is positive: the capacity is then MaxInFlight (the worker
+// count when 0) plus MaxQueue. Otherwise every request is admitted.
+func AdmissionFor(cfg Config) *Admission {
+	servers := cfg.Workers
+	if servers <= 0 {
+		servers = runtime.GOMAXPROCS(0)
 	}
-	return &Admission{capacity: capacity, servers: int64(servers)}
+	inFlight := servers
+	if cfg.MaxInFlight > 0 {
+		inFlight = cfg.MaxInFlight
+		servers = min(servers, inFlight)
+	}
+	capacity := 0
+	if cfg.MaxInFlight > 0 || cfg.MaxQueue > 0 {
+		capacity = inFlight + cfg.MaxQueue
+	}
+	return &Admission{capacity: capacity, servers: servers}
 }
 
 // Admit claims a token. At capacity it counts the request as shed and
@@ -79,6 +94,10 @@ func (a *Admission) RetryAfter() time.Duration {
 
 // Capacity is the admission limit; 0 or less means unlimited.
 func (a *Admission) Capacity() int { return a.capacity }
+
+// Servers is how many admitted requests are served at once: the engine's
+// pool size.
+func (a *Admission) Servers() int { return a.servers }
 
 // Pending is the number of tokens currently held.
 func (a *Admission) Pending() int64 { return a.pending.Load() }

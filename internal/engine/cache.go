@@ -35,106 +35,125 @@ type CacheStats struct {
 	Entries       int
 }
 
-// cachedResult is the cache's value type: the score vector plus the
-// optional uncertainty payload (confidence bounds and exact markers)
-// some estimators attach. Lo/Hi/Exact are nil when the method that
-// produced the entry does not report them.
-type cachedResult struct {
-	scores []float64
-	lo, hi []float64
-	exact  []bool
+// PlanCacheStats reports the plan cache's cumulative counters. A plan
+// hit means a ranking request skipped CSR compilation entirely; a patch
+// means a miss was served by rewriting the coin thresholds of a
+// topology-equal predecessor (kernel.Plan.Patch) instead of compiling
+// from scratch.
+type PlanCacheStats struct {
+	Hits      int64
+	Misses    int64
+	Evictions int64
+	Patches   int64
+	Entries   int
 }
 
-// clone deep-copies the payload so cache entries never alias slices a
-// caller can mutate (in either direction).
-func (r cachedResult) clone() cachedResult {
-	c := cachedResult{scores: append([]float64(nil), r.scores...)}
-	if r.lo != nil {
-		c.lo = append([]float64(nil), r.lo...)
-	}
-	if r.hi != nil {
-		c.hi = append([]float64(nil), r.hi...)
-	}
-	if r.exact != nil {
-		c.exact = append([]bool(nil), r.exact...)
-	}
-	return c
+// cloneResult deep-copies a result's slices, so a cache entry never
+// aliases slices a caller can mutate, in either direction: the engine
+// hands the result it stores to the response it returns, and a caller
+// may sort or edit a hit's slices in place.
+func cloneResult(r rank.Result) rank.Result {
+	r.Scores = append([]float64(nil), r.Scores...)
+	r.Lo = append([]float64(nil), r.Lo...)
+	r.Hi = append([]float64(nil), r.Hi...)
+	r.Exact = append([]bool(nil), r.Exact...)
+	return r
 }
 
-// resultCache is a mutex-guarded LRU mapping cacheKey to results, with a
-// secondary index by query source so a delta can invalidate exactly the
-// sources whose reachable subgraphs it touched.
-type resultCache struct {
+// lru is a mutex-guarded least-recently-used map from K to V whose
+// entries each carry a tag T. The tag index serves the engine's two
+// secondary lookups: removeTags drops every entry under the listed tags
+// (results are tagged by query source, for scoped invalidation), and
+// tagged finds an entry under a tag (plans are tagged by topology
+// fingerprint, to find a predecessor to patch). A nil *lru is a
+// disabled cache: every get misses and every put is dropped, before
+// anything is copied.
+type lru[K, T comparable, V any] struct {
 	mu    sync.Mutex
 	cap   int
 	ll    *list.List // front = most recently used
-	items map[cacheKey]*list.Element
-	// bySource indexes live entries by cacheKey.source for scoped
-	// invalidation; maintained by put/remove so it never holds dead
-	// elements.
-	bySource map[string]map[*list.Element]struct{}
-	stats    CacheStats
+	items map[K]*list.Element
+	tags  map[T]map[*list.Element]struct{}
+	// clone, when non-nil, copies values on the way in and on the way
+	// out of the cache.
+	clone func(V) V
+	stats CacheStats
 }
 
-type cacheEntry struct {
-	key cacheKey
-	res cachedResult
+type lruEntry[K, T comparable, V any] struct {
+	key K
+	tag T
+	val V
 }
 
-func newResultCache(capacity int) *resultCache {
+// newLRU returns an LRU holding up to capacity entries, or nil (a
+// disabled cache) when capacity is not positive.
+func newLRU[K, T comparable, V any](capacity int, clone func(V) V) *lru[K, T, V] {
 	if capacity <= 0 {
-		return nil // caching disabled
+		return nil
 	}
-	return &resultCache{
-		cap:      capacity,
-		ll:       list.New(),
-		items:    make(map[cacheKey]*list.Element, capacity),
-		bySource: make(map[string]map[*list.Element]struct{}),
+	return &lru[K, T, V]{
+		cap:   capacity,
+		ll:    list.New(),
+		items: make(map[K]*list.Element, capacity),
+		tags:  make(map[T]map[*list.Element]struct{}),
+		clone: clone,
 	}
 }
 
-// get returns a copy of the cached result for key. Copying on the way
-// out means a caller that sorts or otherwise edits the returned slices
-// in place cannot corrupt the cached entry for later hits.
-func (c *resultCache) get(key cacheKey) (cachedResult, bool) {
+// get returns the value under key and marks it most recently used.
+func (c *lru[K, T, V]) get(key K) (v V, ok bool) {
 	if c == nil {
-		return cachedResult{}, false
+		return v, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
 		c.stats.Misses++
-		return cachedResult{}, false
+		return v, false
 	}
 	c.stats.Hits++
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).res.clone(), true
+	return c.out(el), true
 }
 
-// put stores a copy of res under key, evicting the least recently used
-// entry when over capacity. Copying on the way in means the cache never
-// aliases slices the caller keeps (the engine hands the same result to
-// the response it returns), so later caller mutations cannot leak into
-// cached results.
-func (c *resultCache) put(key cacheKey, res cachedResult) {
+// tagged returns the value of some entry under tag. It counts neither a
+// hit nor a miss and leaves recency alone: the engine only asks after
+// get already missed.
+func (c *lru[K, T, V]) tagged(tag T) (v V, ok bool) {
+	if c == nil {
+		return v, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := range c.tags[tag] {
+		return c.out(el), true
+	}
+	return v, false
+}
+
+// put stores v under key and tag as the most recently used entry,
+// replacing any entry under key, and evicts the least recently used
+// entries beyond capacity.
+func (c *lru[K, T, V]) put(key K, tag T, v V) {
 	if c == nil {
 		return
 	}
-	res = res.clone()
+	if c.clone != nil {
+		v = c.clone(v)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		el.Value.(*cacheEntry).res = res
-		c.ll.MoveToFront(el)
-		return
+		c.removeLocked(el)
 	}
-	el := c.ll.PushFront(&cacheEntry{key: key, res: res})
+	el := c.ll.PushFront(&lruEntry[K, T, V]{key: key, tag: tag, val: v})
 	c.items[key] = el
-	set := c.bySource[key.source]
+	set := c.tags[tag]
 	if set == nil {
 		set = make(map[*list.Element]struct{})
-		c.bySource[key.source] = set
+		c.tags[tag] = set
 	}
 	set[el] = struct{}{}
 	for c.ll.Len() > c.cap {
@@ -143,34 +162,17 @@ func (c *resultCache) put(key cacheKey, res cachedResult) {
 	}
 }
 
-// removeLocked unlinks one entry from the list, the key map and the
-// source index. Callers hold c.mu and account the removal themselves.
-func (c *resultCache) removeLocked(el *list.Element) {
-	key := el.Value.(*cacheEntry).key
-	c.ll.Remove(el)
-	delete(c.items, key)
-	if set := c.bySource[key.source]; set != nil {
-		delete(set, el)
-		if len(set) == 0 {
-			delete(c.bySource, key.source)
-		}
-	}
-}
-
-// invalidateSources removes every entry whose query source is listed and
-// returns how many were dropped: a delta invalidates exactly the sources
-// that can reach an affected node, and every other source's entries keep
-// serving hits.
-func (c *resultCache) invalidateSources(sources []string) int {
+// removeTags removes every entry under the listed tags and returns how
+// many were dropped, counting them as invalidations.
+func (c *lru[K, T, V]) removeTags(tags []T) int {
 	if c == nil {
 		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
-	for _, s := range sources {
-		set := c.bySource[s]
-		for el := range set {
+	for _, t := range tags {
+		for el := range c.tags[t] {
 			c.removeLocked(el)
 			n++
 		}
@@ -180,7 +182,7 @@ func (c *resultCache) invalidateSources(sources []string) int {
 }
 
 // Stats snapshots the counters.
-func (c *resultCache) Stats() CacheStats {
+func (c *lru[K, T, V]) Stats() CacheStats {
 	if c == nil {
 		return CacheStats{}
 	}
@@ -189,4 +191,27 @@ func (c *resultCache) Stats() CacheStats {
 	s := c.stats
 	s.Entries = c.ll.Len()
 	return s
+}
+
+// out returns an entry's value, cloned when the cache clones. Callers
+// hold c.mu.
+func (c *lru[K, T, V]) out(el *list.Element) V {
+	v := el.Value.(*lruEntry[K, T, V]).val
+	if c.clone != nil {
+		v = c.clone(v)
+	}
+	return v
+}
+
+// removeLocked unlinks one entry from the list, the key map and the tag
+// index. Callers hold c.mu and account the removal themselves.
+func (c *lru[K, T, V]) removeLocked(el *list.Element) {
+	e := el.Value.(*lruEntry[K, T, V])
+	c.ll.Remove(el)
+	delete(c.items, e.key)
+	set := c.tags[e.tag]
+	delete(set, el)
+	if len(set) == 0 {
+		delete(c.tags, e.tag)
+	}
 }

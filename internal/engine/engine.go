@@ -8,19 +8,26 @@
 //   - Batching with a worker pool. A QueryBatchCtx call fans its requests
 //     out over a fixed pool of workers, so a burst of queries saturates
 //     every core instead of queueing behind one sequential loop.
-//   - Shared query graphs. Each request resolves (or receives) ONE
-//     pruned graph.QueryGraph and scores all requested semantics over it
-//     via rank.RankSpecs — the graph is never rebuilt per method, and the
-//     reliability estimator can additionally shard its Monte Carlo
-//     trials over goroutines (Options.Workers) with deterministic
-//     per-shard RNG streams.
-//   - Result caching. Scores are memoized in an LRU keyed by (source,
-//     query-graph fingerprint, method, normalised estimator). The
-//     fingerprint hashes the full pruned graph content, so mutating the
-//     underlying entity graph changes the keys of every affected query
-//     and stale results can never be served; InvalidateSources
-//     additionally reclaims the stranded entries for exactly the sources
-//     a delta touched.
+//   - Shared query graphs. Each request resolves ONE pruned
+//     graph.QueryGraph through the engine's Resolver and scores all
+//     requested semantics over it via rank.RankSpecs — the graph is
+//     never rebuilt per method, and the reliability estimator can
+//     additionally shard its Monte Carlo trials over goroutines
+//     (Options.Workers) with deterministic per-shard RNG streams.
+//   - Caching. One tagged LRU type holds both caches. Scores are
+//     memoized by (source, query-graph fingerprint, method, normalised
+//     estimator) and tagged by source. The fingerprint hashes the full
+//     pruned graph content, so mutating the underlying entity graph
+//     changes the keys of every affected query and stale results can
+//     never be served; InvalidateSources additionally reclaims the
+//     stranded entries for exactly the sources a delta touched. Compiled
+//     kernel plans are keyed by content fingerprint and tagged by
+//     topology fingerprint, so a probability-only change patches a plan
+//     over the same wiring instead of compiling anew.
+//
+// Admission control sizes the pool: AdmissionFor turns a Config into
+// the pool size and the admission capacity, and a MaxInFlight below
+// Workers simply means a smaller pool.
 //
 // The engine is safe for concurrent use; any number of goroutines may
 // call QueryBatchCtx and RankCtx simultaneously.
@@ -31,7 +38,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -68,13 +74,9 @@ type Options = rank.Estimator
 // Request is one unit of work in a batch: rank the answers of a query
 // under one or more semantics.
 type Request struct {
-	// Source is the query handed to the engine's Resolver. Ignored when
-	// Graph is set, but still used (verbatim) in the cache key and echoed
-	// in the response.
+	// Source is the query handed to the engine's Resolver. It is also
+	// used (verbatim) in the cache key and echoed in the response.
 	Source string
-	// Graph, when non-nil, is a pre-resolved query graph to rank
-	// directly, bypassing the Resolver.
-	Graph *graph.QueryGraph
 	// Methods lists the semantics to evaluate; nil or empty means all
 	// five (rank.MethodNames).
 	Methods []string
@@ -109,15 +111,12 @@ type Response struct {
 type Config struct {
 	// Workers is the worker-pool size; 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// CacheSize is the LRU capacity in (query, method, options) entries;
-	// 0 means DefaultCacheSize, negative disables caching.
+	// CacheSize is the result LRU capacity in (query, method, options)
+	// entries; 0 means DefaultCacheSize, negative disables caching.
 	CacheSize int
-	// PlanCacheSize is the compiled-plan LRU capacity in query graphs;
-	// 0 means DefaultPlanCacheSize, negative disables plan caching.
-	PlanCacheSize int
 	// MaxInFlight caps how many requests execute concurrently; 0 means
-	// the worker count. Setting it below Workers deliberately idles part
-	// of the pool (e.g. to reserve cores for other work).
+	// the worker count. Below Workers it sets the pool size (e.g. to
+	// reserve cores for other work).
 	MaxInFlight int
 	// MaxQueue caps how many admitted requests may wait beyond the
 	// in-flight set. When the queue is full, further requests fail fast
@@ -129,8 +128,13 @@ type Config struct {
 	MaxQueue int
 }
 
-// DefaultCacheSize is the default LRU capacity.
+// DefaultCacheSize is the default result LRU capacity.
 const DefaultCacheSize = 4096
+
+// planCacheSize is the plan LRU capacity in query graphs. Plans are a
+// few hundred bytes per graph element, far smaller than the graphs they
+// are compiled from.
+const planCacheSize = 256
 
 // ErrClosed is the per-request error of batches submitted after Close.
 var ErrClosed = fmt.Errorf("engine: closed")
@@ -179,19 +183,22 @@ var logPanic = func(format string, args ...any) { log.Printf(format, args...) }
 // one with New and release its workers with Close.
 type Engine struct {
 	resolver Resolver
-	cache    *resultCache
-	plans    *planCache
-	jobs     chan job
-	wg       sync.WaitGroup
-	workers  int
+	// results memoizes scores, tagged by query source; nil when caching
+	// is disabled.
+	results *lru[cacheKey, string, rank.Result]
+	// plans memoizes compiled plans by content fingerprint, tagged by
+	// topology fingerprint; patches counts the misses served by
+	// patching a plan over the same wiring.
+	plans   *lru[uint64, uint64, *kernel.Plan]
+	patches atomic.Int64
+	jobs    chan job
+	wg      sync.WaitGroup
 
 	// Admission control. adm admits up to the capacity and holds a
 	// token per admitted-but-unfinished request; inFlight counts the
-	// subset currently executing. execSem, when non-nil, additionally
-	// caps execution concurrency at MaxInFlight.
+	// subset currently executing.
 	adm      *Admission
 	inFlight atomic.Int64
-	execSem  chan struct{}
 
 	// mu orders submissions against Close: submitters hold the read
 	// side while enqueueing, so Close cannot close the jobs channel
@@ -208,54 +215,31 @@ type job struct {
 	done   func()
 }
 
-// New builds an engine over the given resolver (which may be nil if all
-// requests carry pre-resolved graphs) and starts its worker pool.
+// New builds an engine over resolver, the only way a request's query
+// graph is obtained, and starts a pool of AdmissionFor(cfg).Servers()
+// workers.
 func New(resolver Resolver, cfg Config) *Engine {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	size := cfg.CacheSize
 	if size == 0 {
 		size = DefaultCacheSize
 	}
-	planSize := cfg.PlanCacheSize
-	if planSize == 0 {
-		planSize = DefaultPlanCacheSize
-	}
-	capacity := 0
-	if cfg.MaxInFlight > 0 || cfg.MaxQueue > 0 {
-		inFlight := cfg.MaxInFlight
-		if inFlight <= 0 {
-			inFlight = workers
-		}
-		capacity = inFlight + cfg.MaxQueue
-	}
+	adm := AdmissionFor(cfg)
 	e := &Engine{
 		resolver: resolver,
-		cache:    newResultCache(size), // nil when size < 0
-		plans:    newPlanCache(planSize),
+		results:  newLRU[cacheKey, string](size, cloneResult), // nil when size < 0
+		plans:    newLRU[uint64, uint64, *kernel.Plan](planCacheSize, nil),
+		adm:      adm,
 		// Buffered to the admission ceiling: an admitted send can then
 		// never block, so QueryBatchCtx's enqueue loop cannot stall behind
 		// a slow pool and admission "queued" matches channel occupancy.
-		jobs:    make(chan job, capacity),
-		workers: workers,
+		jobs: make(chan job, adm.Capacity()),
 	}
-	servers := workers
-	if cfg.MaxInFlight > 0 && cfg.MaxInFlight < workers {
-		e.execSem = make(chan struct{}, cfg.MaxInFlight)
-		servers = cfg.MaxInFlight
-	}
-	e.adm = NewAdmission(capacity, servers)
-	e.wg.Add(workers)
-	for i := 0; i < workers; i++ {
+	e.wg.Add(adm.Servers())
+	for range adm.Servers() {
 		go e.worker()
 	}
 	return e
 }
-
-// Workers returns the pool size.
-func (e *Engine) Workers() int { return e.workers }
 
 // Close shuts the worker pool down and waits for it to drain.
 // In-flight batches complete; QueryBatchCtx calls after Close fail every
@@ -273,7 +257,7 @@ func (e *Engine) Close() {
 }
 
 // CacheStats snapshots the result cache counters.
-func (e *Engine) CacheStats() CacheStats { return e.cache.Stats() }
+func (e *Engine) CacheStats() CacheStats { return e.results.Stats() }
 
 // InvalidateSources drops every cached result whose query source is
 // listed, returning how many entries were removed. Callers that apply a
@@ -284,11 +268,17 @@ func (e *Engine) CacheStats() CacheStats { return e.cache.Stats() }
 // point of invalidation is reclaiming the stranded capacity immediately
 // and making churn observable (CacheStats.Invalidations).
 func (e *Engine) InvalidateSources(sources []string) int {
-	return e.cache.invalidateSources(sources)
+	return e.results.removeTags(sources)
 }
 
 // PlanStats snapshots the compiled-plan cache counters.
-func (e *Engine) PlanStats() PlanCacheStats { return e.plans.Stats() }
+func (e *Engine) PlanStats() PlanCacheStats {
+	s := e.plans.Stats()
+	return PlanCacheStats{
+		Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions,
+		Patches: e.patches.Load(), Entries: s.Entries,
+	}
+}
 
 // Stats snapshots the admission-control counters.
 func (e *Engine) Stats() Stats {
@@ -314,8 +304,8 @@ func (e *Engine) worker() {
 }
 
 // run executes one admitted job: it retires the admission token,
-// honors cancellation that happened while the job was queued, applies
-// the MaxInFlight gate, and feeds the service-time EWMA.
+// honors cancellation that happened while the job was queued, and feeds
+// the service-time EWMA.
 func (e *Engine) run(j job) {
 	defer j.done()
 	defer e.adm.Done()
@@ -331,10 +321,6 @@ func (e *Engine) run(j job) {
 		j.resp.Source = j.req.Source
 		j.resp.Err = err
 		return
-	}
-	if e.execSem != nil {
-		e.execSem <- struct{}{}
-		defer func() { <-e.execSem }()
 	}
 	e.inFlight.Add(1)
 	start := time.Now()
@@ -414,16 +400,10 @@ func (e *Engine) execute(ctx context.Context, req *Request, resp *Response) {
 		resp.Err = err
 		return
 	}
-	qg := req.Graph
-	if qg == nil {
-		if e.resolver == nil {
-			resp.Err = fmt.Errorf("engine: request %q has no graph and no resolver is configured", req.Source)
-			return
-		}
-		if qg, err = e.resolver.ResolveCtx(ctx, req.Source); err != nil {
-			resp.Err = err
-			return
-		}
+	qg, err := e.resolver.ResolveCtx(ctx, req.Source)
+	if err != nil {
+		resp.Err = err
+		return
 	}
 	fp := qg.Fingerprint()
 
@@ -431,8 +411,8 @@ func (e *Engine) execute(ctx context.Context, req *Request, resp *Response) {
 	cached := make(map[string]bool, len(specs))
 	var misses []rank.Spec
 	for _, s := range specs {
-		if hit, ok := e.cache.get(cacheKey{source: req.Source, fp: fp, method: s.Method, est: s.Key}); ok {
-			results[s.Method] = rank.Result{Method: s.Method, Scores: hit.scores, Lo: hit.lo, Hi: hit.hi, Exact: hit.exact}
+		if hit, ok := e.results.get(cacheKey{source: req.Source, fp: fp, method: s.Method, est: s.Key}); ok {
+			results[s.Method] = hit
 			cached[s.Method] = true
 			continue
 		}
@@ -455,8 +435,7 @@ func (e *Engine) execute(ctx context.Context, req *Request, resp *Response) {
 				// to future requests with all the time in the world.
 				continue
 			}
-			e.cache.put(cacheKey{source: req.Source, fp: fp, method: s.Method, est: s.Key},
-				cachedResult{scores: res.Scores, lo: res.Lo, hi: res.Hi, exact: res.Exact})
+			e.results.put(cacheKey{source: req.Source, fp: fp, method: s.Method, est: s.Key}, req.Source, res)
 		}
 	}
 	resp.Graph = qg
@@ -480,21 +459,24 @@ func (e *Engine) planFor(qg *graph.QueryGraph, fp uint64, specs []rank.Spec) *ke
 	if !needed {
 		return nil
 	}
-	if plan := e.plans.get(fp); plan != nil && plan.Matches(qg) {
+	if plan, ok := e.plans.get(fp); ok && plan.Matches(qg) {
 		return plan
 	}
 	topo := qg.TopoFingerprint()
-	patched := false
 	var plan *kernel.Plan
-	if prev := e.plans.topoGet(topo); prev != nil {
-		// Patch verifies the wiring edge by edge and refuses on any
-		// mismatch, so a topology-fingerprint collision degrades to a
-		// compile, never to a wrong plan.
-		plan, patched = prev.Patch(qg)
+	if prev, ok := e.plans.tagged(topo); ok {
+		// Any plan under the tag will do: Patch verifies the wiring edge
+		// by edge, refusing on any mismatch (so a topology-fingerprint
+		// collision degrades to a compile, never to a wrong plan), and
+		// rebuilds every probability array from qg.
+		var patched bool
+		if plan, patched = prev.Patch(qg); patched {
+			e.patches.Add(1)
+		}
 	}
 	if plan == nil {
 		plan = kernel.Compile(qg)
 	}
-	e.plans.put(fp, topo, plan, patched)
+	e.plans.put(fp, topo, plan)
 	return plan
 }

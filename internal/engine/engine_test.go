@@ -25,6 +25,11 @@ func testResolver(t testing.TB) (Resolver, []string) {
 	return ResolverFunc(func(_ context.Context, s string) (*graph.QueryGraph, error) { return med.Explore(s) }), proteins
 }
 
+// fixedResolver resolves every source to qg.
+func fixedResolver(qg *graph.QueryGraph) Resolver {
+	return ResolverFunc(func(context.Context, string) (*graph.QueryGraph, error) { return qg, nil })
+}
+
 // diamond builds a small hand-made query graph for cache tests.
 func diamond() *graph.QueryGraph {
 	g := graph.New(4, 4)
@@ -173,11 +178,11 @@ func TestEngineConcurrentHammer(t *testing.T) {
 // the engine matches the rank package's block-kernel estimator run
 // directly.
 func TestEngineParallelMCDeterministic(t *testing.T) {
-	e := New(nil, Config{Workers: 2, CacheSize: -1}) // cache off: every run recomputes
-	defer e.Close()
 	qg := diamond()
+	e := New(fixedResolver(qg), Config{Workers: 2, CacheSize: -1}) // cache off: every run recomputes
+	defer e.Close()
 	opts := Options{Trials: 20000, Seed: 5, Workers: 4}
-	req := Request{Source: "diamond", Graph: qg, Methods: []string{"reliability"}, Options: opts}
+	req := Request{Source: "diamond", Methods: []string{"reliability"}, Options: opts}
 
 	first := e.RankCtx(context.Background(), req)
 	if first.Err != nil {
@@ -202,13 +207,14 @@ func TestEngineParallelMCDeterministic(t *testing.T) {
 }
 
 // TestEngineCacheLifecycle covers miss, hit, option sensitivity, and
-// invalidation when the underlying graph mutates (version bump).
+// invalidation when the underlying graph mutates (version bump). The
+// resolver returns the very graph the test mutates.
 func TestEngineCacheLifecycle(t *testing.T) {
-	e := New(nil, Config{Workers: 1})
-	defer e.Close()
 	qg := diamond()
+	e := New(fixedResolver(qg), Config{Workers: 1})
+	defer e.Close()
 	opts := Options{Trials: 1000, Seed: 2}
-	req := Request{Source: "diamond", Graph: qg, Options: opts}
+	req := Request{Source: "diamond", Options: opts}
 
 	// First evaluation: all five methods miss.
 	r1 := e.RankCtx(context.Background(), req)
@@ -242,7 +248,7 @@ func TestEngineCacheLifecycle(t *testing.T) {
 
 	// A different seed is a different key for reliability, the only
 	// method that reads it; the deterministic methods keep hitting.
-	r3 := e.RankCtx(context.Background(), Request{Source: "diamond", Graph: qg, Options: Options{Trials: 1000, Seed: 9}})
+	r3 := e.RankCtx(context.Background(), Request{Source: "diamond", Options: Options{Trials: 1000, Seed: 9}})
 	if r3.Err != nil {
 		t.Fatal(r3.Err)
 	}
@@ -274,15 +280,12 @@ func TestEngineCacheLifecycle(t *testing.T) {
 	}
 }
 
-// TestEngineErrors covers the failure paths: no resolver, resolver
-// failure, unknown method.
+// TestEngineErrors covers the failure paths: resolver failure, unknown
+// method.
 func TestEngineErrors(t *testing.T) {
-	e := New(nil, Config{Workers: 1})
+	e := New(fixedResolver(diamond()), Config{Workers: 1})
 	defer e.Close()
-	if resp := e.RankCtx(context.Background(), Request{Source: "x"}); resp.Err == nil {
-		t.Fatal("no graph and no resolver should error")
-	}
-	if resp := e.RankCtx(context.Background(), Request{Source: "x", Graph: diamond(), Methods: []string{"bogus"}}); resp.Err == nil {
+	if resp := e.RankCtx(context.Background(), Request{Source: "x", Methods: []string{"bogus"}}); resp.Err == nil {
 		t.Fatal("unknown method should error")
 	}
 
@@ -326,10 +329,10 @@ func TestEngineMediatorResolverCacheHit(t *testing.T) {
 }
 
 func TestEngineCloseIdempotent(t *testing.T) {
-	e := New(nil, Config{Workers: 1})
+	e := New(fixedResolver(diamond()), Config{Workers: 1})
 	e.Close()
 	e.Close() // must not panic or deadlock
-	for _, resp := range e.QueryBatchCtx(context.Background(), []Request{{Source: "late", Graph: diamond()}}) {
+	for _, resp := range e.QueryBatchCtx(context.Background(), []Request{{Source: "late"}}) {
 		if resp.Err != ErrClosed {
 			t.Fatalf("post-Close batch error = %v, want ErrClosed", resp.Err)
 		}
@@ -346,15 +349,17 @@ func TestEngineCloseIdempotent(t *testing.T) {
 // closed-flag/channel ordering.
 func TestEngineCloseDuringBatch(t *testing.T) {
 	for round := 0; round < 20; round++ {
-		e := New(nil, Config{Workers: 2, CacheSize: -1})
+		e := New(ResolverFunc(func(context.Context, string) (*graph.QueryGraph, error) {
+			return diamond(), nil
+		}), Config{Workers: 2, CacheSize: -1})
 		var wg sync.WaitGroup
 		for c := 0; c < 4; c++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				reqs := []Request{
-					{Source: "a", Graph: diamond(), Methods: []string{"inedge"}},
-					{Source: "b", Graph: diamond(), Methods: []string{"pathcount"}},
+					{Source: "a", Methods: []string{"inedge"}},
+					{Source: "b", Methods: []string{"pathcount"}},
 				}
 				for _, resp := range e.QueryBatchCtx(context.Background(), reqs) {
 					if resp.Err != nil && resp.Err != ErrClosed {

@@ -58,19 +58,6 @@ func TestPlanCacheSkipsPlanFreeMethods(t *testing.T) {
 	}
 }
 
-func TestPlanCacheDisabled(t *testing.T) {
-	e := New(ResolverFunc(func(context.Context, string) (*graph.QueryGraph, error) {
-		return planTestGraph(), nil
-	}), Config{CacheSize: -1, PlanCacheSize: -1})
-	defer e.Close()
-	if resp := e.RankCtx(context.Background(), Request{Source: "x", Methods: []string{"reliability"}, Options: Options{Trials: 100}}); resp.Err != nil {
-		t.Fatal(resp.Err)
-	}
-	if ps := e.PlanStats(); ps != (PlanCacheStats{}) {
-		t.Fatalf("disabled plan cache reported %+v", ps)
-	}
-}
-
 func TestAdaptiveOptionDistinctCacheKey(t *testing.T) {
 	e := New(ResolverFunc(func(context.Context, string) (*graph.QueryGraph, error) {
 		return planTestGraph(), nil
@@ -100,12 +87,12 @@ func TestAdaptiveOptionDistinctCacheKey(t *testing.T) {
 }
 
 func TestPlanCacheEviction(t *testing.T) {
-	c := newPlanCache(2)
+	c := newLRU[uint64, uint64, *kernel.Plan](2, nil)
 	p := kernel.Compile(planTestGraph())
-	c.put(1, 1, p, false)
-	c.put(2, 2, p, false)
-	c.put(3, 3, p, false)
-	if got := c.get(1); got != nil {
+	c.put(1, 1, p)
+	c.put(2, 2, p)
+	c.put(3, 3, p)
+	if _, ok := c.get(1); ok {
 		t.Fatal("oldest entry should have been evicted")
 	}
 	if s := c.Stats(); s.Evictions != 1 || s.Entries != 2 {

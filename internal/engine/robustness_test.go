@@ -169,6 +169,55 @@ func TestEngineAdmissionControl(t *testing.T) {
 	}
 }
 
+// A MaxInFlight below Workers sizes the pool: with six requests held in
+// the resolver, at most MaxInFlight of them are ever inside it, and the
+// rest wait in the queue.
+func TestMaxInFlightSizesPool(t *testing.T) {
+	hold := make(chan struct{})
+	release := sync.OnceFunc(func() { close(hold) })
+	var inside, peak atomic.Int64
+	qg := diamond()
+	r := ResolverFunc(func(context.Context, string) (*graph.QueryGraph, error) {
+		n := inside.Add(1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		<-hold
+		inside.Add(-1)
+		return qg, nil
+	})
+	e := New(r, Config{Workers: 4, MaxInFlight: 2, MaxQueue: 4})
+	defer e.Close()
+	defer release() // before Close, so a failed assertion cannot wedge the pool
+
+	reqs := make([]Request, 6)
+	for i := range reqs {
+		reqs[i] = Request{Source: "held", Methods: []string{"inedge"}}
+	}
+	done := make(chan []Response, 1)
+	go func() { done <- e.QueryBatchCtx(context.Background(), reqs) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for s := e.Stats(); s.InFlight+s.Queued < 6 || inside.Load() < 2; s = e.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("engine never absorbed 6 requests: %+v, %d in the resolver", s, inside.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // room for a third worker to enter the resolver
+	if s := e.Stats(); s != (Stats{InFlight: 2, Queued: 4, Capacity: 6}) {
+		t.Fatalf("stats %+v, want 2 in flight, 4 queued, capacity 6", s)
+	}
+
+	release()
+	for _, resp := range <-done {
+		if resp.Err != nil {
+			t.Fatal(resp.Err)
+		}
+	}
+	if p := peak.Load(); p > 2 {
+		t.Fatalf("%d requests inside the resolver at once, want at most MaxInFlight 2", p)
+	}
+}
+
 // A request whose context is cancelled while queued is skipped with the
 // context's error; a request whose DEADLINE expired still executes and
 // returns truncated partial results.

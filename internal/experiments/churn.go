@@ -177,8 +177,9 @@ func (s *Suite) churnMode(med *mediator.Mediator, keywords []string, ops []churn
 	res.PlanHits, res.PlanMisses, res.PlanPatches = ps.Hits, ps.Misses, ps.Patches
 	// Staleness check: every keyword's answer — cached or not — must be
 	// bit-identical to a cold engine's recompute of the same final graph
-	// state.
-	cold := engine.New(resolver, engine.Config{Workers: 1, CacheSize: -1, PlanCacheSize: -1})
+	// state. The cold engine queries each keyword once, so its plan
+	// cache never serves a hit.
+	cold := engine.New(resolver, engine.Config{Workers: 1, CacheSize: -1})
 	defer cold.Close()
 	for _, kw := range keywords {
 		req := engine.Request{Source: kw, Methods: []string{"reliability"}, Options: reqOpts}

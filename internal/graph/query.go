@@ -71,40 +71,7 @@ func (qg *QueryGraph) CloneShallowProbs() *QueryGraph {
 // fingerprint score identically under every relevance semantics, so the
 // fingerprint — together with the underlying graph's Version — is a safe
 // cache key for ranking results.
-func (qg *QueryGraph) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	wu := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	ws := func(s string) {
-		wu(uint64(len(s)))
-		h.Write([]byte(s))
-	}
-	wu(uint64(qg.NumNodes()))
-	for i := 0; i < qg.NumNodes(); i++ {
-		n := qg.Node(NodeID(i))
-		ws(n.Kind)
-		ws(n.Label)
-		wu(math.Float64bits(n.P))
-	}
-	wu(uint64(qg.NumEdges()))
-	for i := 0; i < qg.NumEdges(); i++ {
-		e := qg.Edge(EdgeID(i))
-		wu(uint64(uint32(e.From))<<32 | uint64(uint32(e.To)))
-		ws(e.Kind)
-		wu(math.Float64bits(e.Q))
-	}
-	wu(uint64(uint32(qg.Source)))
-	wu(uint64(len(qg.Answers)))
-	for _, a := range qg.Answers {
-		wu(uint64(uint32(a)))
-	}
-	return h.Sum64()
-}
+func (qg *QueryGraph) Fingerprint() uint64 { return qg.fingerprint(true) }
 
 // TopoFingerprint returns a hash of the query graph's topology only:
 // node identities, edge wiring and kinds, source, and answers — with all
@@ -112,7 +79,11 @@ func (qg *QueryGraph) Fingerprint() uint64 {
 // differ (up to hash collision) only in their p/q values, which is the
 // precondition for patching a compiled plan's coin thresholds in place of
 // a full recompile (kernel.Plan.Patch).
-func (qg *QueryGraph) TopoFingerprint() uint64 {
+func (qg *QueryGraph) TopoFingerprint() uint64 { return qg.fingerprint(false) }
+
+// fingerprint is the one FNV-1a walk behind both fingerprints; probs
+// selects whether node and edge probabilities feed the digest.
+func (qg *QueryGraph) fingerprint(probs bool) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	wu := func(v uint64) {
@@ -130,12 +101,18 @@ func (qg *QueryGraph) TopoFingerprint() uint64 {
 		n := qg.Node(NodeID(i))
 		ws(n.Kind)
 		ws(n.Label)
+		if probs {
+			wu(math.Float64bits(n.P))
+		}
 	}
 	wu(uint64(qg.NumEdges()))
 	for i := 0; i < qg.NumEdges(); i++ {
 		e := qg.Edge(EdgeID(i))
 		wu(uint64(uint32(e.From))<<32 | uint64(uint32(e.To)))
 		ws(e.Kind)
+		if probs {
+			wu(math.Float64bits(e.Q))
+		}
 	}
 	wu(uint64(uint32(qg.Source)))
 	wu(uint64(len(qg.Answers)))

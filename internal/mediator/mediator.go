@@ -14,6 +14,7 @@ package mediator
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"biorank/internal/bio"
 	"biorank/internal/er"
@@ -245,8 +246,9 @@ var ErrNoProtein = errors.New("mediator: no protein matches")
 // can affect.
 type Live struct {
 	Store *graph.Store
-	// accessions maps a query keyword to the protein accession set its
-	// exploratory query selects in the union graph.
+	// accessions maps a lower-cased query keyword to the protein
+	// accession set its exploratory query selects in the union graph:
+	// keywords match case-insensitively, as EntrezProtein.ByName does.
 	accessions map[string]map[string]bool
 	// keywords inverts it: the keywords whose answer sets depend on a
 	// protein accession.
@@ -272,7 +274,7 @@ func (m *Mediator) Live(store *graph.Store, keywords []string) *Live {
 			set[a] = true
 			l.keywords[a] = append(l.keywords[a], kw)
 		}
-		l.accessions[kw] = set
+		l.accessions[strings.ToLower(kw)] = set
 	}
 	return l
 }
@@ -280,9 +282,10 @@ func (m *Mediator) Live(store *graph.Store, keywords []string) *Live {
 // Carve returns the keyword's pruned query graph, carved out of a
 // snapshot of the live graph: under the store's read lock the
 // exploratory query clones the graph, selects the keyword's accessions
-// as input records and prunes to the answer-directed subgraph.
+// as input records and prunes to the answer-directed subgraph. The
+// keyword matches case-insensitively, like Explore's.
 func (l *Live) Carve(keyword string) (*graph.QueryGraph, error) {
-	accs := l.accessions[keyword]
+	accs := l.accessions[strings.ToLower(keyword)]
 	if len(accs) == 0 {
 		return nil, fmt.Errorf("%w %q", ErrNoProtein, keyword)
 	}

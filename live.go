@@ -173,6 +173,12 @@ func (s *System) Accessions(protein string) []string {
 // hits, and probability-only batches let the next query patch its
 // compiled plan instead of recompiling.
 //
+// Keywords match case-insensitively, but Ingest names the affected
+// keywords in their canonical spelling (Proteins): results cached under
+// another spelling ("abcc8" for ABCC8) are reclaimed by LRU eviction,
+// not by Ingest. Their content-fingerprint keys keep them from ever
+// being served stale.
+//
 // Batches apply in order and each batch is atomic, but the call is not:
 // on a validation error the earlier batches stay applied and the result
 // reflects them alongside the error.

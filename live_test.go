@@ -119,6 +119,54 @@ func TestLiveQueryParity(t *testing.T) {
 	}
 }
 
+// TestLiveQueryFoldsKeywordCase is the regression test for live mode
+// matching protein keywords case-sensitively: outside live mode
+// EntrezProtein.ByName folds case, so a live system must rank "abcc8"
+// bit-identically to "ABCC8", before and after an ingest that revises
+// the protein's record.
+func TestLiveQueryFoldsKeywordCase(t *testing.T) {
+	s := liveSystem(t, 1)
+	defer s.Close()
+	opts := Options{Trials: 500, Seed: 4}
+	ranked := func(keyword string) map[Method][]ScoredAnswer {
+		t.Helper()
+		ans, err := s.Query(keyword)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _, err := ans.RankAllCtx(context.Background(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	check := func(stage string) {
+		t.Helper()
+		want, got := ranked("ABCC8"), ranked("abcc8")
+		for _, m := range Methods() {
+			w, g := want[m], got[m]
+			if len(w) == 0 || len(g) != len(w) {
+				t.Fatalf("%s %s: %d answers for abcc8, %d for ABCC8", stage, m, len(g), len(w))
+			}
+			for i := range w {
+				if g[i].Label != w[i].Label || math.Float64bits(g[i].Score) != math.Float64bits(w[i].Score) {
+					t.Fatalf("%s %s answer %d: abcc8 (%s, %v), ABCC8 (%s, %v)",
+						stage, m, i, g[i].Label, g[i].Score, w[i].Label, w[i].Score)
+				}
+			}
+		}
+	}
+	check("before ingest")
+	accs := s.Accessions("abcc8")
+	if len(accs) != 1 || accs[0] != "NP_ABCC8" {
+		t.Fatalf("Accessions(abcc8) = %v, want [NP_ABCC8]", accs)
+	}
+	if _, err := s.Ingest(setProteinP(accs[0], 0.41)); err != nil {
+		t.Fatal(err)
+	}
+	check("after ingest")
+}
+
 // setProteinP builds the delta revising one protein record's presence
 // probability.
 func setProteinP(accession string, p float64) IngestDelta {
