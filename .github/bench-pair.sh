@@ -39,12 +39,15 @@ trap 'rm -rf "$bin"' EXIT
 # served request that reduces again, skips the plan cache or falls back
 # to the scalar kernel slows. The $ keeps EngineBatchCached, a cache
 # lookup, out of the gate (bench2json matches names without their -N
-# suffix). Every gated benchmark is gated on allocs/op too: the counts
-# are deterministic, a label index rebuilt on every AddNode adds ~1,000
-# allocs/op (+67%) to ExploratoryQuery and doubles its ns/op, and a
-# carve that clones the union graph again multiplies LiveCarve's.
-pkgs=(internal/kernel internal/rank internal/wal internal/sources internal/engine .)
-gate='^Benchmark(Compiled|BitParallel|WorldsBlock|ExactFactoring|PlanPatch|WALAppendNever|AlignerSearch|AlignerIndex|ProfileMatch|ExploratoryQuery|LiveCarve|EngineBatch$)'
+# suffix). cmd/biorankd's HandleQueryCached is the response path, a
+# cached default /query through the handler: an indenting encoder or
+# map-built bodies double its ns/op and triple its B/op. Every gated
+# benchmark is gated on allocs/op too: the counts are deterministic, a
+# label index rebuilt on every AddNode adds ~1,000 allocs/op (+67%) to
+# ExploratoryQuery and doubles its ns/op, and a carve that clones the
+# union graph again multiplies LiveCarve's.
+pkgs=(internal/kernel internal/rank internal/wal internal/sources internal/engine cmd/biorankd .)
+gate='^Benchmark(Compiled|BitParallel|WorldsBlock|ExactFactoring|PlanPatch|WALAppendNever|AlignerSearch|AlignerIndex|ProfileMatch|ExploratoryQuery|LiveCarve|EngineBatch$|HandleQueryCached)'
 
 tree() { if [ "$1" = parent ]; then echo "$parent_tree"; else echo "$change_tree"; fi; }
 binary() { echo "$bin/$1-${2//\//_}.test"; }

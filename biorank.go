@@ -564,24 +564,12 @@ type BatchResult struct {
 	Answers *Answers
 }
 
-// EngineConfig tunes the lazily started batch engine. The zero value
-// keeps the historical defaults: GOMAXPROCS workers, the default result
-// LRU size, and no admission control.
-type EngineConfig struct {
-	// Workers is the worker-pool size; 0 means runtime.GOMAXPROCS(0).
-	Workers int
-	// CacheSize is the result-LRU capacity; 0 means the engine default,
-	// negative disables caching.
-	CacheSize int
-	// MaxInFlight caps concurrently executing requests; 0 means the
-	// worker count. Below Workers it sets the pool size.
-	MaxInFlight int
-	// MaxQueue caps admitted requests waiting beyond the in-flight set.
-	// When either MaxInFlight or MaxQueue is positive, requests beyond
-	// capacity are shed with ErrOverloaded instead of queueing
-	// unboundedly; with both zero the engine accepts everything.
-	MaxQueue int
-}
+// EngineConfig tunes the lazily started batch engine: its worker count,
+// result-LRU size and admission control, documented field by field on
+// engine.Config. The zero value keeps the historical defaults:
+// GOMAXPROCS workers, the default result LRU size, and no admission
+// control.
+type EngineConfig = engine.Config
 
 // ConfigureEngine sets the batch engine's configuration. It must be
 // called before the engine lazily starts (first QueryBatchCtx,
@@ -593,12 +581,7 @@ func (s *System) ConfigureEngine(cfg EngineConfig) error {
 	if s.engStarted {
 		return fmt.Errorf("biorank: engine already started; ConfigureEngine must precede the first QueryBatchCtx")
 	}
-	s.engCfg = engine.Config{
-		Workers:     cfg.Workers,
-		CacheSize:   cfg.CacheSize,
-		MaxInFlight: cfg.MaxInFlight,
-		MaxQueue:    cfg.MaxQueue,
-	}
+	s.engCfg = cfg
 	return nil
 }
 

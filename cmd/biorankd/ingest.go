@@ -1,12 +1,12 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"log"
 	"net/http"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"biorank"
 )
@@ -91,15 +91,15 @@ func (ing *ingester) stop() {
 }
 
 // stats snapshots the refresher's counters for /stats.
-func (ing *ingester) stats() map[string]any {
-	return map[string]any{
-		"queued":      len(ing.queue),
-		"capacity":    cap(ing.queue),
-		"enqueued":    ing.enqueued.Load(),
-		"applied":     ing.applied.Load(),
-		"dropped":     ing.dropped.Load(),
-		"errors":      ing.errors.Load(),
-		"invalidated": ing.invalidated.Load(),
+func (ing *ingester) stats() ingestStats {
+	return ingestStats{
+		Applied:     ing.applied.Load(),
+		Capacity:    cap(ing.queue),
+		Dropped:     ing.dropped.Load(),
+		Enqueued:    ing.enqueued.Load(),
+		Errors:      ing.errors.Load(),
+		Invalidated: ing.invalidated.Load(),
+		Queued:      len(ing.queue),
 	}
 }
 
@@ -118,17 +118,14 @@ type ingestRequest struct {
 // cache entries, per-source epochs); asynchronous ones are queued for
 // the background refresher and acknowledged with 202.
 func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
-		return
-	}
-	if !s.sys.Live() {
+	// decodeRequest answers every method but POST with 405, which comes
+	// before the 409.
+	if r.Method == http.MethodPost && !s.sys.Live() {
 		httpError(w, http.StatusConflict, fmt.Errorf("server is not live; restart with -live"))
 		return
 	}
 	var req ingestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %v", err))
+	if !decodeRequest(w, r, &req, nil) {
 		return
 	}
 	deltas := req.Deltas
@@ -145,18 +142,17 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if s.ingest == nil || !s.ingest.enqueue(deltas) {
-			w.Header().Set("Retry-After", "1")
-			httpError(w, http.StatusTooManyRequests, fmt.Errorf("ingest queue full"))
+			shedResponse(w, time.Second, errorBody{"ingest queue full"})
 			return
 		}
-		writeJSON(w, http.StatusAccepted, map[string]any{"accepted": len(deltas), "queued": len(s.ingest.queue)})
+		writeJSON(w, http.StatusAccepted, ingestAccepted{Accepted: len(deltas), Queued: len(s.ingest.queue)})
 		return
 	}
 	res, err := s.sys.Ingest(deltas...)
 	if err != nil {
 		// Batches before the failing one stayed applied; report both the
 		// error and the partial effect so the caller can reconcile.
-		writeJSON(w, http.StatusUnprocessableEntity, map[string]any{"error": err.Error(), "result": res})
+		writeJSON(w, http.StatusUnprocessableEntity, ingestFailed{Error: err.Error(), Result: res})
 		return
 	}
 	writeJSON(w, http.StatusOK, res)

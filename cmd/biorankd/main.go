@@ -56,6 +56,10 @@
 //	GET  /readyz  Readiness probe: 200 while accepting work, 503 once
 //	              a shutdown signal flips the server into draining.
 //
+// Every JSON body is written compactly, one value per response with no
+// indentation; there is no pretty-print option (pipe through a
+// formatter such as python3 -m json.tool to read one).
+//
 // Deadlines: -default-timeout bounds every ranking request's latency;
 // a per-request "timeoutMs" field (or query parameter) overrides it.
 // A request that runs out of budget is not failed — the Monte Carlo
@@ -96,7 +100,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -366,18 +369,12 @@ func (g *gate) acquire() (release func(), retry time.Duration, ok bool) {
 	}, 0, true
 }
 
-// shedResponse writes the 429 of a load-shed request with its
-// Retry-After header.
-func shedResponse(w http.ResponseWriter, retry time.Duration, err error) {
-	setRetryAfter(w, retry)
-	httpError(w, http.StatusTooManyRequests, err)
-}
-
-// setRetryAfter sets the Retry-After header to retry in whole seconds,
-// rounded up, minimum 1.
-func setRetryAfter(w http.ResponseWriter, retry time.Duration) {
+// shedResponse writes the 429 of a load-shed request: body, under a
+// Retry-After header of retry in whole seconds, rounded up, minimum 1.
+func shedResponse(w http.ResponseWriter, retry time.Duration, body any) {
 	secs := max(int64((retry+time.Second-1)/time.Second), 1)
 	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+	writeJSON(w, http.StatusTooManyRequests, body)
 }
 
 // requestTimeout resolves a request's ranking deadline: a positive
@@ -398,40 +395,47 @@ func (s *server) rankingContext(r *http.Request, timeoutMs int) (context.Context
 	return r.Context(), func() {}
 }
 
-// estimatorWire is the wire form of biorank.Options, embedded by the
-// /query, /rank and /topk request bodies. Its fields mirror the options
-// one for one, in order, so a conversion maps it (and a new option that
-// is not mirrored here fails to compile). Old clients' boolean fields
-// (worlds, adaptive, planner, reduce, exact) decode unchanged; worlds and
-// reduce, like the options they mirror, are ignored.
-type estimatorWire struct {
-	Trials   int    `json:"trials,omitempty"`
-	Seed     uint64 `json:"seed,omitempty"`
-	Reduce   bool   `json:"reduce,omitempty"`
-	Exact    bool   `json:"exact,omitempty"`
-	Workers  int    `json:"workers,omitempty"`
-	Adaptive bool   `json:"adaptive,omitempty"`
-	TopK     int    `json:"topk,omitempty"`
-	Worlds   bool   `json:"worlds,omitempty"`
-	Planner  bool   `json:"planner,omitempty"`
-}
-
-// params lists the GET query parameters that set the estimator fields.
-func (e *estimatorWire) params() []param {
-	return []param{{"trials", &e.Trials}, {"seed", &e.Seed}, {"reduce", &e.Reduce}, {"exact", &e.Exact},
-		{"workers", &e.Workers}, {"adaptive", &e.Adaptive}, {"topk", &e.TopK}, {"worlds", &e.Worlds},
-		{"planner", &e.Planner}}
-}
-
-// param binds one GET query parameter to the field it sets: an *int,
-// *uint64 or *bool.
+// param binds one GET query parameter to the field it sets: a *string,
+// *[]biorank.Method (comma-separated), *int, *uint64 or *bool.
 type param struct {
 	key string
 	dst any
 }
 
-// parseParams sets every listed parameter present in q, in list order,
+// estimatorParams lists the GET query parameters that set o's fields,
+// followed by extra.
+func estimatorParams(o *biorank.Options, extra ...param) []param {
+	return append([]param{{"trials", &o.Trials}, {"seed", &o.Seed}, {"reduce", &o.Reduce}, {"exact", &o.Exact},
+		{"workers", &o.Workers}, {"adaptive", &o.Adaptive}, {"topk", &o.TopK}, {"worlds", &o.Worlds},
+		{"planner", &o.Planner}}, extra...)
+}
+
+// decodeRequest reads r into v: a POST body as JSON, or, when get lists
+// the endpoint's GET query parameters, a GET's parameters in list order,
 // so a request with several malformed values always names the first.
+// Any other method is answered 405 and a malformed request 400; false
+// means it has answered.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any, get []param) bool {
+	var err error
+	switch {
+	case r.Method == http.MethodPost:
+		if err = json.NewDecoder(r.Body).Decode(v); err != nil {
+			err = fmt.Errorf("bad JSON: %v", err)
+		}
+	case r.Method == http.MethodGet && get != nil:
+		err = parseParams(r.URL.Query(), get)
+	default:
+		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
+		return false
+	}
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return false
+	}
+	return true
+}
+
+// parseParams sets every listed parameter present in q, in list order.
 func parseParams(q url.Values, params []param) error {
 	for _, p := range params {
 		v := q.Get(p.key)
@@ -440,6 +444,12 @@ func parseParams(q url.Values, params []param) error {
 		}
 		var err error
 		switch dst := p.dst.(type) {
+		case *string:
+			*dst = v
+		case *[]biorank.Method:
+			for _, m := range strings.Split(v, ",") {
+				*dst = append(*dst, biorank.Method(m))
+			}
 		case *int:
 			*dst, err = strconv.Atoi(v)
 		case *uint64:
@@ -454,23 +464,17 @@ func parseParams(q url.Values, params []param) error {
 	return nil
 }
 
-// queryRequest is the wire form of one ranking request.
+// queryRequest is the wire form of one ranking request. Like the /rank
+// and /topk requests it embeds the estimator, whose JSON tags are the
+// estimator fields' wire names.
 type queryRequest struct {
-	Protein string   `json:"protein"`
-	Methods []string `json:"methods,omitempty"`
-	estimatorWire
+	Protein string           `json:"protein"`
+	Methods []biorank.Method `json:"methods,omitempty"`
+	biorank.Options
 	// TimeoutMs bounds this request's latency in milliseconds,
 	// overriding the server's -default-timeout; on expiry the ranking
 	// is returned truncated, not failed.
 	TimeoutMs int `json:"timeoutMs,omitempty"`
-}
-
-func (q queryRequest) methods() []biorank.Method {
-	out := make([]biorank.Method, len(q.Methods))
-	for i, m := range q.Methods {
-		out[i] = biorank.Method(m)
-	}
-	return out
 }
 
 // scoredAnswer is the wire form of one ranked answer. Lo/Hi/Exact are
@@ -490,11 +494,11 @@ type scoredAnswer struct {
 
 // queryResult is the wire form of one ranking response.
 type queryResult struct {
-	Protein  string                    `json:"protein"`
-	Error    string                    `json:"error,omitempty"`
-	Answers  int                       `json:"answers,omitempty"`
-	Rankings map[string][]scoredAnswer `json:"rankings,omitempty"`
-	Cached   map[string]bool           `json:"cached,omitempty"`
+	Protein  string                            `json:"protein"`
+	Error    string                            `json:"error,omitempty"`
+	Answers  int                               `json:"answers,omitempty"`
+	Rankings map[biorank.Method][]scoredAnswer `json:"rankings,omitempty"`
+	Cached   map[biorank.Method]bool           `json:"cached,omitempty"`
 	// Truncated reports that at least one method's ranking was cut
 	// short by the request deadline and holds partial (but
 	// interval-valid) estimates.
@@ -504,31 +508,45 @@ type queryResult struct {
 	RetryAfterMs int64 `json:"retryAfterMs,omitempty"`
 }
 
-func toWire(sa []biorank.ScoredAnswer, named bool) []scoredAnswer {
-	out := make([]scoredAnswer, len(sa))
-	for i, a := range sa {
-		out[i] = scoredAnswer{Kind: a.Kind, Label: a.Label, Score: a.Score, RankLo: a.RankLo, RankHi: a.RankHi, Exact: a.Exact}
-		if a.HasBounds {
-			lo, hi := a.Lo, a.Hi
-			out[i].Lo, out[i].Hi = &lo, &hi
+// wireRankings converts the facade's rankings into wire answers, named
+// by their functions when named is set, and reports whether any
+// method's ranking was truncated.
+func wireRankings(rankings map[biorank.Method][]biorank.ScoredAnswer, truncated map[biorank.Method]bool, named bool) (map[biorank.Method][]scoredAnswer, bool) {
+	out := make(map[biorank.Method][]scoredAnswer, len(rankings))
+	anyTruncated := false
+	for m, sa := range rankings {
+		answers := make([]scoredAnswer, len(sa))
+		for i := range sa {
+			a := &sa[i]
+			answers[i] = scoredAnswer{Kind: a.Kind, Label: a.Label, Score: a.Score, RankLo: a.RankLo, RankHi: a.RankHi, Exact: a.Exact}
+			if a.HasBounds {
+				answers[i].Lo, answers[i].Hi = &a.Lo, &a.Hi
+			}
+			if named {
+				answers[i].Name = biorank.FunctionName(a.Label)
+			}
 		}
-		if named {
-			out[i].Name = biorank.FunctionName(a.Label)
-		}
+		out[m] = answers
+		anyTruncated = anyTruncated || truncated[m]
 	}
-	return out
+	return out, anyTruncated
 }
 
-// handleQuery serves batched exploratory queries from the engine.
+// handleQuery serves batched exploratory queries from the engine. It
+// accepts GET query parameters, a single JSON object, or a
+// {"requests":[...]} batch.
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet && r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
+	var envelope struct {
+		Requests []queryRequest `json:"requests"`
+		queryRequest
+	}
+	if !decodeRequest(w, r, &envelope, estimatorParams(&envelope.Options, param{"timeoutMs", &envelope.TimeoutMs},
+		param{"protein", &envelope.Protein}, param{"methods", &envelope.Methods})) {
 		return
 	}
-	reqs, err := parseQueryRequests(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
+	reqs := envelope.Requests
+	if len(reqs) == 0 {
+		reqs = []queryRequest{envelope.queryRequest}
 	}
 	batch := make([]biorank.BatchRequest, len(reqs))
 	for i, q := range reqs {
@@ -542,86 +560,48 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		batch[i] = biorank.BatchRequest{
 			Protein: q.Protein,
-			Methods: q.methods(),
-			Options: biorank.Options(q.estimatorWire),
+			Methods: q.Methods,
+			Options: q.Options,
 			Timeout: s.requestTimeout(q.TimeoutMs),
 		}
 	}
 	results := s.sys.QueryBatchCtx(r.Context(), batch)
-	out := make([]queryResult, len(results))
+	resp := queryResponse{Results: make([]queryResult, len(results))}
 	allShed, maxRetry := len(results) > 0, time.Duration(0)
 	for i, res := range results {
-		out[i] = queryResult{Protein: res.Protein}
+		out := &resp.Results[i]
+		out.Protein = res.Protein
 		if res.Err != nil {
-			out[i].Error = res.Err.Error()
+			out.Error = res.Err.Error()
 			if d, ok := biorank.RetryAfter(res.Err); ok {
-				out[i].RetryAfterMs = d.Milliseconds()
-				if d > maxRetry {
-					maxRetry = d
-				}
+				out.RetryAfterMs = d.Milliseconds()
+				maxRetry = max(maxRetry, d)
 			} else {
 				allShed = false
 			}
 			continue
 		}
 		allShed = false
-		out[i].Answers = res.Answers.Len()
-		out[i].Rankings = make(map[string][]scoredAnswer, len(res.Rankings))
-		out[i].Cached = make(map[string]bool, len(res.Cached))
-		for m, sa := range res.Rankings {
-			out[i].Rankings[string(m)] = toWire(sa, true)
-			out[i].Cached[string(m)] = res.Cached[m]
-			if res.Truncated[m] {
-				out[i].Truncated = true
-			}
-		}
+		out.Answers = res.Answers.Len()
+		out.Rankings, out.Truncated = wireRankings(res.Rankings, res.Truncated, true)
+		out.Cached = res.Cached
 	}
 	// A batch shed in its entirety becomes an HTTP-level 429 so plain
 	// clients back off; mixed batches stay 200 with per-result errors.
 	if allShed {
-		setRetryAfter(w, maxRetry)
-		writeJSON(w, http.StatusTooManyRequests, map[string]any{"error": "overloaded", "results": out})
+		resp.Error = "overloaded"
+		shedResponse(w, maxRetry, resp)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": out})
-}
-
-// parseQueryRequests accepts GET query parameters, a single JSON
-// object, or a {"requests":[...]} batch.
-func parseQueryRequests(r *http.Request) ([]queryRequest, error) {
-	if r.Method == http.MethodGet {
-		q := r.URL.Query()
-		req := queryRequest{Protein: q.Get("protein")}
-		if m := q.Get("methods"); m != "" {
-			req.Methods = strings.Split(m, ",")
-		}
-		if err := parseParams(q, append(req.params(), param{"timeoutMs", &req.TimeoutMs})); err != nil {
-			return nil, err
-		}
-		return []queryRequest{req}, nil
-	}
-	if r.Method != http.MethodPost {
-		return nil, fmt.Errorf("method %s not allowed", r.Method)
-	}
-	var envelope struct {
-		Requests []queryRequest `json:"requests"`
-		queryRequest
-	}
-	if err := json.NewDecoder(r.Body).Decode(&envelope); err != nil {
-		return nil, fmt.Errorf("bad JSON: %v", err)
-	}
-	if len(envelope.Requests) > 0 {
-		return envelope.Requests, nil
-	}
-	return []queryRequest{envelope.queryRequest}, nil
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // rankRequest is the wire form of /rank: a serialized query graph plus
 // evaluation options.
 type rankRequest struct {
-	Graph   json.RawMessage `json:"graph"`
-	Methods []string        `json:"methods,omitempty"`
-	estimatorWire
+	Graph   json.RawMessage  `json:"graph"`
+	Methods []biorank.Method `json:"methods,omitempty"`
+	biorank.Options
 	// TimeoutMs bounds the ranking's latency in milliseconds,
 	// overriding -default-timeout; expiry truncates rather than fails.
 	TimeoutMs int `json:"timeoutMs,omitempty"`
@@ -630,13 +610,8 @@ type rankRequest struct {
 // handleRank ranks a caller-supplied query graph under the requested
 // methods, sharing the deserialized graph across all of them.
 func (s *server) handleRank(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
-		return
-	}
 	var req rankRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %v", err))
+	if !decodeRequest(w, r, &req, nil) {
 		return
 	}
 	if len(req.Graph) == 0 {
@@ -649,7 +624,7 @@ func (s *server) handleRank(w http.ResponseWriter, r *http.Request) {
 	}
 	release, retry, ok := s.gate.acquire()
 	if !ok {
-		shedResponse(w, retry, errors.New("overloaded"))
+		shedResponse(w, retry, errorBody{"overloaded"})
 		return
 	}
 	defer release()
@@ -658,46 +633,27 @@ func (s *server) handleRank(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad graph: %v", err))
 		return
 	}
-	methods := make([]biorank.Method, len(req.Methods))
-	for i, m := range req.Methods {
-		methods[i] = biorank.Method(m)
-	}
 	ctx, cancel := s.rankingContext(r, req.TimeoutMs)
 	defer cancel()
-	all, truncated, err := ans.RankAllCtx(ctx, biorank.Options(req.estimatorWire), methods...)
+	all, truncated, err := ans.RankAllCtx(ctx, req.Options, req.Methods...)
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	rankings := make(map[string][]scoredAnswer, len(all))
-	anyTruncated := false
-	for m, sa := range all {
-		rankings[string(m)] = toWire(sa, false)
-		if truncated[m] {
-			anyTruncated = true
-		}
-	}
-	nodes, edges := ans.GraphSize()
-	resp := map[string]any{
-		"answers":  ans.Len(),
-		"nodes":    nodes,
-		"edges":    edges,
-		"rankings": rankings,
-	}
-	if anyTruncated {
-		resp["truncated"] = true
-	}
+	resp := rankResponse{Answers: ans.Len()}
+	resp.Nodes, resp.Edges = ans.GraphSize()
+	resp.Rankings, resp.Truncated = wireRankings(all, truncated, false)
 	writeJSON(w, http.StatusOK, resp)
 }
 
 // topkRequest is the wire form of /topk. Order "lower" re-sorts the
 // certified top k by interval lower bound (descending, stable). K, not
-// the estimator's topk field, sets the race's k.
+// the estimator's topk field, sets the race's k; it is 5 when absent.
 type topkRequest struct {
 	Protein string `json:"protein"`
 	K       int    `json:"k,omitempty"`
 	Order   string `json:"order,omitempty"`
-	estimatorWire
+	biorank.Options
 	// TimeoutMs bounds the race's latency in milliseconds, overriding
 	// -default-timeout; expiry returns the current standings with
 	// "truncated": true instead of failing.
@@ -722,25 +678,8 @@ type topkAnswer struct {
 // confidence bounds and race telemetry.
 func (s *server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	req := topkRequest{K: 5}
-	switch r.Method {
-	case http.MethodGet:
-		q := r.URL.Query()
-		req.Protein = q.Get("protein")
-		if err := parseParams(q, append(req.params(), param{"k", &req.K}, param{"timeoutMs", &req.TimeoutMs})); err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		req.Order = q.Get("order")
-	case http.MethodPost:
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %v", err))
-			return
-		}
-		if req.K == 0 {
-			req.K = 5
-		}
-	default:
-		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
+	if !decodeRequest(w, r, &req, estimatorParams(&req.Options, param{"k", &req.K},
+		param{"timeoutMs", &req.TimeoutMs}, param{"protein", &req.Protein}, param{"order", &req.Order})) {
 		return
 	}
 	if req.Protein == "" {
@@ -761,7 +700,7 @@ func (s *server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	}
 	release, retry, ok := s.gate.acquire()
 	if !ok {
-		shedResponse(w, retry, errors.New("overloaded"))
+		shedResponse(w, retry, errorBody{"overloaded"})
 		return
 	}
 	defer release()
@@ -772,7 +711,7 @@ func (s *server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.rankingContext(r, req.TimeoutMs)
 	defer cancel()
-	res, err := ans.TopKCtx(ctx, req.K, biorank.Options(req.estimatorWire))
+	res, err := ans.TopKCtx(ctx, req.K, req.Options)
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return
@@ -796,68 +735,135 @@ func (s *server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		// equal lower bounds keep the score order.
 		sort.SliceStable(answers, func(i, j int) bool { return answers[i].Lo > answers[j].Lo })
 	}
-	resp := map[string]any{
-		"protein":         req.Protein,
-		"k":               req.K,
-		"candidates":      res.Candidates,
-		"trials":          res.Trials,
-		"candidateTrials": res.CandidateTrials,
-		"pruned":          res.Pruned,
-		"rounds":          res.Rounds,
-		"exactAnswers":    res.ExactAnswers,
-		"answers":         answers,
-	}
-	if res.Truncated {
-		resp["truncated"] = true
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, topkResponse{
+		Answers:         answers,
+		CandidateTrials: res.CandidateTrials,
+		Candidates:      res.Candidates,
+		ExactAnswers:    res.ExactAnswers,
+		K:               req.K,
+		Protein:         req.Protein,
+		Pruned:          res.Pruned,
+		Rounds:          res.Rounds,
+		Trials:          res.Trials,
+		Truncated:       res.Truncated,
+	})
 }
 
 // handleStats reports engine result- and plan-cache counters and server
 // configuration.
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	out := map[string]any{
-		"world":    s.world,
-		"uptime":   time.Since(s.started).String(),
-		"proteins": len(s.sys.Proteins()),
-		"sources":  s.sys.Sources(),
-		"cache":    s.sys.CacheStats(),
-		"plans":    s.sys.PlanStats(),
-		"engine":   s.sys.EngineStats(),
-		"ready":    s.ready.Load(),
+	out := statsResponse{
+		Cache:    s.sys.CacheStats(),
+		Engine:   s.sys.EngineStats(),
+		Plans:    s.sys.PlanStats(),
+		Proteins: len(s.sys.Proteins()),
+		Ready:    s.ready.Load(),
+		Sources:  s.sys.Sources(),
+		Uptime:   time.Since(s.started).String(),
+		World:    s.world,
 	}
 	if s.gate != nil {
-		out["gate"] = map[string]any{
-			"pending":  s.gate.Pending(),
-			"capacity": s.gate.Capacity(),
-			"shed":     s.gate.Shed(),
-		}
+		out.Gate = &gateStats{Capacity: s.gate.Capacity(), Pending: s.gate.Pending(), Shed: s.gate.Shed()}
 	}
 	if ls, ok := s.sys.LiveStats(); ok {
-		out["live"] = ls
+		out.Live = &ls
 	}
 	if ds, ok := s.sys.DurabilityStats(); ok {
-		out["durability"] = ds
+		out.Durability = &ds
 	}
 	if s.ingest != nil {
-		out["ingest"] = s.ingest.stats()
+		st := s.ingest.stats()
+		out.Ingest = &st
 	}
 	writeJSON(w, http.StatusOK, out)
 }
 
-// writeJSON writes v as indented JSON with the given status code.
+// The bodies below list their fields in sorted JSON-name order: the key
+// order encoding/json gives a map, which is the order these bodies have
+// always had on the wire and which TestStatusResponseBytes pins.
+type (
+	// errorBody is every error response.
+	errorBody struct {
+		Error string `json:"error"`
+	}
+	// queryResponse is /query's body; Error is set when the whole batch
+	// was shed.
+	queryResponse struct {
+		Error   string        `json:"error,omitempty"`
+		Results []queryResult `json:"results"`
+	}
+	rankResponse struct {
+		Answers   int                               `json:"answers"`
+		Edges     int                               `json:"edges"`
+		Nodes     int                               `json:"nodes"`
+		Rankings  map[biorank.Method][]scoredAnswer `json:"rankings"`
+		Truncated bool                              `json:"truncated,omitempty"`
+	}
+	topkResponse struct {
+		Answers         []topkAnswer `json:"answers"`
+		CandidateTrials int64        `json:"candidateTrials"`
+		Candidates      int          `json:"candidates"`
+		ExactAnswers    int          `json:"exactAnswers"`
+		K               int          `json:"k"`
+		Protein         string       `json:"protein"`
+		Pruned          int          `json:"pruned"`
+		Rounds          int          `json:"rounds"`
+		Trials          int64        `json:"trials"`
+		Truncated       bool         `json:"truncated,omitempty"`
+	}
+	// statsResponse is /stats' body; the pointer sections are present
+	// only when the server has them.
+	statsResponse struct {
+		Cache      engine.CacheStats        `json:"cache"`
+		Durability *biorank.DurabilityStats `json:"durability,omitempty"`
+		Engine     engine.Stats             `json:"engine"`
+		Gate       *gateStats               `json:"gate,omitempty"`
+		Ingest     *ingestStats             `json:"ingest,omitempty"`
+		Live       *biorank.LiveStats       `json:"live,omitempty"`
+		Plans      engine.PlanCacheStats    `json:"plans"`
+		Proteins   int                      `json:"proteins"`
+		Ready      bool                     `json:"ready"`
+		Sources    []string                 `json:"sources"`
+		Uptime     string                   `json:"uptime"`
+		World      string                   `json:"world"`
+	}
+	gateStats struct {
+		Capacity int    `json:"capacity"`
+		Pending  int64  `json:"pending"`
+		Shed     uint64 `json:"shed"`
+	}
+	ingestStats struct {
+		Applied     uint64 `json:"applied"`
+		Capacity    int    `json:"capacity"`
+		Dropped     uint64 `json:"dropped"`
+		Enqueued    uint64 `json:"enqueued"`
+		Errors      uint64 `json:"errors"`
+		Invalidated int64  `json:"invalidated"`
+		Queued      int    `json:"queued"`
+	}
+	// ingestAccepted acknowledges an async /ingest batch.
+	ingestAccepted struct {
+		Accepted int `json:"accepted"`
+		Queued   int `json:"queued"`
+	}
+	// ingestFailed reports a sync /ingest batch that failed part way,
+	// with the effect of the deltas applied before the failing one.
+	ingestFailed struct {
+		Error  string               `json:"error"`
+		Result biorank.IngestResult `json:"result"`
+	}
+)
+
+// writeJSON writes v as compact JSON with the given status code. It is
+// the one writer of every response body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := json.NewEncoder(w).Encode(v); err != nil {
 		log.Printf("biorankd: encode: %v", err)
 	}
 }
 
 func httpError(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+	writeJSON(w, code, errorBody{err.Error()})
 }

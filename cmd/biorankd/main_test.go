@@ -147,6 +147,16 @@ func TestTopKHandler(t *testing.T) {
 		if code != http.StatusBadRequest {
 			t.Fatalf("status %d, want 400", code)
 		}
+		// An explicit k of 0 is rejected by both methods; only an absent
+		// k defaults to 5.
+		code, _ = do(t, s.handleTopK, http.MethodGet, "/topk?protein="+proteins[0]+"&k=0", "")
+		if code != http.StatusBadRequest {
+			t.Fatalf("GET k=0: status %d, want 400", code)
+		}
+		code, _ = do(t, s.handleTopK, http.MethodPost, "/topk", `{"protein":"`+proteins[0]+`","k":0}`)
+		if code != http.StatusBadRequest {
+			t.Fatalf("POST k:0: status %d, want 400", code)
+		}
 	})
 }
 

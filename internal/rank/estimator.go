@@ -4,43 +4,44 @@ import "biorank/internal/kernel"
 
 // Estimator is the one declaration of how a ranking request is
 // evaluated. The engine's Options and the facade's Options are aliases
-// of it, biorankd decodes its wire form into it, and it reaches the
-// rankers unchanged. DESIGN.md ("Estimator spec") tabulates which
-// fields each estimator reads; For applies that table.
+// of it, its JSON tags are its wire form (biorankd's request bodies
+// embed it), and it reaches the rankers unchanged. DESIGN.md
+// ("Estimator spec") tabulates which fields each estimator reads; For
+// applies that table.
 type Estimator struct {
 	// Trials is the Monte Carlo budget: the trial count of the fixed
 	// estimator (0 means DefaultTrials) and the per-candidate cap of the
 	// adaptive, racer and planner estimators (0 means 10·DefaultTrials).
-	Trials int
+	Trials int `json:"trials,omitempty"`
 	// Seed makes the simulation reproducible.
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 	// Reduce is ignored: every sampled estimator For builds simulates the
 	// full query graph on its one compiled plan. The paper's R&M
 	// configuration (reductions, then simulation) is MonteCarlo.Reduce.
 	//
 	// Deprecated: ignored. Nothing reads it; it is kept only so callers
 	// that still set it compile.
-	Reduce bool
+	Reduce bool `json:"reduce,omitempty"`
 	// Exact computes reliability exactly instead of by simulation.
-	Exact bool
+	Exact bool `json:"exact,omitempty"`
 	// Workers shards the fixed estimator's trials over that many
 	// goroutines; scores are deterministic for a fixed (Seed, Workers).
-	Workers int
+	Workers int `json:"workers,omitempty"`
 	// Adaptive stops simulating once Theorem 3.1 certifies the observed
 	// ranking (AdaptiveMonteCarlo).
-	Adaptive bool
+	Adaptive bool `json:"adaptive,omitempty"`
 	// TopK races the answers and certifies only the top K (TopKRacer),
 	// or sets the planner's K.
-	TopK int
+	TopK int `json:"topk,omitempty"`
 	// Worlds is ignored: every sampled estimator For builds already runs
 	// on the 256-world block kernel.
 	//
 	// Deprecated: ignored. Nothing reads it; it is kept only so callers
 	// that still set it compile.
-	Worlds bool
+	Worlds bool `json:"worlds,omitempty"`
 	// Planner solves reducible answers exactly and races the rest
 	// (HybridPlanner).
-	Planner bool
+	Planner bool `json:"planner,omitempty"`
 }
 
 // estimatorKind names what a Spec runs.
