@@ -24,10 +24,11 @@
 package biorank
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -381,8 +382,7 @@ func scoredAnswers(qg *graph.QueryGraph, res rank.Result) []ScoredAnswer {
 	out := make([]ScoredAnswer, len(qg.Answers))
 	for i, id := range qg.Answers {
 		n := qg.Node(id)
-		lo, hi := metrics.RankInterval(scores, i)
-		out[i] = ScoredAnswer{Kind: n.Kind, Label: n.Label, Score: scores[i], RankLo: lo, RankHi: hi}
+		out[i] = ScoredAnswer{Kind: n.Kind, Label: n.Label, Score: scores[i]}
 		if hasBounds {
 			out[i].Lo, out[i].Hi = res.Lo[i], res.Hi[i]
 			out[i].HasBounds = true
@@ -392,7 +392,19 @@ func scoredAnswers(qg *graph.QueryGraph, res rank.Result) []ScoredAnswer {
 		}
 	}
 	// Stable: ties keep answer order.
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Score > out[j].Score })
+	slices.SortStableFunc(out, func(a, b ScoredAnswer) int { return cmp.Compare(b.Score, a.Score) })
+	// Each run of equal scores spans the ranks metrics.RankInterval gives
+	// its members: from one past the answers above it to its own end.
+	for lo := 0; lo < len(out); {
+		hi := lo + 1
+		for hi < len(out) && out[hi].Score == out[lo].Score {
+			hi++
+		}
+		for i := lo; i < hi; i++ {
+			out[i].RankLo, out[i].RankHi = lo+1, hi
+		}
+		lo = hi
+	}
 	return out
 }
 
@@ -425,6 +437,9 @@ type System struct {
 	// snapshots of a mutable union graph instead of re-integrating, and
 	// Ingest applies source deltas with scoped cache invalidation.
 	live atomic.Pointer[liveState]
+
+	// graphs memoizes each catalogue protein's resolved query graph.
+	graphs *graphMemo
 
 	engOnce sync.Once
 	eng     *engine.Engine
@@ -467,7 +482,9 @@ func newSystem(w *synth.World) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &System{world: w, med: med}, nil
+	s := &System{world: w, med: med}
+	s.graphs = newGraphMemo(s.Proteins())
+	return s, nil
 }
 
 // Proteins returns the query proteins the system knows about.
@@ -508,6 +525,11 @@ func (s *System) EmergingFunctions(protein string) []string {
 // {AmiGO}) end to end and returns the candidate-function answer set. In
 // live mode (EnableLive) the query resolves against a snapshot of the
 // live union graph, so it observes every delta ingested so far.
+//
+// A protein spelled as in Proteins resolves once: repeated queries for
+// it share one query graph, read-only, until an Ingest that can reach
+// it or the switch to live mode. Other spellings resolve afresh on
+// every call.
 func (s *System) Query(protein string) (*Answers, error) {
 	qg, err := s.resolve(protein)
 	if err != nil {
@@ -516,10 +538,26 @@ func (s *System) Query(protein string) (*Answers, error) {
 	return &Answers{qg: qg}, nil
 }
 
-// resolve produces the protein's pruned query graph through whichever
-// path is active: the live store snapshot or a fresh mediator
-// integration.
+// resolve returns the protein's pruned query graph: the memoized one for
+// a catalogue protein resolved before, otherwise a fresh resolve, which
+// the memo keeps for catalogue proteins.
 func (s *System) resolve(protein string) (*graph.QueryGraph, error) {
+	qg, gen := s.graphs.lookup(protein)
+	if qg != nil {
+		return qg, nil
+	}
+	qg, err := s.resolveFresh(protein)
+	if err != nil {
+		return nil, err
+	}
+	s.graphs.store(protein, gen, qg)
+	return qg, nil
+}
+
+// resolveFresh produces the protein's pruned query graph through
+// whichever path is active: the live store snapshot or a fresh mediator
+// integration.
+func (s *System) resolveFresh(protein string) (*graph.QueryGraph, error) {
 	ls := s.live.Load()
 	if ls == nil {
 		return s.med.Explore(protein)
@@ -529,6 +567,70 @@ func (s *System) resolve(protein string) (*graph.QueryGraph, error) {
 		return nil, fmt.Errorf("biorank: no protein matches %q", protein)
 	}
 	return qg, err
+}
+
+// graphMemo holds the resolved query graph of each catalogue protein,
+// keyed by its spelling in Proteins and filled on its first resolve. A
+// graph can change only when the sources do, so entries are dropped
+// only by Ingest, for the keywords it names (which are spelled the same
+// way), and by the switch to live mode, for all of them. The catalogue
+// bounds the memo, whatever keywords clients send.
+//
+// A resolve that snapshots the sources before an Ingest may finish
+// after that Ingest's drop. gen guards against it keeping the stale
+// graph: every drop bumps it, and a fill stores only if gen still reads
+// what it read before resolving.
+type graphMemo struct {
+	catalogue map[string]bool
+
+	mu     sync.Mutex
+	gen    uint64
+	graphs map[string]*graph.QueryGraph
+}
+
+func newGraphMemo(proteins []string) *graphMemo {
+	m := &graphMemo{catalogue: make(map[string]bool, len(proteins)), graphs: make(map[string]*graph.QueryGraph)}
+	for _, p := range proteins {
+		m.catalogue[p] = true
+	}
+	return m
+}
+
+// lookup returns the keyword's memoized graph, or nil and the
+// generation a fill of it must present to store.
+func (m *graphMemo) lookup(keyword string) (*graph.QueryGraph, uint64) {
+	if !m.catalogue[keyword] {
+		return nil, 0
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.graphs[keyword], m.gen
+}
+
+// store memoizes qg, resolved after lookup returned gen, unless the
+// keyword is outside the catalogue or a drop has happened since gen was
+// read. The fingerprint is computed before the graph is published, so
+// no request that shares it hashes it again.
+func (m *graphMemo) store(keyword string, gen uint64, qg *graph.QueryGraph) {
+	if !m.catalogue[keyword] {
+		return
+	}
+	qg.Fingerprint()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.gen == gen {
+		m.graphs[keyword] = qg
+	}
+}
+
+// drop forgets the keywords' graphs.
+func (m *graphMemo) drop(keywords []string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.gen++
+	for _, kw := range keywords {
+		delete(m.graphs, kw)
+	}
 }
 
 // BatchRequest asks for one protein's answers ranked under one or more
@@ -600,15 +702,18 @@ func (s *System) engineHandle() *engine.Engine {
 }
 
 // QueryBatchCtx answers a batch of ranking requests on the system's
-// worker pool: each request resolves its query graph once (Query's
-// path) and shares it among all requested methods, and results are
+// worker pool: each request resolves its query graph through Query's
+// path, so a catalogue protein's graph is resolved once and shared by
+// every later request (and by all methods of each), and results are
 // memoized in an LRU keyed by query, graph fingerprint, method and
-// options. Results arrive in request order. Cancelling ctx abandons queued requests (their Err is the
-// context error), while a deadline — from ctx or a per-request Timeout
-// — truncates in-progress Monte Carlo rankings into partial results
-// (BatchResult.Truncated) rather than failing them. Requests shed by
-// admission control (see ConfigureEngine) fail with an error matching
-// ErrOverloaded; the suggested backoff is available via RetryAfter.
+// options. A cache hit therefore neither integrates nor carves. Results
+// arrive in request order. Cancelling ctx abandons queued requests
+// (their Err is the context error), while a deadline — from ctx or a
+// per-request Timeout — truncates in-progress Monte Carlo rankings
+// into partial results (BatchResult.Truncated) rather than failing
+// them. Requests shed by admission control (see ConfigureEngine) fail
+// with an error matching ErrOverloaded; the suggested backoff is
+// available via RetryAfter.
 func (s *System) QueryBatchCtx(ctx context.Context, reqs []BatchRequest) []BatchResult {
 	ereqs := make([]engine.Request, len(reqs))
 	for i, r := range reqs {

@@ -3,7 +3,12 @@ package biorank
 import (
 	"context"
 	"math"
+	"reflect"
+	"sort"
 	"testing"
+
+	"biorank/internal/metrics"
+	"biorank/internal/rank"
 )
 
 func TestGraphFacadeEndToEnd(t *testing.T) {
@@ -435,5 +440,61 @@ func TestAnswersTopK(t *testing.T) {
 	}
 	if len(out[0].Rankings[Reliability]) == 0 {
 		t.Fatal("engine path returned no reliability ranking")
+	}
+}
+
+// TestScoredAnswersRankIntervals pins the facade's answer lists: on
+// several demo query graphs, every answer of all five methods (and of
+// the planner, which adds bounds) sits in descending score order with
+// ties in answer order, and carries the rank interval
+// metrics.RankInterval gives it over all of the method's scores.
+// PathCount and InEdge tie heavily.
+func TestScoredAnswersRankIntervals(t *testing.T) {
+	s, err := NewDemoSystem(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ties := 0
+	for _, p := range s.Proteins()[:4] {
+		ans, err := s.Query(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range []Options{{Trials: 1000, Seed: 1}, {Trials: 1000, Seed: 1, Planner: true}} {
+			specs, err := o.Specs(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results, err := rank.RankSpecs(context.Background(), ans.qg, specs, nil, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, spec := range specs {
+				got := scoredAnswers(ans.qg, results[i])
+				// The reference: answers in input order with their
+				// intervals, stably sorted by descending score.
+				res := results[i]
+				want := make([]ScoredAnswer, len(res.Scores))
+				for j, id := range ans.qg.Answers {
+					n := ans.qg.Node(id)
+					lo, hi := metrics.RankInterval(res.Scores, j)
+					ties += hi - lo
+					want[j] = ScoredAnswer{Kind: n.Kind, Label: n.Label, Score: res.Scores[j], RankLo: lo, RankHi: hi}
+					if res.Lo != nil {
+						want[j].Lo, want[j].Hi, want[j].HasBounds = res.Lo[j], res.Hi[j], true
+					}
+					if res.Exact != nil {
+						want[j].Exact = res.Exact[j]
+					}
+				}
+				sort.SliceStable(want, func(a, b int) bool { return want[a].Score > want[b].Score })
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s/%s (planner %v): answers differ from the reference order and intervals", p, spec.Method, o.Planner)
+				}
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no tied scores: the intervals are untested")
 	}
 }

@@ -100,6 +100,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -108,6 +109,7 @@ import (
 	"net/url"
 	"os"
 	"os/signal"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -420,7 +422,7 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, v any, get []param) b
 	switch {
 	case r.Method == http.MethodPost:
 		if err = json.NewDecoder(r.Body).Decode(v); err != nil {
-			err = fmt.Errorf("bad JSON: %v", err)
+			err = fmt.Errorf("bad JSON: %s", jsonError(err))
 		}
 	case r.Method == http.MethodGet && get != nil:
 		err = parseParams(r.URL.Query(), get)
@@ -433,6 +435,46 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, v any, get []param) b
 		return false
 	}
 	return true
+}
+
+// jsonError words a JSON decoding error for a 400 body. A type error
+// names the key and the kinds of JSON value wanted and sent ("trials:
+// want integer, got string"), not the Go types it was decoded into;
+// any other error keeps encoding/json's text.
+func jsonError(err error) string {
+	var te *json.UnmarshalTypeError
+	if !errors.As(err, &te) {
+		return err.Error()
+	}
+	msg := "want " + jsonKind(te.Type) + ", got " + te.Value
+	if te.Field != "" {
+		msg = te.Field[strings.LastIndexByte(te.Field, '.')+1:] + ": " + msg
+	}
+	return msg
+}
+
+// jsonKind names the kind of JSON value that decodes into t.
+func jsonKind(t reflect.Type) string {
+	for t.Kind() == reflect.Pointer {
+		t = t.Elem()
+	}
+	switch t.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return "integer"
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		return "non-negative integer"
+	case reflect.Float32, reflect.Float64:
+		return "number"
+	case reflect.String:
+		return "string"
+	case reflect.Bool:
+		return "boolean"
+	case reflect.Slice, reflect.Array:
+		return "array"
+	case reflect.Struct, reflect.Map:
+		return "object"
+	}
+	return "value"
 }
 
 // parseParams sets every listed parameter present in q, in list order.
@@ -510,12 +552,17 @@ type queryResult struct {
 
 // wireRankings converts the facade's rankings into wire answers, named
 // by their functions when named is set, and reports whether any
-// method's ranking was truncated.
+// method's ranking was truncated. Every method ranks the same answers,
+// so each label is named once and its name shared.
 func wireRankings(rankings map[biorank.Method][]biorank.ScoredAnswer, truncated map[biorank.Method]bool, named bool) (map[biorank.Method][]scoredAnswer, bool) {
 	out := make(map[biorank.Method][]scoredAnswer, len(rankings))
 	anyTruncated := false
+	var names map[string]string
 	for m, sa := range rankings {
 		answers := make([]scoredAnswer, len(sa))
+		if named && names == nil {
+			names = make(map[string]string, len(sa))
+		}
 		for i := range sa {
 			a := &sa[i]
 			answers[i] = scoredAnswer{Kind: a.Kind, Label: a.Label, Score: a.Score, RankLo: a.RankLo, RankHi: a.RankHi, Exact: a.Exact}
@@ -523,7 +570,12 @@ func wireRankings(rankings map[biorank.Method][]biorank.ScoredAnswer, truncated 
 				answers[i].Lo, answers[i].Hi = &a.Lo, &a.Hi
 			}
 			if named {
-				answers[i].Name = biorank.FunctionName(a.Label)
+				name, ok := names[a.Label]
+				if !ok {
+					name = biorank.FunctionName(a.Label)
+					names[a.Label] = name
+				}
+				answers[i].Name = name
 			}
 		}
 		out[m] = answers
@@ -630,7 +682,7 @@ func (s *server) handleRank(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	ans := &biorank.Answers{}
 	if err := ans.UnmarshalJSON(req.Graph); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad graph: %v", err))
+		httpError(w, http.StatusBadRequest, fmt.Errorf("bad graph: %s", jsonError(err)))
 		return
 	}
 	ctx, cancel := s.rankingContext(r, req.TimeoutMs)

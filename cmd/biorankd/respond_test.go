@@ -22,8 +22,10 @@ import (
 // /ingest's async 202 and sync 422 (whose error names the failing op by
 // its wire spelling) and the "live" object of /stats, then every
 // endpoint's success and error bodies, and /stats with its uptime
-// blanked. Bodies longer than 512 bytes are pinned by their SHA-256
-// digest. BIORANK_GOLDEN_PRINT=1 prints them.
+// blanked. A JSON value of the wrong type is named by its key and JSON
+// kinds, never by the Go types behind the wire form. Bodies longer than
+// 512 bytes are pinned by their SHA-256 digest. BIORANK_GOLDEN_PRINT=1
+// prints them.
 var statusBodies = map[string]statusBody{
 	"ingest-202": {202, "", `{"accepted":1,"queued":1}
 `},
@@ -43,16 +45,28 @@ var statusBodies = map[string]statusBody{
 `},
 	"query-bad-param": {400, "", `{"error":"bad trials: strconv.Atoi: parsing \"z\": invalid syntax"}
 `},
+	"query-bad-type-methods": {400, "", `{"error":"bad JSON: methods: want string, got number"}
+`},
+	"query-bad-type-requests": {400, "", `{"error":"bad JSON: requests: want array, got object"}
+`},
+	"query-bad-type-trials": {400, "", `{"error":"bad JSON: trials: want integer, got string"}
+`},
 	"query-batch": {200, "", `sha256:485e39e0c2f69bffee89fd8e2e00ce7586206dca0c468950c5a240332bfb4772`},
 	"query-get":   {200, "", `sha256:9964f00640e2f2798099548b4d19f6cf0c53af84d7ffdbd0fe62229ed3cbf08e`},
 	"query-put": {405, "", `{"error":"method PUT not allowed"}
 `},
 	"rank": {200, "", `sha256:5b6e89ed3effd17e1ad796f2b8db84809d51c6728948a7bf2125cf081f8e6810`},
+	"rank-bad-graph": {400, "", `{"error":"bad graph: want object, got number"}
+`},
+	"rank-bad-type-seed": {400, "", `{"error":"bad JSON: seed: want non-negative integer, got number -1"}
+`},
 	"rank-no-graph": {400, "", `{"error":"graph is required"}
 `},
 	"stats":      {200, "", `sha256:3fb2b6c35ecf6816176b376168d2203b7680cf82276dd66e3b0f33456098e530`},
 	"stats-live": {200, "", `{"Nodes":5088,"Edges":7080,"Version":12169,"Deltas":1,"ProbOnlyDeltas":1,"NodesAdded":0,"EdgesAdded":0,"ProbChanges":1,"Epochs":{"curation":1}}`},
 	"topk-bad-order": {400, "", `{"error":"order must be \"score\" or \"lower\", got \"banana\""}
+`},
+	"topk-bad-type-k": {400, "", `{"error":"bad JSON: k: want integer, got string"}
 `},
 	"topk-get":   {200, "", `sha256:2970d61841b0159213e69151136fcc8a1ac489fca59e68b6b4e53c5a1ed41ca1`},
 	"topk-lower": {200, "", `sha256:27ce6b91050ad475648c2e90a8e6b05c871bc99aa2340f2cafb2e94e74fdd371`},
@@ -170,13 +184,19 @@ func TestStatusResponseBytes(t *testing.T) {
 		`{"requests":[{"protein":"CFTR","methods":["reliability","inedge"],"planner":true,"trials":2000,"seed":3},{"protein":"NOSUCH"}]}`))
 	record("query-bad-json", post(ws.handleQuery, "/query", `{`))
 	record("query-bad-param", get(ws.handleQuery, "/query?protein=ABCC8&trials=z"))
+	record("query-bad-type-trials", post(ws.handleQuery, "/query", `{"trials":"x"}`))
+	record("query-bad-type-methods", post(ws.handleQuery, "/query", `{"methods":[1]}`))
+	record("query-bad-type-requests", post(ws.handleQuery, "/query", `{"requests":{}}`))
 	record("query-put", serve(ws.handleQuery, context.Background(), http.MethodPut, "/query", ""))
 	record("rank", post(ws.handleRank, "/rank",
 		`{"graph":`+string(galtJSON)+`,"methods":["pathcount","reliability"],"planner":true,"trials":2000,"seed":5}`))
 	record("rank-no-graph", post(ws.handleRank, "/rank", `{}`))
+	record("rank-bad-type-seed", post(ws.handleRank, "/rank", `{"seed":-1}`))
+	record("rank-bad-graph", post(ws.handleRank, "/rank", `{"graph":1}`))
 	record("topk-get", get(ws.handleTopK, "/topk?protein=ABCC8&k=5&planner=true&trials=2000&seed=1"))
 	record("topk-lower", post(ws.handleTopK, "/topk", `{"protein":"CFTR","k":3,"order":"lower","trials":2000,"seed":2}`))
 	record("topk-bad-order", get(ws.handleTopK, "/topk?protein=ABCC8&order=banana"))
+	record("topk-bad-type-k", post(ws.handleTopK, "/topk", `{"k":"x"}`))
 	record("ingest-sync", post(ws.handleIngest, "/ingest", `{"source":"curation","ops":[`+setP+`]}`))
 	record("ingest-async", post(ws.handleIngest, "/ingest", `{"async":true,"deltas":[{"source":"curation","ops":[`+setP+`]}]}`))
 	record("ingest-partial", post(ws.handleIngest, "/ingest", `{"deltas":[{"source":"curation","ops":[`+setP+`]},`+badDelta+`]}`))

@@ -53,7 +53,11 @@ import (
 // carries its deadline and values (a remote mediator call or an
 // injected chaos delay should honor cancellation). Implementations must
 // be safe for concurrent use; the mediator's Explore qualifies because
-// it builds a fresh graph per call from immutable sources.
+// it builds a fresh graph per call from immutable sources. A resolver
+// may return the same graph to many requests, as the facade's memo of
+// resolved graphs does, so the engine and every ranker treat a resolved
+// graph as read-only: no ranker mutates its query graph, and the
+// reductions build new ones.
 type Resolver interface {
 	ResolveCtx(ctx context.Context, source string) (*graph.QueryGraph, error)
 }

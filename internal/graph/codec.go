@@ -112,6 +112,9 @@ func (qg *QueryGraph) UnmarshalJSON(data []byte) error {
 	if err != nil {
 		return err
 	}
-	*qg = *fresh
+	// Field by field, not *qg = *fresh: the fingerprint memo is not
+	// copied but reset, since the new graph's version may equal the old.
+	qg.Graph, qg.Source, qg.Answers = fresh.Graph, fresh.Source, fresh.Answers
+	qg.fp.Store(nil)
 	return nil
 }

@@ -50,7 +50,7 @@ func TestQueryGraphJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if back.Source != qg.Source || len(back.Answers) != 1 || back.Answers[0] != qg.Answers[0] {
-		t.Fatalf("query structure lost: %+v", back)
+		t.Fatalf("query structure lost: %+v", &back)
 	}
 	if back.NumNodes() != qg.NumNodes() {
 		t.Fatal("graph lost")

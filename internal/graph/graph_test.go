@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -411,6 +412,55 @@ func TestFingerprintSensitivity(t *testing.T) {
 	qg4.Answers = nil
 	if qg4.Fingerprint() == qg1.Fingerprint() {
 		t.Fatal("changing the answer set must change the fingerprint")
+	}
+}
+
+// TestFingerprintMemo pins Fingerprint's memo: a query graph mutated in
+// place fingerprints like a fresh copy of its new content, and decoding
+// into a used query graph forgets the old value even when the decoded
+// graph reaches the same Version.
+func TestFingerprintMemo(t *testing.T) {
+	g, ids := chain(t)
+	qg, err := NewQueryGraph(g, ids[0], []NodeID{ids[3]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := func() uint64 { return qg.CloneShallowProbs().Fingerprint() }
+	before := qg.Fingerprint()
+	qg.SetNodeP(ids[1], 0.25)
+	if got, want := qg.Fingerprint(), fresh(); got != want || got == before {
+		t.Fatalf("after SetNodeP: fingerprint %x, fresh copy %x, before %x", got, want, before)
+	}
+	before = qg.Fingerprint()
+	qg.AddEdge(ids[1], ids[3], "r", 0.5)
+	if got, want := qg.Fingerprint(), fresh(); got != want || got == before {
+		t.Fatalf("after AddEdge: fingerprint %x, fresh copy %x, before %x", got, want, before)
+	}
+
+	// Two encodings of the same shape decode to graphs of equal Version.
+	dataA, err := json.Marshal(qg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := qg.CloneShallowProbs()
+	other.SetEdgeQ(0, 0.125)
+	dataB, err := json.Marshal(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back QueryGraph
+	if err := json.Unmarshal(dataA, &back); err != nil {
+		t.Fatal(err)
+	}
+	versionA, fpA := back.Version(), back.Fingerprint()
+	if err := json.Unmarshal(dataB, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back.Version() != versionA {
+		t.Fatalf("decoded versions %d and %d differ; the reset is untested", versionA, back.Version())
+	}
+	if got, want := back.Fingerprint(), other.Fingerprint(); got != want || got == fpA {
+		t.Fatalf("after UnmarshalJSON into a used graph: fingerprint %x, want %x (previous %x)", got, want, fpA)
 	}
 }
 

@@ -4,16 +4,31 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"sync/atomic"
 )
 
 // QueryGraph is the probabilistic query graph of Definition 2.3: a
 // probabilistic entity graph together with a distinguished query node s
 // and an answer set A ⊂ N. Relevance functions (internal/rank) score the
 // answer nodes of a QueryGraph.
+//
+// Fingerprint memoizes its value by the graph's Version, which only the
+// graph's own mutators bump. So Graph, Source and Answers must never be
+// reassigned after construction (UnmarshalJSON, which replaces all
+// three, resets the memo); mutate the graph through its methods.
 type QueryGraph struct {
 	*Graph
 	Source  NodeID
 	Answers []NodeID
+
+	// fp is the last content fingerprint and the Version it was
+	// computed at, as rank.PlanMemo holds a compiled plan.
+	fp atomic.Pointer[fingerprintMemo]
+}
+
+type fingerprintMemo struct {
+	version uint64
+	sum     uint64
 }
 
 // NewQueryGraph validates and builds a query graph over g.
@@ -70,8 +85,18 @@ func (qg *QueryGraph) CloneShallowProbs() *QueryGraph {
 // answer set all feed an FNV-1a digest. Two query graphs with the same
 // fingerprint score identically under every relevance semantics, so the
 // fingerprint — together with the underlying graph's Version — is a safe
-// cache key for ranking results.
-func (qg *QueryGraph) Fingerprint() uint64 { return qg.fingerprint(true) }
+// cache key for ranking results. The value is memoized until the graph's
+// Version changes, so a query graph shared by many requests is hashed
+// once.
+func (qg *QueryGraph) Fingerprint() uint64 {
+	v := qg.Version()
+	if m := qg.fp.Load(); m != nil && m.version == v {
+		return m.sum
+	}
+	sum := qg.fingerprint(true)
+	qg.fp.Store(&fingerprintMemo{version: v, sum: sum})
+	return sum
+}
 
 // TopoFingerprint returns a hash of the query graph's topology only:
 // node identities, edge wiring and kinds, source, and answers — with all

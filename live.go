@@ -118,7 +118,9 @@ type liveState struct {
 // a mutable graph.Store, and from then on Query and QueryBatchCtx resolve
 // against live snapshots of that store instead of re-integrating from
 // the sources. Ingest then applies source deltas to the store with
-// scoped cache invalidation.
+// scoped cache invalidation. Query graphs memoized before the switch are
+// dropped, so each protein is carved afresh on its first query in live
+// mode.
 //
 // Like ConfigureEngine, EnableLive must precede the engine's lazy start
 // (the first QueryBatchCtx or stats call); flipping the resolver under a
@@ -153,6 +155,10 @@ func (s *System) goLive(name string, build func() (*graph.Store, *durable, error
 	}
 	ls := &liveState{Live: s.med.Live(store, s.Proteins()), dur: dur}
 	s.live.Store(ls)
+	// Graphs resolved before now came from the mediator, and a carve may
+	// hold the same content in another node order, which samples another
+	// Monte Carlo stream; a durable store may hold other content outright.
+	s.graphs.drop(s.Proteins())
 	return ls, nil
 }
 
@@ -169,15 +175,19 @@ func (s *System) Accessions(protein string) []string {
 // invalidation to the affected queries: for each batch, the set of
 // protein records that can reach a mutated node is mapped back to the
 // query keywords selecting those proteins, and only those keywords'
-// result-cache entries are dropped. Every other keyword keeps serving
-// hits, and probability-only batches let the next query patch its
-// compiled plan instead of recompiling.
+// memoized query graphs and result-cache entries are dropped. Every
+// other keyword keeps its graph and serves hits, and probability-only
+// batches let the next query patch its compiled plan instead of
+// recompiling. A memoized graph is not re-read from the store, so it
+// is as fresh as this scoping is complete: once Ingest returns, a query
+// for an affected keyword carves the graph anew.
 //
 // Keywords match case-insensitively, but Ingest names the affected
 // keywords in their canonical spelling (Proteins): results cached under
 // another spelling ("abcc8" for ABCC8) are reclaimed by LRU eviction,
-// not by Ingest. Their content-fingerprint keys keep them from ever
-// being served stale.
+// not by Ingest. Only canonical spellings are memoized, and the
+// content-fingerprint keys of the others keep them from ever being
+// served stale.
 //
 // Batches apply in order and each batch is atomic, but the call is not:
 // on a validation error the earlier batches stay applied and the result
@@ -216,13 +226,17 @@ func (s *System) Ingest(deltas ...IngestDelta) (IngestResult, error) {
 	return res, nil
 }
 
-// finishIngest folds the affected-keyword set into the result and
-// reclaims the engine's stranded cache entries (when it has started).
+// finishIngest folds the affected-keyword set into the result, drops
+// those keywords' memoized query graphs, and reclaims the engine's
+// stranded cache entries (when it has started).
 func (s *System) finishIngest(ls *liveState, out IngestResult, affected map[string]bool) IngestResult {
 	for kw := range affected {
 		out.AffectedSources = append(out.AffectedSources, kw)
 	}
 	sort.Strings(out.AffectedSources)
+	if len(out.AffectedSources) > 0 {
+		s.graphs.drop(out.AffectedSources)
+	}
 	s.engMu.Lock()
 	started := s.engStarted
 	s.engMu.Unlock()
