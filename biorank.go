@@ -36,7 +36,6 @@ import (
 	"biorank/internal/bio"
 	"biorank/internal/engine"
 	"biorank/internal/graph"
-	"biorank/internal/kernel"
 	"biorank/internal/mediator"
 	"biorank/internal/metrics"
 	"biorank/internal/query"
@@ -118,24 +117,12 @@ func (g *Graph) Explore(keyword, inputKind string, outputKinds ...string) (*Answ
 
 // Answers is the answer set of an exploratory query, ready for ranking.
 // The first ranking call compiles the query graph into a CSR kernel
-// plan (internal/kernel) and memoizes it, so every later RankCtx or
-// RankAllCtx call on the same Answers skips compilation and runs the
-// simulation kernels directly.
+// plan (internal/kernel), which the query graph memoizes, so every later
+// RankCtx, RankAllCtx or TopKCtx call on it skips compilation and runs
+// the simulation kernels directly, through this handle or any other
+// over the same graph (System.Query hands out one per call).
 type Answers struct {
-	qg   *graph.QueryGraph
-	plan rank.PlanMemo
-}
-
-// planFor returns the memoized compiled plan when one of specs runs on
-// a plan, compiling on first use or after the underlying graph changed,
-// and nil otherwise.
-func (a *Answers) planFor(specs ...rank.Spec) *kernel.Plan {
-	for _, s := range specs {
-		if s.UsesPlan() {
-			return a.plan.For(a.qg, nil)
-		}
-	}
-	return nil
+	qg *graph.QueryGraph
 }
 
 // Len returns the number of answers.
@@ -206,7 +193,7 @@ func (a *Answers) RankCtx(ctx context.Context, m Method, o Options) (answers []S
 	if err != nil {
 		return nil, false, err
 	}
-	res, err := spec.Ranker(a.planFor(spec)).RankCtx(ctx, a.qg)
+	res, err := spec.Ranker(nil).RankCtx(ctx, a.qg)
 	if err != nil {
 		return nil, false, err
 	}
@@ -300,7 +287,7 @@ func (a *Answers) TopKCtx(ctx context.Context, k int, o Options) (*TopKResult, e
 	if err != nil {
 		return nil, err
 	}
-	res, ps, err := spec.Ranker(a.planFor(spec)).(racer).RankWithStatsCtx(ctx, a.qg)
+	res, ps, err := spec.Ranker(nil).(racer).RankWithStatsCtx(ctx, a.qg)
 	if err != nil {
 		return nil, err
 	}
@@ -360,7 +347,7 @@ func (a *Answers) RankAllCtx(ctx context.Context, o Options, methods ...Method) 
 	if err != nil {
 		return nil, nil, err
 	}
-	results, err := rank.RankSpecs(ctx, a.qg, specs, a.planFor(specs...), false)
+	results, err := rank.RankSpecs(ctx, a.qg, specs, nil, false)
 	if err != nil {
 		return nil, nil, err
 	}

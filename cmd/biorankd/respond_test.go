@@ -62,6 +62,8 @@ var statusBodies = map[string]statusBody{
 `},
 	"rank-no-graph": {400, "", `{"error":"graph is required"}
 `},
+	"rank-null-graph": {400, "", `{"error":"bad graph: graph: query graph needs a graph, got null"}
+`},
 	"stats":      {200, "", `sha256:3fb2b6c35ecf6816176b376168d2203b7680cf82276dd66e3b0f33456098e530`},
 	"stats-live": {200, "", `{"Nodes":5088,"Edges":7080,"Version":12169,"Deltas":1,"ProbOnlyDeltas":1,"NodesAdded":0,"EdgesAdded":0,"ProbChanges":1,"Epochs":{"curation":1}}`},
 	"topk-bad-order": {400, "", `{"error":"order must be \"score\" or \"lower\", got \"banana\""}
@@ -193,6 +195,7 @@ func TestStatusResponseBytes(t *testing.T) {
 	record("rank-no-graph", post(ws.handleRank, "/rank", `{}`))
 	record("rank-bad-type-seed", post(ws.handleRank, "/rank", `{"seed":-1}`))
 	record("rank-bad-graph", post(ws.handleRank, "/rank", `{"graph":1}`))
+	record("rank-null-graph", post(ws.handleRank, "/rank", `{"graph":{"graph":null,"source":0,"answers":[]}}`))
 	record("topk-get", get(ws.handleTopK, "/topk?protein=ABCC8&k=5&planner=true&trials=2000&seed=1"))
 	record("topk-lower", post(ws.handleTopK, "/topk", `{"protein":"CFTR","k":3,"order":"lower","trials":2000,"seed":2}`))
 	record("topk-bad-order", get(ws.handleTopK, "/topk?protein=ABCC8&order=banana"))

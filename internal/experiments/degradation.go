@@ -89,14 +89,13 @@ func (s *Suite) AnytimeDegradation(trials int) (DegradationResult, error) {
 	accums := make([]tauAccum, len(fractions))
 	truncated := make([]int, len(fractions))
 	for _, qg := range s.Graphs12 {
-		plan := kernel.Compile(qg)
-		hint := plan.BatchHint()
+		hint := kernel.PlanOf(qg).BatchHint()
 		t := trials
 		if t <= 0 {
 			t = 4 * hint
 		}
 		batches := (t + hint - 1) / hint
-		mc := &rank.MonteCarlo{Trials: t, Seed: s.Opts.Seed, Plan: plan}
+		mc := &rank.MonteCarlo{Trials: t, Seed: s.Opts.Seed}
 		full, err := mc.RankCtx(context.Background(), qg)
 		if err != nil {
 			return DegradationResult{}, err

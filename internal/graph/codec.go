@@ -104,6 +104,9 @@ func (qg *QueryGraph) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &in); err != nil {
 		return err
 	}
+	if in.Graph == nil {
+		return fmt.Errorf("graph: query graph needs a graph, got null")
+	}
 	answers := make([]NodeID, len(in.Answers))
 	for i, a := range in.Answers {
 		answers[i] = NodeID(a)
@@ -112,9 +115,9 @@ func (qg *QueryGraph) UnmarshalJSON(data []byte) error {
 	if err != nil {
 		return err
 	}
-	// Field by field, not *qg = *fresh: the fingerprint memo is not
-	// copied but reset, since the new graph's version may equal the old.
+	// Field by field, not *qg = *fresh: Derive's values are not copied
+	// but forgotten, since the new graph's version may equal the old.
 	qg.Graph, qg.Source, qg.Answers = fresh.Graph, fresh.Source, fresh.Answers
-	qg.fp.Store(nil)
+	qg.derived.Store(nil)
 	return nil
 }

@@ -81,6 +81,66 @@ func TestQueryGraphJSONRejectsBadQuery(t *testing.T) {
 	}
 }
 
+// TestQueryGraphJSONRejectsNullGraph is the regression test for a
+// panic: a null "graph" left the decoded *Graph nil, and validating the
+// source dereferenced it. biorankd's /rank decodes client bodies with
+// this codec.
+func TestQueryGraphJSONRejectsNullGraph(t *testing.T) {
+	var qg QueryGraph
+	err := qg.UnmarshalJSON([]byte(`{"graph":null,"source":0,"answers":[]}`))
+	if err == nil || !strings.Contains(err.Error(), "null") {
+		t.Fatalf("null graph: err %v, want an error naming the null", err)
+	}
+	if qg.Graph != nil {
+		t.Fatal("a rejected decode changed the receiver")
+	}
+}
+
+// FuzzQueryGraphUnmarshal feeds the query-graph codec arbitrary bytes,
+// as /rank does with a client's body. Decoding must never panic; a
+// graph it accepts must survive a Marshal/Unmarshal round trip with
+// its Fingerprint unchanged; and decoding into a used QueryGraph must
+// forget the values derived from the old graph, even though the new
+// graph reaches the same Version. The seed corpus is under
+// testdata/fuzz/FuzzQueryGraphUnmarshal.
+func FuzzQueryGraphUnmarshal(f *testing.F) {
+	type probe struct{}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var qg QueryGraph
+		if err := qg.UnmarshalJSON(data); err != nil {
+			return
+		}
+		enc, err := json.Marshal(&qg)
+		if err != nil {
+			t.Fatalf("marshal of a decoded graph: %v", err)
+		}
+		var back QueryGraph
+		if err := back.UnmarshalJSON(enc); err != nil {
+			t.Fatalf("re-decoding %s: %v", enc, err)
+		}
+		if back.Fingerprint() != qg.Fingerprint() {
+			t.Fatalf("round trip changed the fingerprint: %x -> %x (%s)", qg.Fingerprint(), back.Fingerprint(), enc)
+		}
+
+		builds := 0
+		count := func(*QueryGraph) int { builds++; return builds }
+		Derive(&qg, probe{}, count)
+		version := qg.Version()
+		if err := qg.UnmarshalJSON(enc); err != nil {
+			t.Fatalf("decoding %s into a used graph: %v", enc, err)
+		}
+		if qg.Version() != version {
+			t.Fatalf("re-decoding moved the Version from %d to %d", version, qg.Version())
+		}
+		if got := Derive(&qg, probe{}, count); got != 2 {
+			t.Fatal("a value derived before UnmarshalJSON survived it")
+		}
+		if qg.Fingerprint() != back.Fingerprint() {
+			t.Fatalf("fingerprint after decoding into a used graph: %x, want %x", qg.Fingerprint(), back.Fingerprint())
+		}
+	})
+}
+
 func TestGraphJSONStableFields(t *testing.T) {
 	g := New(1, 0)
 	g.AddNode("K", "l", 0.5)

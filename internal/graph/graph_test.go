@@ -464,6 +464,80 @@ func TestFingerprintMemo(t *testing.T) {
 	}
 }
 
+// TestDerive pins Derive's memo: a value is built once per Version and
+// key, a mutation makes the next call rebuild it, and keys do not share
+// values.
+func TestDerive(t *testing.T) {
+	g, ids := chain(t)
+	qg, err := NewQueryGraph(g, ids[0], []NodeID{ids[3]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type keyA struct{}
+	type keyB struct{}
+	builds := 0
+	edges := func(qg *QueryGraph) int { builds++; return qg.NumEdges() }
+	if got := Derive(qg, keyA{}, edges); got != 3 || builds != 1 {
+		t.Fatalf("first call: %d after %d builds, want 3 after 1", got, builds)
+	}
+	if got := Derive(qg, keyA{}, edges); got != 3 || builds != 1 {
+		t.Fatalf("second call: %d after %d builds, want the memoized 3", got, builds)
+	}
+	if got := Derive(qg, keyB{}, func(qg *QueryGraph) string { return "b" }); got != "b" {
+		t.Fatalf("another key returned %q", got)
+	}
+	qg.AddEdge(ids[0], ids[3], "r", 0.5)
+	if got := Derive(qg, keyA{}, edges); got != 4 || builds != 2 {
+		t.Fatalf("after AddEdge: %d after %d builds, want 4 after 2", got, builds)
+	}
+	if got := Derive(qg, keyB{}, func(qg *QueryGraph) string { return "rebuilt" }); got != "rebuilt" {
+		t.Fatalf("after AddEdge another key returned the stale %q", got)
+	}
+}
+
+// TestDeriveConcurrent races many goroutines to the same missing value,
+// beside others deriving other keys and the fingerprint: every caller
+// must get the one value that was published, whoever built it. Run it
+// under -race.
+func TestDeriveConcurrent(t *testing.T) {
+	g, ids := chain(t)
+	qg, err := NewQueryGraph(g, ids[0], []NodeID{ids[3]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type shared struct{}
+	type own struct{ i int }
+	const n = 16
+	got := make([]*int, n)
+	var start, wg sync.WaitGroup
+	start.Add(1)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			start.Wait()
+			got[i] = Derive(qg, shared{}, func(*QueryGraph) *int { return new(int) })
+			if v := Derive(qg, own{i}, func(*QueryGraph) int { return i }); v != i {
+				t.Errorf("goroutine %d derived %d under its own key", i, v)
+			}
+			qg.Fingerprint()
+		}(i)
+	}
+	start.Done()
+	wg.Wait()
+	want := Derive(qg, shared{}, func(*QueryGraph) *int { return nil })
+	for i, p := range got {
+		if p == nil || p != want {
+			t.Fatalf("goroutine %d got %p, the memo holds %p", i, p, want)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if v := Derive(qg, own{i}, func(*QueryGraph) int { return -1 }); v != i {
+			t.Fatalf("key %d lost its value: %d", i, v)
+		}
+	}
+}
+
 // TestLookupConcurrent is the -race regression test for the lazy label
 // index: many goroutines triggering the first (building) Lookup at once
 // must neither race nor observe a partially built map.

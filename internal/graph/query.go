@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sync/atomic"
 )
 
@@ -12,23 +13,58 @@ import (
 // and an answer set A ⊂ N. Relevance functions (internal/rank) score the
 // answer nodes of a QueryGraph.
 //
-// Fingerprint memoizes its value by the graph's Version, which only the
-// graph's own mutators bump. So Graph, Source and Answers must never be
-// reassigned after construction (UnmarshalJSON, which replaces all
-// three, resets the memo); mutate the graph through its methods.
+// Values derived from a query graph, such as its Fingerprint and its
+// compiled kernel plan, are memoized on it by Derive under the graph's
+// Version, which only the graph's own mutators bump. So Graph, Source
+// and Answers must never be reassigned after construction
+// (UnmarshalJSON, which replaces all three, forgets the derived values);
+// mutate the graph through its methods.
 type QueryGraph struct {
 	*Graph
 	Source  NodeID
 	Answers []NodeID
 
-	// fp is the last content fingerprint and the Version it was
-	// computed at, as rank.PlanMemo holds a compiled plan.
-	fp atomic.Pointer[fingerprintMemo]
+	derived atomic.Pointer[derivedValues]
 }
 
-type fingerprintMemo struct {
+// derivedValues is Derive's memo: the values built at one Version. It
+// is never modified once published; Derive replaces it whole.
+type derivedValues struct {
 	version uint64
-	sum     uint64
+	vals    []derivedValue
+}
+
+type derivedValue struct{ key, val any }
+
+// Derive returns build(qg), memoized on qg under key until the graph's
+// Version changes, so every holder of one query graph shares a single
+// derived value. key names the derivation as a context key does: a
+// value of an unexported type, always paired with the same T. Derive is
+// safe for concurrent use; goroutines that race to a missing value each
+// build it, and all but the first to publish return the published one.
+func Derive[K comparable, T any](qg *QueryGraph, key K, build func(*QueryGraph) T) T {
+	v := qg.Version()
+	var val T
+	built := false
+	for {
+		cur := qg.derived.Load()
+		var vals []derivedValue
+		if cur != nil && cur.version == v {
+			for _, d := range cur.vals {
+				if d.key == any(key) {
+					return d.val.(T)
+				}
+			}
+			vals = cur.vals
+		}
+		if !built {
+			val, built = build(qg), true
+		}
+		next := &derivedValues{version: v, vals: append(slices.Clip(vals), derivedValue{key, val})}
+		if qg.derived.CompareAndSwap(cur, next) {
+			return val
+		}
+	}
 }
 
 // NewQueryGraph validates and builds a query graph over g.
@@ -85,18 +121,13 @@ func (qg *QueryGraph) CloneShallowProbs() *QueryGraph {
 // answer set all feed an FNV-1a digest. Two query graphs with the same
 // fingerprint score identically under every relevance semantics, so the
 // fingerprint — together with the underlying graph's Version — is a safe
-// cache key for ranking results. The value is memoized until the graph's
-// Version changes, so a query graph shared by many requests is hashed
-// once.
+// cache key for ranking results. The value is memoized by Derive, so a
+// query graph shared by many requests is hashed once per Version.
 func (qg *QueryGraph) Fingerprint() uint64 {
-	v := qg.Version()
-	if m := qg.fp.Load(); m != nil && m.version == v {
-		return m.sum
-	}
-	sum := qg.fingerprint(true)
-	qg.fp.Store(&fingerprintMemo{version: v, sum: sum})
-	return sum
+	return Derive(qg, fingerprintKey{}, func(qg *QueryGraph) uint64 { return qg.fingerprint(true) })
 }
+
+type fingerprintKey struct{}
 
 // TopoFingerprint returns a hash of the query graph's topology only:
 // node identities, edge wiring and kinds, source, and answers — with all

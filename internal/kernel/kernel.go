@@ -174,6 +174,13 @@ func Compile(qg *graph.QueryGraph) *Plan {
 	return p
 }
 
+// PlanOf returns qg's compiled plan: Compile, memoized on the query
+// graph by graph.Derive. Every ranker, facade handle and ranking pass
+// over one query graph therefore shares one plan per graph Version.
+func PlanOf(qg *graph.QueryGraph) *Plan { return graph.Derive(qg, planKey{}, Compile) }
+
+type planKey struct{}
+
 // NumNodes returns the compiled node count.
 func (p *Plan) NumNodes() int { return p.n }
 

@@ -207,3 +207,33 @@ func TestReliabilityCountsAccumulates(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanOfAfterDecodeIntoUsedGraph decodes a second graph of the same
+// Version into a QueryGraph whose plan is memoized: PlanOf must compile
+// the new graph, not return the old graph's plan.
+func TestPlanOfAfterDecodeIntoUsedGraph(t *testing.T) {
+	// Three nodes and two edges each, so both decode to the same
+	// Version; the answer sets differ, which Matches checks.
+	const first = `{"graph":{"nodes":[{"kind":"Q","label":"s","p":1},{"kind":"X","label":"a","p":0.5},{"kind":"A","label":"t","p":1}],` +
+		`"edges":[{"from":0,"to":1,"q":1},{"from":1,"to":2,"q":0.5}]},"source":0,"answers":[2]}`
+	const second = `{"graph":{"nodes":[{"kind":"Q","label":"s","p":1},{"kind":"A","label":"u","p":1},{"kind":"A","label":"v","p":0.25}],` +
+		`"edges":[{"from":0,"to":1,"q":0.5},{"from":0,"to":2,"q":1}]},"source":0,"answers":[1,2]}`
+	var qg graph.QueryGraph
+	if err := qg.UnmarshalJSON([]byte(first)); err != nil {
+		t.Fatal(err)
+	}
+	old := PlanOf(&qg)
+	if !old.Matches(&qg) || PlanOf(&qg) != old {
+		t.Fatal("PlanOf does not memoize a plan that matches its graph")
+	}
+	version := qg.Version()
+	if err := qg.UnmarshalJSON([]byte(second)); err != nil {
+		t.Fatal(err)
+	}
+	if qg.Version() != version {
+		t.Fatalf("the two graphs decode to Versions %d and %d; the reuse case is untested", version, qg.Version())
+	}
+	if plan := PlanOf(&qg); plan == old || !plan.Matches(&qg) {
+		t.Fatal("PlanOf served the previous graph's plan after UnmarshalJSON")
+	}
+}

@@ -50,8 +50,6 @@ type AdaptiveMonteCarlo struct {
 	// Plan optionally supplies a pre-compiled kernel plan for the query
 	// graph.
 	Plan *kernel.Plan
-
-	memo PlanMemo
 }
 
 // Name implements Ranker.
@@ -78,7 +76,7 @@ func (a *AdaptiveMonteCarlo) RankWithStatsCtx(ctx context.Context, qg *graph.Que
 		return Result{}, OpStats{}, err
 	}
 	var ops OpStats
-	res := a.simulate(ctx, a.memo.For(qg, a.Plan), &ops).result(a.Name(), nil)
+	res := a.simulate(ctx, planFor(qg, a.Plan), &ops).result(a.Name(), nil)
 	return res, ops, nil
 }
 

@@ -15,7 +15,7 @@ import (
 // adaptive batches, racer rounds, planner races) makes the best answer
 // so far always well defined.
 
-// truncationAlpha is the confidence level of the Wilson/Jeffreys
+// truncationAlpha is the confidence level of the Wilson
 // intervals attached to truncated tallies: 95%, matching the paper's
 // Theorem 3.1 delta and the racer's default Delta.
 const truncationAlpha = 0.05

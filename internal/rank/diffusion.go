@@ -42,8 +42,6 @@ type Diffusion struct {
 	// Plan optionally supplies a pre-compiled kernel plan for the query
 	// graph (shared across the methods of a RankAllCtx pass).
 	Plan *kernel.Plan
-
-	memo PlanMemo
 }
 
 // parentContrib is one incoming-edge contribution to the inner solve.
@@ -61,7 +59,7 @@ func (d *Diffusion) RankCtx(_ context.Context, qg *graph.QueryGraph) (Result, er
 	if d.Iterative {
 		return Result{Method: d.Name(), Scores: pickScores(qg, d.referenceScores(qg))}, nil
 	}
-	plan := d.memo.For(qg, d.Plan)
+	plan := planFor(qg, d.Plan)
 	iters, tol, auto := d.schedule(plan.IsDAG(), plan.LongestFromSource())
 	scores := make([]float64, plan.NumAnswers())
 	plan.Diffusion(scores, iters, tol, auto)

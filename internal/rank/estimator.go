@@ -142,7 +142,8 @@ func (s Spec) UsesPlan() bool {
 }
 
 // Ranker builds the spec's ranker. plan, when non-nil and matching the
-// query graph, skips compilation. The sampled rankers run on the block
+// query graph, is the plan it runs on; otherwise it runs on the graph's
+// memoized plan (kernel.PlanOf). The sampled rankers run on the block
 // kernel; the scalar kernel is built only by callers that construct the
 // estimator structs themselves (the paper reproductions and the
 // reference tests).

@@ -1,31 +1,17 @@
 package rank
 
-import (
-	"math"
-	"sort"
-)
-
-// Binomial confidence intervals for Monte Carlo reliability estimates.
-// The racer's elimination bounds (Hoeffding / empirical Bernstein) are
-// built for sequential validity; the intervals here are the tighter
-// fixed-sample bounds a consumer wants to *report* with a final score:
-//
-//   - Wilson: the score interval from inverting the normal test on the
-//     binomial proportion. Closed form, well behaved at 0 and 1 —
-//     unlike the Wald interval, it never collapses to a zero-width
-//     interval at p̂ ∈ {0,1}.
-//   - Jeffreys: the equal-tailed Bayesian credible interval under the
-//     Jeffreys prior Beta(1/2, 1/2), i.e. the α/2 and 1−α/2 quantiles
-//     of Beta(s+1/2, n−s+1/2). Slightly tighter than Wilson in the
-//     tails, where reliability scores live.
-//
-// Ranking by the *lower* endpoint (LowerBoundOrder) is the pessimistic
-// ordering: an answer outranks another only when even its most
-// conservative plausible score does.
+import "math"
 
 // WilsonInterval returns the two-sided Wilson score interval for a
 // binomial proportion with the given successes out of trials, at
-// confidence level 1−alpha. trials ≤ 0 yields the vacuous [0, 1].
+// confidence level 1−alpha; trials ≤ 0 yields the vacuous [0, 1]. It is
+// the one interval reported with a Monte Carlo reliability estimate.
+// The racer's elimination bounds (Hoeffding / empirical Bernstein) are
+// built for sequential validity; this fixed-sample bound is the tighter
+// one to report with a final score. It inverts the normal test on the
+// binomial proportion: closed form, and well behaved at 0 and 1 —
+// unlike the Wald interval, it never collapses to zero width at
+// p̂ ∈ {0,1}.
 func WilsonInterval(successes, trials int64, alpha float64) (lo, hi float64) {
 	if trials <= 0 {
 		return 0, 1
@@ -55,158 +41,8 @@ func WilsonInterval(successes, trials int64, alpha float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// WilsonLower returns just the lower endpoint of WilsonInterval.
-func WilsonLower(successes, trials int64, alpha float64) float64 {
-	lo, _ := WilsonInterval(successes, trials, alpha)
-	return lo
-}
-
-// JeffreysInterval returns the equal-tailed Jeffreys credible interval
-// for a binomial proportion: the α/2 and 1−α/2 quantiles of
-// Beta(successes+1/2, trials−successes+1/2), with the conventional
-// boundary fix-ups lo=0 when successes=0 and hi=1 when
-// successes=trials. trials ≤ 0 yields the vacuous [0, 1].
-func JeffreysInterval(successes, trials int64, alpha float64) (lo, hi float64) {
-	if trials <= 0 {
-		return 0, 1
-	}
-	if alpha <= 0 {
-		alpha = 1e-12
-	} else if alpha >= 1 {
-		return 0, 1
-	}
-	a := float64(successes) + 0.5
-	b := float64(trials-successes) + 0.5
-	lo = betaQuantile(alpha/2, a, b)
-	hi = betaQuantile(1-alpha/2, a, b)
-	if successes == 0 {
-		lo = 0
-	}
-	if successes == trials {
-		hi = 1
-	}
-	return lo, hi
-}
-
-// LowerBoundOrder returns answer indices sorted by descending lower
-// confidence bound, ties broken by score descending, then by index —
-// the pessimistic ordering in which an answer outranks another only
-// when its worst plausible score does.
-func LowerBoundOrder(lo, scores []float64) []int {
-	order := make([]int, len(lo))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		la, lb := lo[order[a]], lo[order[b]]
-		if la != lb {
-			return la > lb
-		}
-		sa, sb := scores[order[a]], scores[order[b]]
-		if sa != sb {
-			return sa > sb
-		}
-		return order[a] < order[b]
-	})
-	return order
-}
-
 // normalQuantile is the standard normal inverse CDF, via the identity
 // Φ⁻¹(p) = √2·erf⁻¹(2p−1).
 func normalQuantile(p float64) float64 {
 	return math.Sqrt2 * math.Erfinv(2*p-1)
-}
-
-// betaQuantile inverts the regularized incomplete beta function by
-// bisection: the x with I_x(a,b) = p.
-func betaQuantile(p, a, b float64) float64 {
-	if p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return 1
-	}
-	lo, hi := 0.0, 1.0
-	for i := 0; i < 200 && hi-lo > 1e-15; i++ {
-		mid := (lo + hi) / 2
-		if regIncBeta(mid, a, b) < p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}
-
-// regIncBeta computes the regularized incomplete beta function
-// I_x(a,b) with the standard continued-fraction expansion (Lentz's
-// method), using the symmetry I_x(a,b) = 1 − I_{1−x}(b,a) to keep the
-// fraction in its fast-converging region.
-func regIncBeta(x, a, b float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	if x >= 1 {
-		return 1
-	}
-	// ln of the prefactor x^a (1-x)^b / (a·B(a,b)).
-	lgab, _ := math.Lgamma(a + b)
-	lga, _ := math.Lgamma(a)
-	lgb, _ := math.Lgamma(b)
-	lnPre := lgab - lga - lgb + a*math.Log(x) + b*math.Log(1-x)
-	if x < (a+1)/(a+b+2) {
-		return math.Exp(lnPre) * betaCF(x, a, b) / a
-	}
-	return 1 - math.Exp(lnPre)*betaCF(1-x, b, a)/b
-}
-
-// betaCF evaluates the continued fraction for the incomplete beta
-// function by the modified Lentz method.
-func betaCF(x, a, b float64) float64 {
-	const (
-		maxIter = 300
-		tiny    = 1e-300
-		eps     = 1e-15
-	)
-	qab, qap, qam := a+b, a+1, a-1
-	c := 1.0
-	d := 1 - qab*x/qap
-	if math.Abs(d) < tiny {
-		d = tiny
-	}
-	d = 1 / d
-	h := d
-	for m := 1; m <= maxIter; m++ {
-		fm := float64(m)
-		m2 := 2 * fm
-		// even step
-		aa := fm * (b - fm) * x / ((qam + m2) * (a + m2))
-		d = 1 + aa*d
-		if math.Abs(d) < tiny {
-			d = tiny
-		}
-		c = 1 + aa/c
-		if math.Abs(c) < tiny {
-			c = tiny
-		}
-		d = 1 / d
-		h *= d * c
-		// odd step
-		aa = -(a + fm) * (qab + fm) * x / ((a + m2) * (qap + m2))
-		d = 1 + aa*d
-		if math.Abs(d) < tiny {
-			d = tiny
-		}
-		c = 1 + aa/c
-		if math.Abs(c) < tiny {
-			c = tiny
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < eps {
-			break
-		}
-	}
-	return h
 }

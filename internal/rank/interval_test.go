@@ -24,9 +24,6 @@ func TestWilsonIntervalKnownValues(t *testing.T) {
 	if lo, hi = WilsonInterval(0, 0, 0.05); lo != 0 || hi != 1 {
 		t.Fatalf("Wilson with no trials = [%v, %v], want [0,1]", lo, hi)
 	}
-	if WilsonLower(50, 100, 0.05) != func() float64 { l, _ := WilsonInterval(50, 100, 0.05); return l }() {
-		t.Fatal("WilsonLower must match the interval's lower endpoint")
-	}
 }
 
 func TestWilsonIntervalShrinksWithTrials(t *testing.T) {
@@ -41,72 +38,5 @@ func TestWilsonIntervalShrinksWithTrials(t *testing.T) {
 			t.Fatalf("Wilson interval [%v,%v] must contain p̂=0.5", lo, hi)
 		}
 		prev = w
-	}
-}
-
-func TestRegIncBetaIdentities(t *testing.T) {
-	// I_x(1, b) = 1 − (1−x)^b and I_x(a, 1) = x^a hold exactly.
-	for _, x := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
-		for _, p := range []float64{0.5, 1, 2, 5, 10} {
-			if got, want := regIncBeta(x, 1, p), 1-math.Pow(1-x, p); math.Abs(got-want) > 1e-12 {
-				t.Fatalf("I_%v(1,%v) = %v, want %v", x, p, got, want)
-			}
-			if got, want := regIncBeta(x, p, 1), math.Pow(x, p); math.Abs(got-want) > 1e-12 {
-				t.Fatalf("I_%v(%v,1) = %v, want %v", x, p, got, want)
-			}
-		}
-	}
-	// Symmetry: I_0.5(a, a) = 0.5.
-	for _, a := range []float64{0.5, 1.5, 7} {
-		if got := regIncBeta(0.5, a, a); math.Abs(got-0.5) > 1e-12 {
-			t.Fatalf("I_0.5(%v,%v) = %v, want 0.5", a, a, got)
-		}
-	}
-}
-
-func TestBetaQuantileInvertsRegIncBeta(t *testing.T) {
-	for _, c := range []struct{ p, a, b float64 }{
-		{0.025, 8.5, 2.5}, {0.975, 8.5, 2.5}, {0.5, 0.5, 10.5}, {0.01, 3, 3}, {0.99, 100.5, 900.5},
-	} {
-		x := betaQuantile(c.p, c.a, c.b)
-		if got := regIncBeta(x, c.a, c.b); math.Abs(got-c.p) > 1e-9 {
-			t.Fatalf("I_{Q(%v)}(%v,%v) = %v, want %v", c.p, c.a, c.b, got, c.p)
-		}
-	}
-}
-
-func TestJeffreysInterval(t *testing.T) {
-	lo, hi := JeffreysInterval(8, 10, 0.05)
-	if !(0 < lo && lo < 0.8 && 0.8 < hi && hi < 1) {
-		t.Fatalf("Jeffreys(8/10) = [%v, %v] must straddle 0.8 inside (0,1)", lo, hi)
-	}
-	// Boundary conventions.
-	if lo, _ := JeffreysInterval(0, 20, 0.05); lo != 0 {
-		t.Fatalf("Jeffreys lower at s=0 must be 0, got %v", lo)
-	}
-	if _, hi := JeffreysInterval(20, 20, 0.05); hi != 1 {
-		t.Fatalf("Jeffreys upper at s=n must be 1, got %v", hi)
-	}
-	if lo, hi := JeffreysInterval(0, 0, 0.05); lo != 0 || hi != 1 {
-		t.Fatalf("Jeffreys with no trials = [%v,%v], want [0,1]", lo, hi)
-	}
-	// Wilson and Jeffreys should broadly agree at moderate n.
-	wl, wh := WilsonInterval(500, 1000, 0.05)
-	jl, jh := JeffreysInterval(500, 1000, 0.05)
-	if math.Abs(wl-jl) > 0.005 || math.Abs(wh-jh) > 0.005 {
-		t.Fatalf("Wilson [%v,%v] vs Jeffreys [%v,%v] diverge", wl, wh, jl, jh)
-	}
-}
-
-func TestLowerBoundOrder(t *testing.T) {
-	lo := []float64{0.2, 0.5, 0.5, 0.1}
-	scores := []float64{0.9, 0.6, 0.7, 0.3}
-	got := LowerBoundOrder(lo, scores)
-	// lo desc: {1,2} tie at 0.5 → higher score first (2), then 0 (0.2), then 3.
-	want := []int{2, 1, 0, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("LowerBoundOrder = %v, want %v", got, want)
-		}
 	}
 }

@@ -315,7 +315,8 @@ func TestSharedPlanAcrossRankers(t *testing.T) {
 }
 
 // TestPlanMemoInvalidatedByMutation mutates a probability between Rank
-// calls and checks the memoized plan is recompiled (scores change).
+// calls and checks the graph's memoized plan (kernel.PlanOf) is
+// recompiled (scores change).
 func TestPlanMemoInvalidatedByMutation(t *testing.T) {
 	g := graph.New(2, 1)
 	s := g.AddNode("Q", "s", 1)

@@ -30,8 +30,8 @@ import (
 // learn the answer needs simulation.
 //
 // Results carry per-answer confidence intervals: zero-width for exact
-// answers, Wilson (or Jeffreys, opt-in) score intervals for estimated
-// ones, at confidence 1−Delta.
+// answers, Wilson score intervals for estimated ones, at confidence
+// 1−Delta.
 type HybridPlanner struct {
 	// ExactBudget caps the factoring (conditioning) steps the probe may
 	// spend per answer before routing it to Monte Carlo. 0 means
@@ -51,13 +51,8 @@ type HybridPlanner struct {
 	// Worlds runs the race's rounds on the block kernel, as in
 	// TopKRacer.
 	Worlds bool
-	// Jeffreys reports Jeffreys instead of Wilson intervals for the
-	// Monte Carlo answers.
-	Jeffreys bool
 	// Plan optionally supplies a pre-compiled kernel plan.
 	Plan *kernel.Plan
-
-	memo PlanMemo
 }
 
 // DefaultPlannerBudget is the per-answer conditioning budget of the
@@ -159,14 +154,14 @@ func (p *HybridPlanner) RankWithStatsCtx(ctx context.Context, qg *graph.QueryGra
 		Seed:      p.Seed,
 		Worlds:    p.Worlds,
 	}
-	plan := p.memo.For(qg, p.Plan)
+	plan := planFor(qg, p.Plan)
 	res.Scores = racer.raceWithPriors(ctx, plan, &ps.RaceStats, priors)
 	res.Exact = exact
 	res.Truncated = ps.RaceStats.Truncated
 
 	// Reporting intervals: exact answers are their own bounds; Monte
-	// Carlo answers get Wilson/Jeffreys intervals from their final
-	// (successes, trials) tally at the race's confidence level.
+	// Carlo answers get Wilson intervals from their final (successes,
+	// trials) tally at the race's confidence level.
 	_, delta, _, _ := seqDefaults(p.Eps, p.Delta, p.Batch, p.MaxTrials)
 	lo := make([]float64, nA)
 	hi := make([]float64, nA)
@@ -177,11 +172,7 @@ func (p *HybridPlanner) RankWithStatsCtx(ctx context.Context, qg *graph.QueryGra
 		}
 		n := ps.TrialsPerCandidate[i]
 		s := int64(math.Round(res.Scores[i] * float64(n)))
-		if p.Jeffreys {
-			lo[i], hi[i] = JeffreysInterval(s, n, delta)
-		} else {
-			lo[i], hi[i] = WilsonInterval(s, n, delta)
-		}
+		lo[i], hi[i] = WilsonInterval(s, n, delta)
 	}
 	res.Lo, res.Hi = lo, hi
 	return res, ps, nil

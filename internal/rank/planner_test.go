@@ -169,30 +169,6 @@ func TestPlannerBridgeRoutesByBudget(t *testing.T) {
 	}
 }
 
-func TestPlannerJeffreysIntervals(t *testing.T) {
-	qg := fig4b()
-	w := &HybridPlanner{ExactBudget: NoFactoring, Seed: 3, MaxTrials: 20000}
-	j := &HybridPlanner{ExactBudget: NoFactoring, Seed: 3, MaxTrials: 20000, Jeffreys: true}
-	rw, _, err := w.RankWithStatsCtx(context.Background(), qg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rj, _, err := j.RankWithStatsCtx(context.Background(), qg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rw.Scores[0] != rj.Scores[0] {
-		t.Fatal("interval family must not change the estimate")
-	}
-	if rw.Lo[0] == rj.Lo[0] && rw.Hi[0] == rj.Hi[0] {
-		t.Fatal("Wilson and Jeffreys intervals should differ")
-	}
-	if math.Abs(rw.Lo[0]-rj.Lo[0]) > 0.01 || math.Abs(rw.Hi[0]-rj.Hi[0]) > 0.01 {
-		t.Fatalf("Wilson [%v,%v] and Jeffreys [%v,%v] should roughly agree",
-			rw.Lo[0], rw.Hi[0], rj.Lo[0], rj.Hi[0])
-	}
-}
-
 // TestPlannerRankAllPrecedence: Planner outranks TopK and Adaptive in
 // option precedence, and its results flow through RankAll.
 func TestPlannerRankAllPrecedence(t *testing.T) {

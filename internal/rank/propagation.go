@@ -35,8 +35,6 @@ type Propagation struct {
 	// Plan optionally supplies a pre-compiled kernel plan for the query
 	// graph (shared across the methods of a RankAllCtx pass).
 	Plan *kernel.Plan
-
-	memo PlanMemo
 }
 
 // MaxIterations caps the iteration count on cyclic graphs.
@@ -54,7 +52,7 @@ func (p *Propagation) RankCtx(_ context.Context, qg *graph.QueryGraph) (Result, 
 	if err := validate(qg); err != nil {
 		return Result{}, err
 	}
-	plan := p.memo.For(qg, p.Plan)
+	plan := planFor(qg, p.Plan)
 	iters, tol, auto := p.schedule(plan.IsDAG(), plan.LongestFromSource())
 	scores := make([]float64, plan.NumAnswers())
 	plan.Propagation(scores, iters, tol, auto)

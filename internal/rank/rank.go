@@ -23,6 +23,7 @@ import (
 	"fmt"
 
 	"biorank/internal/graph"
+	"biorank/internal/kernel"
 )
 
 // Result holds the relevance scores a ranking method assigns to the
@@ -34,8 +35,8 @@ type Result struct {
 
 	// Lo and Hi, when non-nil, bound answer i's true score from below
 	// and above at the estimator's confidence level: the racer reports
-	// its elimination intervals, the hybrid planner reports Wilson (or
-	// Jeffreys) intervals for Monte Carlo answers, and exact evaluation
+	// its elimination intervals, the hybrid planner reports Wilson
+	// intervals for Monte Carlo answers, and exact evaluation
 	// reports zero-width intervals (Lo[i] == Hi[i] == Scores[i]).
 	// Methods without uncertainty quantification leave both nil.
 	Lo, Hi []float64
@@ -100,4 +101,14 @@ func validate(qg *graph.QueryGraph) error {
 		return fmt.Errorf("rank: empty graph")
 	}
 	return nil
+}
+
+// planFor returns the plan a ranker runs on: explicit when it was
+// compiled for qg (a RankSpecs pass's shared plan, or the engine's plan
+// cache), otherwise qg's own memoized plan (kernel.PlanOf).
+func planFor(qg *graph.QueryGraph, explicit *kernel.Plan) *kernel.Plan {
+	if explicit != nil && explicit.Matches(qg) {
+		return explicit
+	}
+	return kernel.PlanOf(qg)
 }

@@ -36,8 +36,8 @@ type AllOptions struct {
 	// means all five.
 	Methods []string
 	// Plan optionally supplies a pre-compiled kernel plan for the query
-	// graph. When nil, RankAllCtx compiles one plan and shares it across
-	// every method of the pass.
+	// graph. When nil, every method of the pass shares the graph's
+	// memoized plan (kernel.PlanOf).
 	Plan *kernel.Plan
 }
 
@@ -82,8 +82,9 @@ func RankAllCtx(ctx context.Context, qg *graph.QueryGraph, o AllOptions) (map[st
 
 // RankSpecs runs every spec over qg and returns the results in spec
 // order, concurrently unless sequential. plan is shared by every spec
-// that runs on one; when nil and some spec needs it, one plan is
-// compiled for the pass.
+// that runs on one; when nil and some spec needs it, the pass shares
+// qg's memoized plan (kernel.PlanOf), fetched once before the specs
+// start so they do not race to compile it.
 func RankSpecs(ctx context.Context, qg *graph.QueryGraph, specs []Spec, plan *kernel.Plan, sequential bool) ([]Result, error) {
 	if err := validate(qg); err != nil {
 		return nil, err
@@ -91,7 +92,7 @@ func RankSpecs(ctx context.Context, qg *graph.QueryGraph, specs []Spec, plan *ke
 	if plan == nil {
 		for _, s := range specs {
 			if s.UsesPlan() {
-				plan = kernel.Compile(qg)
+				plan = kernel.PlanOf(qg)
 				break
 			}
 		}

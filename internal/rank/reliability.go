@@ -63,8 +63,6 @@ type MonteCarlo struct {
 	// plan across methods and requests this way. Ignored under Reduce
 	// (the reduced graph needs its own plan).
 	Plan *kernel.Plan
-
-	memo PlanMemo
 }
 
 // DefaultTrials is the trial count the paper derives from Theorem 3.1 for
@@ -118,7 +116,7 @@ func (m *MonteCarlo) samplePlan(qg *graph.QueryGraph) (*kernel.Plan, []int) {
 		red, _, mapping := ReduceAll(qg)
 		return kernel.Compile(red), mapping
 	}
-	return m.memo.For(qg, m.Plan), nil
+	return planFor(qg, m.Plan), nil
 }
 
 // simOutcome is what one simulation pass produced: the scores, and —

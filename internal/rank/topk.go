@@ -64,8 +64,6 @@ type TopKRacer struct {
 	// Plan optionally supplies a pre-compiled kernel plan for the query
 	// graph.
 	Plan *kernel.Plan
-
-	memo PlanMemo
 }
 
 // RaceStats reports what a top-k race did, beyond the shared OpStats
@@ -134,7 +132,7 @@ func (r *TopKRacer) RankWithStatsCtx(ctx context.Context, qg *graph.QueryGraph) 
 	}
 	var ps PlannerStats
 	rs := &ps.RaceStats
-	scores := r.raceWithPriors(ctx, r.memo.For(qg, r.Plan), rs, nil)
+	scores := r.raceWithPriors(ctx, planFor(qg, r.Plan), rs, nil)
 	res := Result{Method: r.Name(), Scores: scores, Lo: rs.Lo, Hi: rs.Hi, Truncated: rs.Truncated}
 	return res, ps, nil
 }
